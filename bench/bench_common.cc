@@ -5,7 +5,6 @@
 
 #include "sim/parallel_eval.h"
 #include "util/strings.h"
-#include "volume/sharded_pair_counter.h"
 
 namespace piggyweb::bench {
 
@@ -117,13 +116,9 @@ sim::EvalResult eval_directory(const trace::SyntheticWorkload& workload,
 
 volume::PairCounts pair_counts(const trace::SyntheticWorkload& workload,
                                std::uint64_t min_resource_count,
-                               util::Seconds window, std::size_t threads) {
+                               util::Seconds window) {
   volume::PairCounterConfig pcc;
   pcc.window = window;
-  if (threads != 1) {
-    return volume::ParallelPairCounterBuilder(pcc, threads)
-        .build(workload.trace, min_resource_count);
-  }
   return volume::PairCounterBuilder(pcc).build(workload.trace,
                                                min_resource_count);
 }
@@ -156,8 +151,7 @@ ProbabilityRun eval_probability(const trace::SyntheticWorkload& workload,
                                 const sim::EvalConfig& config,
                                 std::uint64_t min_resource_count,
                                 std::size_t threads) {
-  const auto counts =
-      pair_counts(workload, min_resource_count, pvc.window, threads);
+  const auto counts = pair_counts(workload, min_resource_count, pvc.window);
   return eval_probability_with_counts(workload, counts, pvc, config,
                                       threads);
 }

@@ -106,8 +106,7 @@ ProbabilityRun eval_probability_with_counts(
 // Pair counts for a workload (exact counters, window T = 300 s).
 volume::PairCounts pair_counts(const trace::SyntheticWorkload& workload,
                                std::uint64_t min_resource_count = 10,
-                               util::Seconds window = 300,
-                               std::size_t threads = 1);
+                               util::Seconds window = 300);
 
 // Header banner shared by all binaries.
 void print_banner(const std::string& title, const std::string& what_to_check);

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const auto workload =
       trace::generate(trace::sun_profile(bench::kSunScale * scale));
   std::printf("(sun: %zu requests)\n", workload.trace.size());
-  const auto counts = bench::pair_counts(workload, 10, 300, threads);
+  const auto counts = bench::pair_counts(workload);
   std::printf("pair counters: %zu\n\n", counts.counter_count());
 
   struct Variant {

@@ -18,7 +18,7 @@ void run_log(const trace::LogProfile& profile, std::size_t threads) {
   const auto workload = trace::generate(profile);
   std::printf("(%s: %zu requests)\n", profile.name.c_str(),
               workload.trace.size());
-  const auto counts = bench::pair_counts(workload, 10, 300, threads);
+  const auto counts = bench::pair_counts(workload);
 
   sim::Table table({"p_t", "base avg size", "base precision",
                     "thinned avg size", "thinned precision"});

@@ -360,7 +360,7 @@ void check_invalidation(const SourceFile& file,
           if (is_kill_at(u)) break;  // rebound: the stale value is gone
           out.push_back(
               {file.path, toks[u].line, std::string(config.rule),
-               "'" + std::string(b.name) + "' (from '" + b.receiver +
+               std::string("'").append(b.name) + "' (from '" + b.receiver +
                    "." + std::string(b.method) + "', line " +
                    std::to_string(b.line) + ") used after mutating '" +
                    m.receiver + "." + std::string(m.method) +

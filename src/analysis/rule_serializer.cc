@@ -392,8 +392,8 @@ void check_serializer_symmetry(const Project& project,
     Flattener{known, {}}.flatten(writer.ops, nullptr, writes);
     Flattener{known, {}}.flatten(reader->ops, nullptr, reads);
 
-    const std::string pair_name = "'" + std::string(writer.name) + "'/'" +
-                                  std::string(reader->name) + "'";
+    const std::string pair_name = std::string("'").append(writer.name) +
+                                  "'/'" + std::string(reader->name) + "'";
     std::size_t diverge = writes.size();
     for (std::size_t k = 0; k < writes.size() && k < reads.size(); ++k) {
       if (writes[k].text != reads[k].text) {

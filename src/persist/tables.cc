@@ -103,56 +103,6 @@ bool deserialize_rpv_entries(ByteReader& in,
   return true;
 }
 
-// volume::ShardedPairCounterTable -------------------------------------------
-
-void serialize_sharded_pair_counts(const volume::ShardedPairCounterTable& table,
-                                   ByteWriter& out) {
-  auto pairs = table.pair_entries();
-  std::sort(pairs.begin(), pairs.end());
-  out.u64(pairs.size());
-  for (const auto& [key, count] : pairs) {
-    out.u64(key);
-    out.u64(count);
-  }
-  serialize_u64_vector(table.occurrence_vector(), out);
-}
-
-bool deserialize_sharded_pair_counts(ByteReader& in,
-                                     volume::ShardedPairCounterTable& table,
-                                     std::string& error) {
-  const auto count = in.u64();
-  if (!in.fits(count, 16)) {
-    error = "pair counter count overruns input";
-    return false;
-  }
-  std::uint64_t previous_key = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto key = in.u64();
-    const auto value = in.u64();
-    if (!in.ok()) {
-      error = "truncated pair counters";
-      return false;
-    }
-    if (i > 0 && key <= previous_key) {
-      error = "pair counter keys not strictly ascending";
-      return false;
-    }
-    previous_key = key;
-    table.add_pair_key(key, value);
-  }
-  std::vector<std::uint64_t> occurrences;
-  if (!deserialize_u64_vector(in, occurrences, error)) return false;
-  if (occurrences.size() > 0xffffffffull) {
-    error = "occurrence vector exceeds the resource id space";
-    return false;
-  }
-  for (std::size_t r = 0; r < occurrences.size(); ++r) {
-    if (occurrences[r] == 0) continue;
-    table.add_occurrence(static_cast<util::InternId>(r), occurrences[r]);
-  }
-  return true;
-}
-
 // volume::ProbabilityVolumeSet ----------------------------------------------
 
 void serialize_probability_volume_set(const volume::ProbabilityVolumeSet& set,

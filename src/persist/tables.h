@@ -29,7 +29,6 @@
 #include "util/intern.h"
 #include "util/time.h"
 #include "volume/probability.h"
-#include "volume/sharded_pair_counter.h"
 
 namespace piggyweb::persist {
 
@@ -112,19 +111,6 @@ void serialize_rpv_list(const core::RpvList& list, ByteWriter& out);
 bool deserialize_rpv_entries(ByteReader& in,
                              std::vector<core::RpvEntry>& entries,
                              std::string& error);
-
-// volume::ShardedPairCounterTable -------------------------------------------
-//
-// The merged (stripe-independent) counter state: pair counters sorted by
-// key, then the dense c(r) occurrence vector. Deserialization adds into
-// `table`, which must be freshly constructed; the stripe count is a
-// performance detail and does not need to match the saved run.
-
-void serialize_sharded_pair_counts(const volume::ShardedPairCounterTable& table,
-                                   ByteWriter& out);
-bool deserialize_sharded_pair_counts(ByteReader& in,
-                                     volume::ShardedPairCounterTable& table,
-                                     std::string& error);
 
 // volume::ProbabilityVolumeSet ----------------------------------------------
 //

@@ -86,8 +86,8 @@ Topology uniform_tree_topology(const UniformTreeSpec& spec) {
         ProxyNodeSpec node;
         node.name = level == 0
                         ? "root"
-                        : "l" + std::to_string(level) + "." +
-                              std::to_string(current_level.size());
+                        : std::string("l").append(std::to_string(level)) +
+                              "." + std::to_string(current_level.size());
         node.parent = level == 0 ? -1 : previous_level[p];
         node.cache = cache;
         node.enable_coherency = spec.enable_coherency;

@@ -255,7 +255,9 @@ std::optional<BinaryTraceReader> BinaryTraceReader::open(
 
   // Cell-level validation: every id must resolve against its string table
   // and every method byte must be a known enum value, so downstream code
-  // can index without bounds checks.
+  // can index without bounds checks; and time must never decrease, since
+  // replay and pair counting consume the rows in file order.
+  std::int64_t previous_time = 0;
   for (std::size_t i = 0; i < reader.count_; ++i) {
     if (load_le<std::uint32_t>(reader.col_source_, i) >=
             reader.string_counts_[0] ||
@@ -271,6 +273,12 @@ std::optional<BinaryTraceReader> BinaryTraceReader::open(
       error = "trace column holds an unknown method value";
       return std::nullopt;
     }
+    const auto time = load_le<std::int64_t>(reader.col_time_, i);
+    if (i > 0 && time < previous_time) {
+      error = "trace container is not time-sorted";
+      return std::nullopt;
+    }
+    previous_time = time;
   }
 
   // The header fingerprint must equal the fold over the stored payloads —

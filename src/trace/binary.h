@@ -9,7 +9,8 @@
 //   strings.sources      u32 count, count x (u32 len + bytes), id order
 //   strings.servers      (same)
 //   strings.paths        (same)
-//   col.time             request_count x i64   seconds since epoch
+//   col.time             request_count x i64   seconds since epoch,
+//                                              non-decreasing
 //   col.source           request_count x u32   intern id
 //   col.server           request_count x u32   intern id
 //   col.path             request_count x u32   intern id
@@ -63,9 +64,10 @@ class BinaryTraceReader {
  public:
   // Validates the container (magic, version, section checksums), the
   // section set, column lengths against the header count, string-table
-  // structure, id bounds of every source/server/path/method cell, and the
-  // header fingerprint. Corrupt input of any kind is rejected with a
-  // message in `error`, never crashed on.
+  // structure, id bounds of every source/server/path/method cell, time
+  // order (equal times are legal), and the header fingerprint. Corrupt
+  // input of any kind is rejected with a message in `error`, never
+  // crashed on.
   static std::optional<BinaryTraceReader> open(std::string_view file,
                                                std::string& error);
 

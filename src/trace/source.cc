@@ -59,8 +59,8 @@ class BinaryTraceSource final : public TraceSource {
     auto mapping = util::MmapFile::open(path_, error);
     if (!mapping) return false;
     mapping->advise_sequential();
-    // Binary containers preserve the order they were written in (writers
-    // serialize time-sorted traces), so no re-sort here.
+    // Binary containers preserve the order they were written in, and
+    // open() rejects one whose time column decreases, so no re-sort here.
     if (!load_binary_trace(mapping->bytes(), out, error)) {
       error = path_ + ": " + error;
       return false;

@@ -1,6 +1,5 @@
 // Fixed-size worker pool with a shared FIFO work queue — the execution
-// substrate for the parallel sharded evaluation engine (sim/parallel_eval)
-// and the parallel pair-counter builder (volume/sharded_pair_counter).
+// substrate for the parallel sharded evaluation engine (sim/parallel_eval).
 //
 // Design constraints, in order:
 //   * determinism lives in the *callers*: the pool makes no ordering

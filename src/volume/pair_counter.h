@@ -78,8 +78,6 @@ class PairCounts {
 
  private:
   friend class PairCounterBuilder;
-  friend class ParallelPairCounterBuilder;
-  friend class ShardedPairCounterTable;
   friend struct piggyweb::persist::StateAccess;
   std::vector<std::uint64_t> c_r_;  // indexed by resource id
   util::FlatMap<std::uint64_t, PairCount> pairs_;

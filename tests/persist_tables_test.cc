@@ -192,50 +192,29 @@ TEST(RpvCodec, TruncatedEntriesAreRejected) {
   EXPECT_FALSE(error.empty());
 }
 
-// Sharded pair counters -----------------------------------------------------
-
-TEST(PairCounterCodec, RoundTripAcrossStripeCounts) {
-  volume::ShardedPairCounterTable table(8);
-  util::Rng rng(0xc0117);
-  for (int i = 0; i < 2000; ++i) {
-    const auto r = static_cast<util::InternId>(rng.below(40));
-    const auto s = static_cast<util::InternId>(rng.below(40));
-    table.add_pair(r, s);
-    table.add_occurrence(r);
-  }
-
-  ByteWriter out;
-  serialize_sharded_pair_counts(table, out);
-  const auto bytes = out.take();
-
-  // The stripe count is a concurrency detail; restore into a table with a
-  // different one and expect identical logical contents.
-  volume::ShardedPairCounterTable back(3);
-  ByteReader in(bytes);
-  std::string error;
-  ASSERT_TRUE(deserialize_sharded_pair_counts(in, back, error)) << error;
-  EXPECT_TRUE(in.ok() && in.at_end());
-
-  auto expect_entries = table.pair_entries();
-  auto got_entries = back.pair_entries();
-  std::sort(expect_entries.begin(), expect_entries.end());
-  std::sort(got_entries.begin(), got_entries.end());
-  EXPECT_EQ(got_entries, expect_entries);
-  EXPECT_EQ(back.occurrence_vector(), table.occurrence_vector());
-
-  ByteWriter again;
-  serialize_sharded_pair_counts(back, again);
-  EXPECT_EQ(again.bytes(), bytes);
-}
+// Pair counters -------------------------------------------------------------
 
 TEST(PairCounterCodec, PairCountsRoundTrip) {
-  volume::ShardedPairCounterTable table(4);
-  table.add_pair(1, 2, 5);
-  table.add_pair(1, 3, 2);
-  table.add_pair(2, 3, 9);
-  table.add_occurrence(1, 10);
-  table.add_occurrence(2, 12);
-  const volume::PairCounts counts = table.to_pair_counts();
+  // Sessions 1000 s apart (beyond the 300 s window) from one client, so
+  // pairs form only within a session. Paths intern as ids 0..3 in order.
+  struct Session {
+    int repeat;
+    std::vector<int> paths;
+  };
+  const Session sessions[] = {
+      {1, {0}}, {2, {1, 2, 3}}, {3, {1, 2}}, {7, {2, 3}}, {5, {1}}};
+  trace::Trace trace;
+  util::Seconds now = 0;
+  for (const auto& session : sessions) {
+    for (int i = 0; i < session.repeat; ++i, now += 1000) {
+      for (const int path : session.paths) {
+        trace.add({now + path}, "client", "server",
+                  std::string("/p").append(std::to_string(path)));
+      }
+    }
+  }
+  const volume::PairCounts counts =
+      volume::PairCounterBuilder(volume::PairCounterConfig{}).build(trace);
 
   ByteWriter out;
   StateAccess::serialize_pair_counts(counts, out);

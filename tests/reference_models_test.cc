@@ -8,8 +8,6 @@
 #include <list>
 #include <map>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,7 +17,6 @@
 #include "util/strings.h"
 #include "volume/directory.h"
 #include "volume/pair_counter.h"
-#include "volume/sharded_pair_counter.h"
 
 namespace piggyweb {
 namespace {
@@ -183,100 +180,98 @@ TEST_P(DirectoryDifferential, MatchesReferenceOverRandomRequests) {
 INSTANTIATE_TEST_SUITE_P(Levels, DirectoryDifferential,
                          ::testing::Values(0, 1, 2));
 
-// --- Sharded pair-counter table vs serial reference -------------------------
+// --- Pair counter vs naive per-source model ---------------------------------
 
-// A randomized operation list is split round-robin across real threads
-// that update the sharded table concurrently; a single-threaded replay of
-// the same list into plain maps is the reference. Counter sums commute,
-// so the merged table must match exactly for every interleaving.
-class ShardedPairCounterDifferential
-    : public ::testing::TestWithParam<std::uint64_t> {};
+// Naive model of the §3.3.1 counting pass: group the trace by source in
+// ascending source id and, for every qualifying request r, count each
+// distinct qualifying successor s requested within the window, creating
+// c(s|r) at the c(r) reached just before this occurrence. A sampled
+// config draws one creation coin per missing counter, in that same order.
+struct ReferencePairCounts {
+  std::map<std::uint64_t, volume::PairCount> pairs;
+  std::map<util::InternId, std::uint64_t> occurrences;
+};
 
-TEST_P(ShardedPairCounterDifferential, InterleavedUpdatesMatchSerial) {
-  constexpr std::size_t kThreads = 4;
-  constexpr std::uint32_t kIdSpace = 37;
-
-  struct Op {
-    util::InternId r;
-    util::InternId s;
-    bool pair;  // add_pair(r, s) if set, else add_occurrence(r)
-  };
-  util::Rng rng(GetParam());
-  std::vector<Op> ops(12'000);
-  for (auto& op : ops) {
-    op.r = static_cast<util::InternId>(rng.below(kIdSpace));
-    op.s = static_cast<util::InternId>(rng.below(kIdSpace));
-    op.pair = rng.below(3) != 0;
+ReferencePairCounts reference_pair_counts(
+    const trace::Trace& trace, const volume::PairCounterConfig& config,
+    std::uint64_t min_count) {
+  std::map<util::InternId, std::uint64_t> popularity;
+  std::map<util::InternId, std::vector<trace::Request>> by_source;
+  for (const auto& request : trace.requests()) {
+    ++popularity[request.path];
+    by_source[request.source].push_back(request);
   }
+  const auto qualifies = [&](util::InternId path) {
+    return popularity.at(path) >= min_count;
+  };
+  const auto prefix = [&](util::InternId path) {
+    return util::directory_prefix(trace.paths().str(path),
+                                  config.restrict_prefix_level);
+  };
 
-  volume::ShardedPairCounterTable table(8);
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t, &ops, &table] {
-      for (std::size_t i = t; i < ops.size(); i += kThreads) {
-        if (ops[i].pair) {
-          table.add_pair(ops[i].r, ops[i].s);
-        } else {
-          table.add_occurrence(ops[i].r);
+  util::Rng rng(config.seed);
+  ReferencePairCounts out;
+  for (const auto& [source, requests] : by_source) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const auto r = requests[i].path;
+      if (!qualifies(r)) continue;
+      const auto cr = ++out.occurrences[r];
+      std::vector<util::InternId> successors;  // distinct, first seen first
+      for (std::size_t j = i + 1; j < requests.size(); ++j) {
+        const auto s = requests[j].path;
+        if (requests[j].time - requests[i].time <= config.window &&
+            qualifies(s) &&
+            std::find(successors.begin(), successors.end(), s) ==
+                successors.end()) {
+          successors.push_back(s);
         }
       }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-
-  std::unordered_map<std::uint64_t, std::uint64_t> pairs;
-  std::unordered_map<util::InternId, std::uint64_t> occurrences;
-  for (const auto& op : ops) {
-    if (op.pair) {
-      ++pairs[volume::PairCounts::key(op.r, op.s)];
-    } else {
-      ++occurrences[op.r];
+      for (const auto s : successors) {
+        if (config.restrict_prefix_level > 0 && prefix(r) != prefix(s)) {
+          continue;
+        }
+        const auto key = volume::PairCounts::key(r, s);
+        auto it = out.pairs.find(key);
+        if (it == out.pairs.end()) {
+          if (config.sample_counters &&
+              !rng.chance(std::min(
+                  1.0, config.sample_k / (config.sample_threshold *
+                                          static_cast<double>(cr))))) {
+            continue;
+          }
+          it = out.pairs.emplace(key, volume::PairCount{0, cr - 1}).first;
+        }
+        ++it->second.count;
+      }
     }
   }
-
-  EXPECT_EQ(table.counter_count(), pairs.size());
-  for (std::uint32_t r = 0; r < kIdSpace; ++r) {
-    const auto occ = occurrences.find(r);
-    ASSERT_EQ(table.occurrences(r),
-              occ == occurrences.end() ? 0 : occ->second)
-        << "r=" << r;
-    for (std::uint32_t s = 0; s < kIdSpace; ++s) {
-      const auto it = pairs.find(volume::PairCounts::key(r, s));
-      ASSERT_EQ(table.pair_count(r, s), it == pairs.end() ? 0 : it->second)
-          << "r=" << r << " s=" << s;
-    }
-  }
-
-  // The deterministic merge reproduces the same counts.
-  const auto merged = table.to_pair_counts();
-  EXPECT_EQ(merged.counter_count(), pairs.size());
-  for (const auto& [key, count] : pairs) {
-    const auto it = merged.pairs().find(key);
-    ASSERT_NE(it, merged.pairs().end()) << key;
-    EXPECT_EQ(it->second.count, count) << key;
-  }
+  return out;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardedPairCounterDifferential,
-                         ::testing::Values(11, 29, 4242, 19980901));
-
-// --- Parallel pair-counter builder vs serial builder ------------------------
-
-void expect_same_counts(const volume::PairCounts& serial,
-                        const volume::PairCounts& parallel) {
-  EXPECT_EQ(serial.counter_count(), parallel.counter_count());
-  EXPECT_EQ(serial.resource_occurrences(),
-            parallel.resource_occurrences());
-  for (const auto& [key, pc] : serial.pairs()) {
-    const auto it = parallel.pairs().find(key);
-    ASSERT_NE(it, parallel.pairs().end()) << "key " << key;
-    EXPECT_EQ(pc.count, it->second.count) << "key " << key;
-    EXPECT_EQ(pc.cr_at_creation, it->second.cr_at_creation)
+void expect_matches_reference(const volume::PairCounts& counts,
+                              const ReferencePairCounts& reference,
+                              std::size_t path_count) {
+  ASSERT_EQ(counts.counter_count(), reference.pairs.size());
+  for (const auto& [key, pc] : reference.pairs) {
+    const auto it = counts.pairs().find(key);
+    ASSERT_NE(it, counts.pairs().end()) << "key " << key;
+    EXPECT_EQ(it->second.count, pc.count) << "key " << key;
+    EXPECT_EQ(it->second.cr_at_creation, pc.cr_at_creation)
         << "key " << key;
   }
+  ASSERT_EQ(counts.resource_occurrences().size(), path_count);
+  for (util::InternId r = 0; r < path_count; ++r) {
+    const auto it = reference.occurrences.find(r);
+    EXPECT_EQ(counts.occurrences(r),
+              it == reference.occurrences.end() ? 0 : it->second)
+        << "r " << r;
+  }
 }
 
+// 32 hot paths over four directories, plus 64 rare ones that get one
+// request in 16 (about six hits each per 6,000 requests): rare paths
+// straddle the min-count cut, and their pairs reach the sampler late,
+// when the creation probability has dropped below 1.
 trace::Trace random_single_server_trace(std::uint64_t seed,
                                         std::size_t requests) {
   std::vector<std::string> pool;
@@ -285,50 +280,57 @@ trace::Trace random_single_server_trace(std::uint64_t seed,
       pool.push_back(std::string(dir) + "/r" + std::to_string(i) + ".html");
     }
   }
+  for (int i = 0; i < 64; ++i) {
+    pool.push_back(std::string("/rare/r").append(std::to_string(i)) + ".html");
+  }
   util::Rng rng(seed);
   trace::Trace trace;
   util::Seconds now = 1'000'000;
   for (std::size_t i = 0; i < requests; ++i) {
     now += static_cast<util::Seconds>(rng.below(3));  // duplicates allowed
     const auto source = "10.0.0." + std::to_string(rng.below(6));
-    trace.add({now}, source, "origin", pool[rng.below(pool.size())]);
+    const auto path = rng.below(16) == 0 ? 32 + rng.below(64) : rng.below(32);
+    trace.add({now}, source, "origin", pool[path]);
   }
   return trace;  // built time-sorted
 }
 
-class ParallelPairCounterDifferential
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ParallelPairCounterDifferential, MatchesSerialBuilderExactly) {
-  const auto trace = random_single_server_trace(GetParam(), 6'000);
+// Builds every prefix-level x min-count combination with the production
+// builder and the naive model and requires identical counter tables.
+void expect_builder_matches_model(const trace::Trace& trace, bool sampled) {
   for (const int prefix_level : {0, 1}) {
     volume::PairCounterConfig config;
     config.window = 120;
+    config.sample_counters = sampled;
     config.restrict_prefix_level = prefix_level;
     for (const std::uint64_t min_count : {1u, 5u}) {
-      const auto serial =
-          volume::PairCounterBuilder(config).build(trace, min_count);
-      for (const std::size_t threads : {2u, 4u, 8u}) {
-        const auto parallel =
-            volume::ParallelPairCounterBuilder(config, threads)
-                .build(trace, min_count);
-        expect_same_counts(serial, parallel);
-      }
+      SCOPED_TRACE(::testing::Message() << "prefix level " << prefix_level
+                                        << ", min count " << min_count);
+      expect_matches_reference(
+          volume::PairCounterBuilder(config).build(trace, min_count),
+          reference_pair_counts(trace, config, min_count),
+          trace.paths().size());
     }
   }
 }
 
-TEST_P(ParallelPairCounterDifferential, SampledConfigFallsBackToSerial) {
-  const auto trace = random_single_server_trace(GetParam() ^ 0xABCD, 3'000);
-  volume::PairCounterConfig config;
-  config.sample_counters = true;
-  const auto serial = volume::PairCounterBuilder(config).build(trace, 1);
-  const auto parallel =
-      volume::ParallelPairCounterBuilder(config, 4).build(trace, 1);
-  expect_same_counts(serial, parallel);
+class PairCounterDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PairCounterDifferential, MatchesNaiveModelExactly) {
+  expect_builder_matches_model(random_single_server_trace(GetParam(), 6'000),
+                               /*sampled=*/false);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelPairCounterDifferential,
+TEST_P(PairCounterDifferential, SampledMatchesNaiveModel) {
+  // The sampler consumes one RNG stream, so this also pins the builder's
+  // visit order: ascending source, feed order, first-seen successors.
+  expect_builder_matches_model(
+      random_single_server_trace(GetParam() ^ 0xABCD, 3'000),
+      /*sampled=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PairCounterDifferential,
                          ::testing::Values(7, 1234, 987654321));
 
 }  // namespace

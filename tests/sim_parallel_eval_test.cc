@@ -8,9 +8,7 @@
 
 #include <cstring>
 #include <string>
-#include <thread>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,11 +17,9 @@
 #include "sim/prediction_eval.h"
 #include "sim/report.h"
 #include "trace/profiles.h"
-#include "util/rng.h"
 #include "volume/directory.h"
 #include "volume/pair_counter.h"
 #include "volume/probability.h"
-#include "volume/sharded_pair_counter.h"
 
 namespace piggyweb {
 namespace {
@@ -220,59 +216,6 @@ TEST(ParallelEvalDeterminism, ProbabilityVolumesAllThreadCounts) {
                            std::to_string(threads));
     }
   }
-}
-
-// Concurrency stress for the sharded counter table: hammer it from several
-// real threads, then check the merged counts equal a serial replay of the
-// same operations. Sums are commutative, so any interleaving must land on
-// the same totals — and TSan checks the locking while this runs.
-TEST(ShardedPairCounterConcurrency, InterleavedUpdatesMatchSerialReplay) {
-  constexpr std::size_t kThreads = 4;
-  constexpr int kOpsPerThread = 20'000;
-  constexpr std::uint32_t kIdSpace = 47;
-
-  volume::ShardedPairCounterTable table(8);
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t, &table] {
-      util::Rng rng(0xC0FFEE + t);
-      for (int op = 0; op < kOpsPerThread; ++op) {
-        const auto r = static_cast<util::InternId>(rng.below(kIdSpace));
-        const auto s = static_cast<util::InternId>(rng.below(kIdSpace));
-        table.add_pair(r, s);
-        table.add_occurrence(r);
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-
-  // Serial replay with the same per-thread seeds.
-  std::unordered_map<std::uint64_t, std::uint64_t> pairs;
-  std::unordered_map<util::InternId, std::uint64_t> occurrences;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    util::Rng rng(0xC0FFEE + t);
-    for (int op = 0; op < kOpsPerThread; ++op) {
-      const auto r = static_cast<util::InternId>(rng.below(kIdSpace));
-      const auto s = static_cast<util::InternId>(rng.below(kIdSpace));
-      ++pairs[(static_cast<std::uint64_t>(r) << 32) | s];
-      ++occurrences[r];
-    }
-  }
-
-  for (std::uint32_t r = 0; r < kIdSpace; ++r) {
-    const auto occ_it = occurrences.find(r);
-    ASSERT_EQ(table.occurrences(r),
-              occ_it == occurrences.end() ? 0 : occ_it->second)
-        << "r=" << r;
-    for (std::uint32_t s = 0; s < kIdSpace; ++s) {
-      const auto key = (static_cast<std::uint64_t>(r) << 32) | s;
-      const auto it = pairs.find(key);
-      ASSERT_EQ(table.pair_count(r, s), it == pairs.end() ? 0 : it->second)
-          << "r=" << r << " s=" << s;
-    }
-  }
-  EXPECT_EQ(table.counter_count(), pairs.size());
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // transform slices through the binary format, and — the untrusted-input
 // half — rejection of every corruption class the reader documents:
 // truncation, bit flips, column-length mismatches, out-of-range ids and
-// methods, duplicate string-table entries, wrong magic/version.
+// methods, decreasing times, duplicate string-table entries, wrong
+// magic/version.
 #include "trace/binary.h"
 
 #include <functional>
@@ -247,6 +248,34 @@ TEST(TraceBinary, OutOfRangeMethodRejected) {
   trace::Trace out;
   std::string error;
   EXPECT_FALSE(trace::load_binary_trace(crafted, out, error));
+}
+
+TEST(TraceBinary, DecreasingTimeRejected) {
+  const auto bytes = trace::serialize_binary_trace(make_trace());
+  // Swap the first two col.time cells (100, 105): every checksum and the
+  // fingerprint are rebuilt, so only the time-order check can catch it.
+  const auto crafted = rebuild_with(bytes, [](auto& payloads) {
+    auto& time = payloads[4];
+    const std::string first = time.substr(0, 8);
+    time.replace(0, 8, time.substr(8, 8));
+    time.replace(8, 8, first);
+  });
+  std::string error;
+  EXPECT_FALSE(trace::BinaryTraceReader::open(crafted, error).has_value());
+  EXPECT_EQ(error, "trace container is not time-sorted");
+}
+
+TEST(TraceBinary, EqualTimesAccepted) {
+  const auto bytes = trace::serialize_binary_trace(make_trace());
+  // Copy the first col.time cell over the second: 100, 100, 110, ...
+  const auto crafted = rebuild_with(bytes, [](auto& payloads) {
+    auto& time = payloads[4];
+    time.replace(8, 8, time.substr(0, 8));
+  });
+  trace::Trace out;
+  std::string error;
+  ASSERT_TRUE(trace::load_binary_trace(crafted, out, error)) << error;
+  EXPECT_EQ(out.requests()[1].time, out.requests()[0].time);
 }
 
 TEST(TraceBinary, OutOfRangeInternIdRejected) {

@@ -213,7 +213,8 @@ TEST(ParseClfFieldsDifferential, RandomizedMutations) {
     std::string path = "/";
     const auto segments = rng.below(4);
     for (std::uint64_t s = 0; s <= segments; ++s) {
-      path += "d" + std::to_string(rng.below(30));
+      path += 'd';
+      path += std::to_string(rng.below(30));
       path += rng.chance(0.8) ? "/" : "";
     }
     if (rng.chance(0.1)) path += std::string(rng.below(400), 'q');

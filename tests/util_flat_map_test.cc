@@ -418,11 +418,8 @@ TEST(InternArena, ReserveKeepsIdsAndLookups) {
   table.reserve(5000);
   EXPECT_EQ(table.str(a), "before-reserve");
   EXPECT_EQ(table.intern("before-reserve"), a);
-  std::string key;
   for (int i = 0; i < 5000; ++i) {
-    key = "k";
-    key += std::to_string(i);
-    table.intern(key);
+    table.intern(std::string("k").append(std::to_string(i)));
   }
   EXPECT_EQ(table.size(), 5001u);
   EXPECT_EQ(*table.find("k4999"), 5000u);

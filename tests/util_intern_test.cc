@@ -48,7 +48,9 @@ TEST(InternTable, StableViewsAcrossGrowth) {
   const auto id0 = table.intern("first");
   // Force plenty of growth; the string_view for id0 must stay valid
   // because views point into stable per-string storage.
-  for (int i = 0; i < 10000; ++i) table.intern("s" + std::to_string(i));
+  for (int i = 0; i < 10000; ++i) {
+    table.intern(std::string("s").append(std::to_string(i)));
+  }
   EXPECT_EQ(table.str(id0), "first");
   EXPECT_EQ(table.size(), 10001u);
 }
@@ -56,12 +58,12 @@ TEST(InternTable, StableViewsAcrossGrowth) {
 TEST(InternTable, ManyDistinctStrings) {
   InternTable table;
   for (int i = 0; i < 5000; ++i) {
-    EXPECT_EQ(table.intern("k" + std::to_string(i)),
+    EXPECT_EQ(table.intern(std::string("k").append(std::to_string(i))),
               static_cast<InternId>(i));
   }
   for (int i = 0; i < 5000; ++i) {
     EXPECT_EQ(table.str(static_cast<InternId>(i)),
-              "k" + std::to_string(i));
+              std::string("k").append(std::to_string(i)));
   }
 }
 

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "trace/record.h"
 #include "util/rng.h"
-#include "volume/sharded_pair_counter.h"
 
 namespace piggyweb::volume {
 namespace {
@@ -152,7 +149,7 @@ TEST(PairCounter, SampledCountersAreSubsetOfExact) {
   trace::Trace t;
   for (int session = 0; session < 200; ++session) {
     const auto base = static_cast<util::Seconds>(session * 1000);
-    const auto client = "c" + std::to_string(session % 20);
+    const auto client = std::string("c").append(std::to_string(session % 20));
     t.add({base}, client, "server", "/page.html");
     t.add({base + 5}, client, "server", "/img1.gif");
     t.add({base + 6}, client, "server", "/img2.gif");
@@ -212,8 +209,9 @@ trace::Trace make_random_pair_trace(std::uint64_t seed, std::size_t n) {
   util::Seconds now = 0;
   for (std::size_t i = 0; i < n; ++i) {
     now += static_cast<util::Seconds>(rng.below(120));
-    t.add({now}, "c" + std::to_string(rng.below(8)), "server",
-          "/d" + std::to_string(rng.below(3)) + "/p" +
+    t.add({now}, std::string("c").append(std::to_string(rng.below(8))),
+          "server",
+          std::string("/d").append(std::to_string(rng.below(3))) + "/p" +
               std::to_string(rng.below(25)));
   }
   t.sort_by_time();
@@ -285,46 +283,6 @@ TEST(PairObservations, SampledObservationBuildMatchesTraceBuild) {
   const auto from_obs =
       PairCounterBuilder(config).build(observe_whole(t), t.paths());
   expect_counts_equal(from_trace, from_obs);
-}
-
-TEST(PairObservations, ParallelObservationBuildMatchesSerial) {
-  const auto t = make_random_pair_trace(34, 500);
-  const auto obs = observe_whole(t);
-  const auto serial = PairCounterBuilder(exact()).build(obs, t.paths());
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    ParallelPairCounterBuilder builder(exact(), threads);
-    expect_counts_equal(serial, builder.build(obs, t.paths()));
-  }
-}
-
-TEST(ShardedTable, AddPairsMatchesPerKeyAdds) {
-  util::Rng rng(0xADD);
-  ShardedPairCounterTable batched(8);
-  ShardedPairCounterTable per_key(8);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
-  for (int round = 0; round < 50; ++round) {
-    entries.clear();
-    const auto n = rng.below(40);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      // A small key space forces duplicate keys within one batch.
-      entries.emplace_back(rng.below(64), 1 + rng.below(3));
-    }
-    batched.add_pairs(entries);
-    for (const auto& [key, delta] : entries) {
-      per_key.add_pair_key(key, delta);
-    }
-  }
-  auto a = batched.pair_entries();
-  auto b = per_key.pair_entries();
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
-}
-
-TEST(ShardedTable, AddPairsEmptyIsANoOp) {
-  ShardedPairCounterTable table(4);
-  table.add_pairs({});
-  EXPECT_EQ(table.counter_count(), 0u);
 }
 
 }  // namespace

@@ -15,7 +15,7 @@ trace::Trace page_trace() {
   trace::Trace t;
   for (int i = 0; i < 8; ++i) {
     const auto base = static_cast<util::Seconds>(i * 10000);
-    const auto client = "c" + std::to_string(i % 3);
+    const auto client = std::string("c").append(std::to_string(i % 3));
     t.add({base}, client, "server", "/page.html");
     t.add({base + 5}, client, "server", "/img.gif");
     if (i % 4 == 0) t.add({base + 8}, client, "server", "/weak.html");

@@ -36,7 +36,6 @@
 #include "volume/directory.h"
 #include "volume/pair_counter.h"
 #include "volume/probability.h"
-#include "volume/sharded_pair_counter.h"
 #include "volume/serialize.h"
 
 using namespace piggyweb;
@@ -420,23 +419,16 @@ int main(int argc, char** argv) {
       volume::PairCounts counts;
       if (stream) {
         // Training never materializes the trace either: one windowed pass
-        // builds the compact per-source observation log, the builders
-        // count from it, and the effectiveness pass replays windows.
+        // builds the compact per-source observation log, the builder
+        // counts from it, and the effectiveness pass replays windows.
         volume::PairObservations observations;
         for_each_window([&](std::span<const trace::Request> window) {
           observations.observe_window(window);
         });
-        counts = threads != 1
-                     ? volume::ParallelPairCounterBuilder(pcc, threads)
-                           .build(observations, view->paths(), min_count)
-                     : volume::PairCounterBuilder(pcc).build(
-                           observations, view->paths(), min_count);
+        counts = volume::PairCounterBuilder(pcc).build(
+            observations, view->paths(), min_count);
       } else {
-        counts = threads != 1
-                     ? volume::ParallelPairCounterBuilder(pcc, threads)
-                           .build(trace, min_count)
-                     : volume::PairCounterBuilder(pcc).build(trace,
-                                                            min_count);
+        counts = volume::PairCounterBuilder(pcc).build(trace, min_count);
       }
       volume::ProbabilityVolumeConfig pvc;
       pvc.probability_threshold = flags.get_double("pt");
