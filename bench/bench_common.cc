@@ -102,16 +102,10 @@ sim::EvalResult eval_directory(const trace::SyntheticWorkload& workload,
   dvc.level = level;
   dvc.max_candidates = max_candidates;
   server::TraceMetaOracle meta(workload.trace);
-  if (threads != 1) {
-    sim::ParallelEvalConfig par;
-    par.threads = threads;
-    const auto spec = sim::shard_directory_volumes(dvc, workload.trace);
-    return sim::ParallelEvaluator(config, par).run(workload.trace, spec,
-                                                   meta);
-  }
-  volume::DirectoryVolumes volumes(dvc);
-  volumes.bind_paths(workload.trace.paths());
-  return sim::PredictionEvaluator(config).run(workload.trace, volumes, meta);
+  sim::ParallelEvalConfig par;
+  par.threads = threads;
+  return sim::ParallelEvaluator(config, par).run(
+      workload.trace, sim::shard_directory_volumes(dvc, workload.trace), meta);
 }
 
 volume::PairCounts pair_counts(const trace::SyntheticWorkload& workload,
@@ -131,18 +125,11 @@ ProbabilityRun eval_probability_with_counts(
   const auto set =
       volume::build_probability_volumes(workload.trace, counts, pvc);
   server::TraceMetaOracle meta(workload.trace);
-  if (threads != 1) {
-    sim::ParallelEvalConfig par;
-    par.threads = threads;
-    const auto spec =
-        sim::shard_probability_volumes(&set, pvc.max_candidates);
-    return {sim::ParallelEvaluator(config, par).run(workload.trace, spec,
-                                                    meta),
-            set.stats()};
-  }
-  volume::ProbabilityVolumes provider(&set, pvc.max_candidates);
-  return {sim::PredictionEvaluator(config).run(workload.trace, provider,
-                                               meta),
+  sim::ParallelEvalConfig par;
+  par.threads = threads;
+  return {sim::ParallelEvaluator(config, par).run(
+              workload.trace,
+              sim::shard_probability_volumes(&set, pvc.max_candidates), meta),
           set.stats()};
 }
 

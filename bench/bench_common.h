@@ -38,7 +38,7 @@ std::uint64_t u64_arg(int argc, char** argv, std::string_view flag,
 double scale_arg(int argc, char** argv, double fallback);
 
 // Parse "--threads=<n>" from argv; returns fallback when absent. 0 means
-// hardware concurrency; 1 (the default) runs the serial evaluators.
+// hardware concurrency; 1 (the default) replays on one thread, no pool.
 std::size_t threads_arg(int argc, char** argv, std::size_t fallback = 1);
 
 // Parse "--json=<path>" from argv; empty when absent (no JSON report).
@@ -76,9 +76,8 @@ inline constexpr double kSunScale = 0.012;    // ~156 k requests
 inline constexpr double kAttScale = 0.06;     // ~66 k requests
 inline constexpr double kDigitalScale = 0.012;
 
-// Evaluate directory-based volumes over a workload. threads > 1 (or 0 =
-// hardware) runs the parallel sharded engine; results are bit-identical
-// to the serial path for any thread count.
+// Evaluate directory-based volumes over a workload on `threads` shards (0 =
+// hardware); results are bit-identical for any thread count.
 sim::EvalResult eval_directory(const trace::SyntheticWorkload& workload,
                                int level, const sim::EvalConfig& config,
                                std::size_t max_candidates = 200,

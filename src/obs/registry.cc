@@ -17,48 +17,12 @@ void Gauge::set_max(double value) {
   }
 }
 
-HistogramMetric::HistogramMetric(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), buckets_(buckets), histogram_(lo, hi, buckets) {}
-
-void HistogramMetric::add(double x) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  histogram_.add(x);
-  stats_.add(x);
-}
-
-void HistogramMetric::merge_from(const HistogramMetric& other) {
-  PW_EXPECT(lo_ == other.lo_ && hi_ == other.hi_ &&
-            buckets_ == other.buckets_);
-  // Lock order: this before other. Merges happen after parallel phases
-  // quiesce, so the asymmetry never deadlocks in practice.
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::lock_guard<std::mutex> other_lock(other.mutex_);
-  histogram_.merge(other.histogram_);
-  stats_.merge(other.stats_);
-}
-
-util::RunningStats HistogramMetric::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-Json HistogramMetric::snapshot_buckets() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto out = Json::array();
-  out.push_back(histogram_.underflow());
-  for (std::size_t i = 0; i < histogram_.buckets(); ++i) {
-    out.push_back(histogram_.bucket_count(i));
-  }
-  out.push_back(histogram_.overflow());
-  return out;
-}
-
 Counter& Registry::counter(std::string_view name, bool deterministic) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     Entry entry{Kind::kCounter, deterministic, std::make_unique<Counter>(),
-                nullptr, nullptr, nullptr};
+                nullptr, nullptr};
     it = entries_.emplace(std::string(name), std::move(entry)).first;
   }
   PW_EXPECT(it->second.kind == Kind::kCounter);
@@ -70,25 +34,11 @@ Gauge& Registry::gauge(std::string_view name, bool deterministic) {
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     Entry entry{Kind::kGauge, deterministic, nullptr,
-                std::make_unique<Gauge>(), nullptr, nullptr};
+                std::make_unique<Gauge>(), nullptr};
     it = entries_.emplace(std::string(name), std::move(entry)).first;
   }
   PW_EXPECT(it->second.kind == Kind::kGauge);
   return *it->second.gauge;
-}
-
-HistogramMetric& Registry::histogram(std::string_view name, double lo,
-                                     double hi, std::size_t buckets,
-                                     bool deterministic) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    Entry entry{Kind::kHistogram, deterministic, nullptr, nullptr,
-                std::make_unique<HistogramMetric>(lo, hi, buckets), nullptr};
-    it = entries_.emplace(std::string(name), std::move(entry)).first;
-  }
-  PW_EXPECT(it->second.kind == Kind::kHistogram);
-  return *it->second.histogram;
 }
 
 LogHistogram& Registry::log_histogram(std::string_view name, double lo,
@@ -99,7 +49,6 @@ LogHistogram& Registry::log_histogram(std::string_view name, double lo,
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     Entry entry{Kind::kLogHistogram, deterministic, nullptr, nullptr,
-                nullptr,
                 std::make_unique<LogHistogram>(lo, hi, buckets_per_decade)};
     it = entries_.emplace(std::string(name), std::move(entry)).first;
   }
@@ -125,11 +74,6 @@ void Registry::merge_from(const Registry& other) {
         break;
       case Kind::kGauge:
         gauge(name, entry->deterministic).set_max(entry->gauge->value());
-        break;
-      case Kind::kHistogram:
-        histogram(name, entry->histogram->lo(), entry->histogram->hi(),
-                  entry->histogram->buckets(), entry->deterministic)
-            .merge_from(*entry->histogram);
         break;
       case Kind::kLogHistogram:
         log_histogram(name, entry->log_histogram->lo(),
@@ -166,26 +110,6 @@ Json Registry::snapshot() const {
         item.set("deterministic", entry.deterministic);
         gauges.push_back(std::move(item));
         break;
-      case Kind::kHistogram: {
-        const auto stats = entry.histogram->stats();
-        item.set("count", stats.count());
-        item.set("sum", stats.sum());
-        // Derived from sum/count rather than the Welford running mean:
-        // the running mean's merge is not bit-associative, and snapshots
-        // must not depend on how shard registries were grouped.
-        item.set("mean", stats.count() == 0
-                             ? 0.0
-                             : stats.sum() /
-                                   static_cast<double>(stats.count()));
-        item.set("min", stats.min());
-        item.set("max", stats.max());
-        item.set("lo", entry.histogram->lo());
-        item.set("hi", entry.histogram->hi());
-        item.set("buckets", entry.histogram->snapshot_buckets());
-        item.set("deterministic", entry.deterministic);
-        histograms.push_back(std::move(item));
-        break;
-      }
       case Kind::kLogHistogram: {
         const auto& h = *entry.log_histogram;
         item.set("scale", "log");
@@ -259,33 +183,6 @@ std::string Registry::to_prometheus() const {
         append_prometheus_number(out, entry.gauge->value());
         out += "\n";
         break;
-      case Kind::kHistogram: {
-        const auto& h = *entry.histogram;
-        const auto stats = h.stats();
-        const auto buckets = h.snapshot_buckets();
-        out += "# TYPE " + metric + " histogram\n";
-        // Cumulative le buckets: underflow folds into the first edge.
-        std::uint64_t cumulative = 0;
-        const auto& counts = buckets.items();
-        const double width =
-            h.buckets() > 0
-                ? (h.hi() - h.lo()) / static_cast<double>(h.buckets())
-                : 0.0;
-        for (std::size_t i = 0; i + 1 < counts.size(); ++i) {
-          cumulative += static_cast<std::uint64_t>(counts[i].number());
-          const double edge = h.lo() + width * static_cast<double>(i);
-          out += metric + "_bucket{le=\"";
-          append_prometheus_number(out, edge);
-          out += "\"} " + std::to_string(cumulative) + "\n";
-        }
-        out += metric + "_bucket{le=\"+Inf\"} " +
-               std::to_string(stats.count()) + "\n";
-        out += metric + "_sum ";
-        append_prometheus_number(out, stats.sum());
-        out += "\n";
-        out += metric + "_count " + std::to_string(stats.count()) + "\n";
-        break;
-      }
       case Kind::kLogHistogram: {
         const auto& h = *entry.log_histogram;
         const auto counts = h.bucket_counts();

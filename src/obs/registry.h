@@ -2,10 +2,9 @@
 // histograms, the metric substrate behind --metrics-out.
 //
 // Contract:
-//   * registration (counter()/gauge()/histogram()) locks the registry map
-//     once and returns a stable reference; the hot-path update methods on
-//     the returned metric are lock-free (counters, gauges) or take one
-//     uncontended per-metric mutex (histograms);
+//   * registration (counter()/gauge()/log_histogram()) locks the registry
+//     map once and returns a stable reference; the hot-path update
+//     methods on the returned metric are lock-free;
 //   * every metric carries a `deterministic` bit. Deterministic metrics
 //     (engine/evaluator counters derived from simulation results) must be
 //     bit-identical across thread counts; timing metrics (thread-pool
@@ -34,7 +33,6 @@
 
 #include "obs/log_histogram.h"
 #include "util/expect.h"
-#include "util/stats.h"
 
 namespace piggyweb::obs {
 
@@ -67,30 +65,6 @@ class Gauge {
   std::atomic<double> value_{0};
 };
 
-// util::Histogram + util::RunningStats behind one mutex. Fine for
-// span/task-grained events; not meant for per-request hot loops.
-class HistogramMetric {
- public:
-  HistogramMetric(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  void merge_from(const HistogramMetric& other);
-
-  // Copies taken under the lock, safe while writers are active.
-  util::RunningStats stats() const;
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  std::size_t buckets() const { return buckets_; }
-  Json snapshot_buckets() const;  // [underflow, b0, ..., bn-1, overflow]
-
- private:
-  double lo_, hi_;
-  std::size_t buckets_;
-  mutable std::mutex mutex_;
-  util::Histogram histogram_ PW_GUARDED_BY(mutex_);
-  util::RunningStats stats_ PW_GUARDED_BY(mutex_);
-};
-
 class Registry {
  public:
   Registry() = default;
@@ -102,9 +76,6 @@ class Registry {
   // is fixed at first registration.
   Counter& counter(std::string_view name, bool deterministic = true);
   Gauge& gauge(std::string_view name, bool deterministic = true);
-  HistogramMetric& histogram(std::string_view name, double lo, double hi,
-                             std::size_t buckets,
-                             bool deterministic = false);
   // Log-bucketed latency histogram (obs::LogHistogram): lock-free
   // recording, p50/p90/p99/p99.9/max in snapshots and Prometheus
   // export. The default layout spans 1 µs .. 100 s. Timing metrics are
@@ -133,13 +104,12 @@ class Registry {
   std::string to_prometheus() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kLogHistogram };
+  enum class Kind { kCounter, kGauge, kLogHistogram };
   struct Entry {
     Kind kind;
     bool deterministic;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<HistogramMetric> histogram;
     std::unique_ptr<LogHistogram> log_histogram;
   };
 

@@ -395,9 +395,9 @@ void EvalRestore::warm_provider(core::VolumeProvider& provider,
   if (!directory_) return;
   PW_EXPECT(shards > 0 && shard < shards);
   PW_EXPECT(!translated_.has_value());
-  if (provider_shards_expected_ == 0) provider_shards_expected_ = shards;
-  PW_EXPECT(provider_shards_expected_ == shards);
-  ++provider_shards_seen_;
+  if (expected_providers_ == 0) expected_providers_ = shards;
+  PW_EXPECT(expected_providers_ == shards);
+  ++warmed_providers_;
 
   auto* target = dynamic_cast<volume::DirectoryVolumes*>(&provider);
   PW_ENSURE(target != nullptr);
@@ -405,11 +405,12 @@ void EvalRestore::warm_provider(core::VolumeProvider& provider,
   std::vector<std::size_t> canonical;
   for (std::size_t i = 0; i < snapshot_->volumes.size(); ++i) {
     const auto& image = snapshot_->volumes[i];
-    // Must agree with shard_directory_volumes::shard_of so each restored
-    // volume lands in the shard that will serve its requests.
-    const auto owner =
-        util::hash_combine(image.server, util::fnv1a(image.prefix)) % shards;
-    if (owner != shard) continue;
+    // The rule shard_directory_volumes routes requests by, so each
+    // restored volume lands in the shard that will serve its requests.
+    if (sim::directory_shard(image.server, util::fnv1a(image.prefix),
+                             shards) != shard) {
+      continue;
+    }
     picked.push_back(&image);
     canonical.push_back(i);
   }
@@ -430,8 +431,8 @@ void EvalRestore::seed_accumulator(sim::detail::MetricAccumulator& accumulator,
   if (directory_ && !translated_.has_value()) {
     // All provider shards are warm (run_range's hooks contract), so the
     // canonical -> run id map is complete.
-    PW_EXPECT(provider_shards_expected_ != 0 &&
-              provider_shards_seen_ == provider_shards_expected_);
+    PW_EXPECT(expected_providers_ != 0 &&
+              warmed_providers_ == expected_providers_);
     translated_ = snapshot_->metrics;
     for (auto& kv : translated_->rpv) {
       for (auto& entry : kv.second) {
@@ -441,15 +442,10 @@ void EvalRestore::seed_accumulator(sim::detail::MetricAccumulator& accumulator,
     }
   }
   const auto& image = directory_ ? *translated_ : snapshot_->metrics;
-  if (shards == 1) {
-    accumulator.import_state(image, nullptr, /*take_counters=*/true);
-    return;
-  }
   accumulator.import_state(
       image,
       [shard, shards](util::InternId source) {
-        // Must agree with the parallel evaluator's source_shard function.
-        return static_cast<std::size_t>(util::mix64(source) % shards) == shard;
+        return sim::source_shard(source, shards) == shard;
       },
       /*take_counters=*/shard == 0);
 }

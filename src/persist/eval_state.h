@@ -19,7 +19,8 @@
 //
 //   * Per-source state keys carry the source id in their high 32 bits, so
 //     one flat image re-shards at any source-shard count; the restoring
-//     evaluator's shard function decides ownership.
+//     run's sim::source_shard decides ownership, as its volumes'
+//     sim::directory_shard does for volume images.
 //
 // Probability volumes are stateless lookups into a set rebuilt
 // deterministically at load, with set-derived dense ids — no volume
@@ -91,7 +92,7 @@ struct EvalSnapshot {
 // Collects per-shard provider/accumulator state into a canonical
 // snapshot. `providers` holds the run's DirectoryVolumes shards (empty
 // for the probability scheme); `accumulators` the per-source-shard metric
-// state (disjoint sources). Serial runs pass one of each.
+// state (disjoint sources). One-thread runs pass one of each.
 EvalSnapshot capture_eval_state(
     std::span<const volume::DirectoryVolumes* const> providers,
     std::span<const sim::detail::MetricAccumulator* const> accumulators,
@@ -109,14 +110,21 @@ bool save_eval_snapshot(const std::string& path, const EvalSnapshot& snapshot,
 std::optional<EvalSnapshot> load_eval_snapshot(const std::string& path,
                                                std::string& error);
 
-// Replays a snapshot into a restarting run. Use via hooks() with
-// ParallelEvaluator::run_range, or call warm_provider/seed_accumulator
-// directly with shard 0 of 1 around PredictionEvaluator::run_range. The
-// snapshot must outlive the restore and the run it seeds.
+// Replays a snapshot into a restarting run: pass hooks() to
+// ParallelEvaluator::run_range, at any thread count. The snapshot must
+// outlive the restore and the run it seeds.
 class EvalRestore {
  public:
   explicit EvalRestore(const EvalSnapshot& snapshot);
 
+  // Hooks bound to this object (capture left unset).
+  sim::EvalResumeHooks hooks();
+
+  std::size_t next_request() const {
+    return static_cast<std::size_t>(snapshot_->next_request);
+  }
+
+ private:
   // Installs the snapshot volumes owned by provider shard `shard` of
   // `shards` (no-op for the probability scheme). Every provider shard
   // must be warmed before the first seed_accumulator call — the hooks
@@ -128,18 +136,10 @@ class EvalRestore {
   void seed_accumulator(sim::detail::MetricAccumulator& accumulator,
                         std::size_t shard, std::size_t shards);
 
-  // Hooks bound to this object (capture left unset).
-  sim::EvalResumeHooks hooks();
-
-  std::size_t next_request() const {
-    return static_cast<std::size_t>(snapshot_->next_request);
-  }
-
- private:
   const EvalSnapshot* snapshot_;
   bool directory_ = false;
-  std::size_t provider_shards_seen_ = 0;
-  std::size_t provider_shards_expected_ = 0;
+  std::size_t warmed_providers_ = 0;
+  std::size_t expected_providers_ = 0;
   // canonical volume index -> this run's volume id.
   std::vector<core::VolumeId> run_id_of_;
   // Snapshot metrics with RPV ids translated to run ids (built lazily at

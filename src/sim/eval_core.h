@@ -1,4 +1,4 @@
-// Shared core of the serial and parallel prediction evaluators.
+// Shared core of the prediction evaluators.
 //
 // The evaluation of one request factors into two halves with disjoint
 // state:
@@ -9,13 +9,15 @@
 //      frequency control, and RPV suppression; state partitions by source
 //      (the paper's pseudo-proxies are independent prediction streams,
 //      §3.1).
-// MetricAccumulator is that second half. PredictionEvaluator runs both
-// halves inline per request; ParallelEvaluator runs half 1 sharded by
-// volume and half 2 sharded by source, feeding each source's requests to
-// its accumulator in trace order — which is why both paths produce
-// bit-identical EvalResults.
+// MetricAccumulator is that second half. replay() is the one loop that
+// runs both: half 1 sharded by volume, half 2 sharded by source, each
+// source's requests fed to its accumulator in trace order. Both
+// PredictionEvaluator (one shard) and ParallelEvaluator (one shard per
+// thread) run it, which is why every thread count produces bit-identical
+// EvalResults.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -33,10 +35,10 @@ namespace piggyweb::sim::detail {
 // Sentinel "long ago" for first-touch comparisons.
 inline constexpr util::Seconds kNever = -(1LL << 60);
 
-// Requests per provider batch in the evaluators' hot loops. Batches keep
-// the VolumeRequest column and prediction slots hot in cache and amortize
-// the virtual dispatch; the per-request evaluation *sequence* is
-// unchanged, so batch size never affects results.
+// Requests per shard in one replay() window. Windows keep the
+// VolumeRequest column and prediction slots hot in cache and amortize the
+// virtual dispatch; the per-request evaluation *sequence* is unchanged, so
+// window size never affects results.
 inline constexpr std::size_t kEvalBatchRequests = 4096;
 
 // The provider-facing view of a trace request. `type` comes from a
@@ -97,8 +99,8 @@ class MetricAccumulator {
   void export_state(EvalStateImage& image) const;
 
   // Installs the image entries whose source (high 32 bits of the key)
-  // passes `owns` (null = install everything). Exactly one accumulator per
-  // restore takes the summed counters, or the merged total double-counts.
+  // passes `owns`. Exactly one accumulator per restore takes the summed
+  // counters, or the merged total double-counts.
   void import_state(const EvalStateImage& image,
                     const std::function<bool(util::InternId source)>& owns,
                     bool take_counters);
@@ -122,7 +124,27 @@ EvalResult merge_results(std::span<const EvalResult> partials);
 // Publish the final result's counters into the global metrics registry
 // (no-op when none is installed). Both evaluators call this with their
 // merged result, so the deterministic `eval.*` counters are identical
-// regardless of which path ran or how many threads it used.
+// regardless of which evaluator ran or how many threads it used.
 void publish_eval_result(const EvalResult& result);
+
+// The window loop behind both evaluators: replays requests [begin, end)
+// of `view` through one provider and one accumulator per shard
+// (providers.size() == accumulators.size()). Each window holds
+// kEvalBatchRequests rows per shard. Its rows are bucketed once by
+// provider shard (`provider_shard`; unused, and may be null, at one
+// shard) and once by source shard (source_shard()); stage 1 then drives
+// each provider shard's batch and filters its messages, and stage 2 feeds
+// each source shard's rows to its accumulator in trace order. One shard
+// runs both stages inline; N shards run on an N-thread pool whose
+// wait-state metrics publish under `parallel_eval.pool`. Fires
+// config.on_progress after every window. The view's windows must be
+// time-sorted (checked incrementally, window by window).
+void replay(const EvalConfig& config, trace::TraceView& view,
+            std::span<core::VolumeProvider* const> providers,
+            const std::function<std::size_t(const trace::Request& request,
+                                            std::size_t shards)>&
+                provider_shard,
+            std::span<MetricAccumulator> accumulators,
+            const core::MetaOracle& meta, std::size_t begin, std::size_t end);
 
 }  // namespace piggyweb::sim::detail

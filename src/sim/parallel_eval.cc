@@ -1,6 +1,7 @@
 #include "sim/parallel_eval.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "obs/pool_metrics.h"
@@ -27,10 +28,10 @@ ShardedProviderSpec shard_directory_volumes(
     provider->bind_paths(paths);
     return provider;
   };
-  // Must agree with DirectoryVolumes::volume_key: same (server, prefix)
-  // -> same shard, so each volume's state lives wholly in one shard. A
-  // path's prefix hash never changes, so one precomputed hash per distinct
-  // path replaces a directory_prefix scan + string hash per request.
+  // Same (server, prefix) -> same shard, so each volume's state lives
+  // wholly in one shard. A path's prefix hash never changes, so one
+  // precomputed hash per distinct path replaces a directory_prefix scan +
+  // string hash per request.
   auto prefix_hash = std::make_shared<std::vector<std::uint64_t>>();
   prefix_hash->reserve(paths.size());
   for (std::size_t id = 0; id < paths.size(); ++id) {
@@ -39,9 +40,8 @@ ShardedProviderSpec shard_directory_volumes(
   }
   spec.shard_of = [prefix_hash = std::move(prefix_hash)](
                       const trace::Request& request, std::size_t shards) {
-    return static_cast<std::size_t>(
-        util::hash_combine(request.server, (*prefix_hash)[request.path]) %
-        shards);
+    return directory_shard(request.server, (*prefix_hash)[request.path],
+                           shards);
   };
   return spec;
 }
@@ -73,20 +73,8 @@ EvalResult ParallelEvaluator::run(const trace::Trace& trace,
                                   const ShardedProviderSpec& spec,
                                   const core::MetaOracle& meta,
                                   ParallelEvalStats* stats) {
-  return run_range(trace, spec, meta, 0, trace.requests().size(),
-                   /*publish=*/true, /*hooks=*/nullptr, stats);
-}
-
-EvalResult ParallelEvaluator::run_range(const trace::Trace& trace,
-                                        const ShardedProviderSpec& spec,
-                                        const core::MetaOracle& meta,
-                                        std::size_t range_begin,
-                                        std::size_t range_end, bool publish,
-                                        const EvalResumeHooks* hooks,
-                                        ParallelEvalStats* stats) {
   trace::MaterializedTraceView view(trace);
-  return run_range(view, spec, meta, range_begin, range_end, publish, hooks,
-                   stats);
+  return run(view, spec, meta, stats);
 }
 
 EvalResult ParallelEvaluator::run(trace::TraceView& view,
@@ -100,94 +88,132 @@ EvalResult ParallelEvaluator::run(trace::TraceView& view,
 EvalResult ParallelEvaluator::run_range(trace::TraceView& view,
                                         const ShardedProviderSpec& spec,
                                         const core::MetaOracle& meta,
-                                        std::size_t range_begin,
-                                        std::size_t range_end, bool publish,
+                                        std::size_t begin, std::size_t end,
+                                        bool publish,
                                         const EvalResumeHooks* hooks,
                                         ParallelEvalStats* stats) {
   OBS_SPAN("parallel_eval.run");
-  PW_EXPECT(range_begin <= range_end && range_end <= view.request_count());
-  PW_EXPECT(config_.cache_horizon > config_.prediction_window);
   PW_EXPECT(spec.make != nullptr);
-  PW_EXPECT(spec.shard_of != nullptr);
-
-  const std::size_t threads =
+  const std::size_t shards =
       par_.threads != 0 ? par_.threads : util::ThreadPool::hardware_threads();
-  const std::size_t pshards =
-      par_.provider_shards != 0 ? par_.provider_shards : threads;
-  const std::size_t sshards =
-      par_.source_shards != 0 ? par_.source_shards : threads;
-  const std::size_t chunk = par_.chunk_requests != 0
-                                ? par_.chunk_requests
-                                : std::size_t{1} << 15;
 
-  // Pool timing metrics are scheduling-dependent, hence non-deterministic;
-  // null registry -> null observer -> the pool's fast path.
-  const auto pool_metrics =
-      obs::make_pool_metrics(obs::global_metrics(), "parallel_eval.pool");
-  util::ThreadPool pool(threads, pool_metrics.get());
-
-  // One provider instance per provider shard; shard-local volume state.
-  std::vector<std::unique_ptr<core::VolumeProvider>> providers;
-  providers.reserve(pshards);
-  for (std::size_t s = 0; s < pshards; ++s) {
-    providers.push_back(spec.make(s, pshards));
-    PW_ENSURE(providers.back() != nullptr);
-  }
-  if (hooks != nullptr && hooks->warm_provider) {
-    for (std::size_t s = 0; s < pshards; ++s) {
-      hooks->warm_provider(*providers[s], s, pshards);
-    }
-  }
-
-  // Each request's provider shard is a pure function of the request; the
-  // column is computed chunk by chunk over the current window (in
-  // parallel), so its memory is bounded by the chunk size, not the range.
-  std::vector<std::uint32_t> provider_shard(
-      std::min(chunk, range_end - range_begin));
-
-  const auto source_shard = [sshards](util::InternId source) {
-    return static_cast<std::size_t>(util::mix64(source) % sshards);
-  };
-
-  // Per-source-shard metric state, persistent across chunks.
+  // One provider and one accumulator per shard, each with shard-local
+  // state that persists across windows.
+  std::vector<std::unique_ptr<core::VolumeProvider>> owned;
+  std::vector<core::VolumeProvider*> providers;
   std::vector<detail::MetricAccumulator> accumulators;
-  accumulators.reserve(sshards);
-  for (std::size_t s = 0; s < sshards; ++s) {
+  for (std::size_t s = 0; s < shards; ++s) {
+    owned.push_back(spec.make(s, shards));
+    PW_ENSURE(owned.back() != nullptr);
+    providers.push_back(owned.back().get());
     accumulators.emplace_back(config_);
   }
+  if (hooks != nullptr && hooks->warm_provider) {
+    for (std::size_t s = 0; s < shards; ++s) {
+      hooks->warm_provider(*providers[s], s, shards);
+    }
+  }
   if (hooks != nullptr && hooks->seed_accumulator) {
-    for (std::size_t s = 0; s < sshards; ++s) {
-      hooks->seed_accumulator(accumulators[s], s, sshards);
+    for (std::size_t s = 0; s < shards; ++s) {
+      hooks->seed_accumulator(accumulators[s], s, shards);
     }
   }
 
-  // Per-request staging slots for the current chunk, reused across chunks.
-  struct Staged {
-    core::VolumeId volume = core::kNoVolume;
-    std::vector<util::InternId> resources;
-  };
-  std::vector<Staged> staged(std::min(chunk, range_end - range_begin));
+  detail::replay(config_, view, providers, spec.shard_of, accumulators, meta,
+                 begin, end);
 
-  // Per-provider-shard batching scratch, persistent across chunks so the
-  // steady state allocates nothing.
-  const trace::PathTypeTable types(view.paths());
-  struct ShardScratch {
-    std::vector<std::size_t> rows;  // window-relative indices owned this chunk
+  if (hooks != nullptr && hooks->capture) {
+    std::vector<detail::MetricAccumulator*> accumulator_ptrs;
+    for (auto& acc : accumulators) accumulator_ptrs.push_back(&acc);
+    hooks->capture(providers, accumulator_ptrs);
+  }
+  std::vector<EvalResult> partials;
+  partials.reserve(shards);
+  for (const auto& acc : accumulators) partials.push_back(acc.result());
+  if (stats != nullptr) {
+    stats->threads = shards;
+    stats->volume_count = 0;
+    for (const auto* provider : providers) {
+      stats->volume_count += provider->volume_count();
+    }
+  }
+  auto result = detail::merge_results(partials);
+  if (publish) detail::publish_eval_result(result);
+  if (auto* metrics = obs::global_metrics(); metrics != nullptr) {
+    // A run shape, not a result: non-deterministic by definition.
+    metrics->gauge("parallel_eval.threads", /*deterministic=*/false)
+        .set_max(static_cast<double>(shards));
+  }
+  return result;
+}
+
+namespace detail {
+
+void replay(const EvalConfig& config, trace::TraceView& view,
+            std::span<core::VolumeProvider* const> providers,
+            const std::function<std::size_t(const trace::Request& request,
+                                            std::size_t shards)>&
+                provider_shard,
+            std::span<MetricAccumulator> accumulators,
+            const core::MetaOracle& meta, std::size_t begin, std::size_t end) {
+  const std::size_t shards = providers.size();
+  PW_EXPECT(shards > 0 && accumulators.size() == shards);
+  PW_EXPECT(shards == 1 || provider_shard != nullptr);
+  PW_EXPECT(begin <= end && end <= view.request_count());
+  PW_EXPECT(config.cache_horizon > config.prediction_window);
+
+  // N shards run on an N-thread pool, one shard runs inline. Pool timing
+  // metrics are scheduling-dependent, hence non-deterministic; null
+  // registry -> null observer -> the pool's fast path.
+  std::unique_ptr<obs::ThreadPoolMetrics> pool_metrics;
+  std::unique_ptr<util::ThreadPool> pool;
+  if (shards > 1) {
+    pool_metrics =
+        obs::make_pool_metrics(obs::global_metrics(), "parallel_eval.pool");
+    pool = std::make_unique<util::ThreadPool>(shards, pool_metrics.get());
+  }
+  const auto for_each_shard = [&](const auto& fn) {
+    if (pool != nullptr) {
+      util::parallel_shards(*pool, shards, fn);
+    } else {
+      fn(std::size_t{0});
+    }
+  };
+
+  // Stage-1 state per provider shard, reused across windows so the steady
+  // state allocates nothing. Each filtered message's element ids go to
+  // the shard's flat `ids` buffer; `messages` holds one span of it per
+  // owned row.
+  struct Message {
+    core::VolumeId volume = core::kNoVolume;
+    std::size_t first = 0, last = 0;  // [first, last) of ids
+  };
+  struct ProviderShard {
+    std::vector<std::uint32_t> rows;  // owned window rows, in trace order
     std::vector<core::VolumeRequest> batch;
     std::vector<core::VolumePrediction> predictions;
     core::PiggybackMessage message;
+    std::vector<Message> messages;
+    std::vector<util::InternId> ids;
   };
-  std::vector<ShardScratch> scratch(pshards);
-  util::Seconds last_time = detail::kNever;
+  // A stage-2 row: its window index and where stage 1 left its message.
+  struct SourceRow {
+    std::uint32_t row, provider, slot;
+  };
+  std::vector<ProviderShard> stage1(shards);
+  std::vector<std::vector<SourceRow>> stage2(shards);
+  const trace::PathTypeTable types(view.paths());
+  const std::size_t window_rows = kEvalBatchRequests * shards;
+  util::Seconds last_time = kNever;
 
-  for (std::size_t begin = range_begin; begin < range_end; begin += chunk) {
-    const auto end = std::min(begin + chunk, range_end);
-    // One window per chunk: a subspan for materialized traces, a bounded
-    // decode off the mapped columns for streaming ones. Workers only read
-    // the span, so sharing it across the two stage barriers is safe.
-    const auto window = view.window(begin, end - begin);
-
-    // Incremental sortedness contract, window by window.
+  for (std::size_t base = begin; base < end; base += window_rows) {
+    const auto stop = std::min(base + window_rows, end);
+    // A subspan for materialized traces, a bounded decode off the mapped
+    // columns for streaming ones. Workers only read it, so sharing it
+    // across both stages is safe.
+    const auto window = view.window(base, stop - base);
+    // Incremental sortedness contract: each window in order, and ordered
+    // against the previous window's tail.
     PW_EXPECT(window.empty() || window.front().time.value >= last_time);
     PW_EXPECT(std::is_sorted(window.begin(), window.end(),
                              [](const trace::Request& a,
@@ -196,105 +222,67 @@ EvalResult ParallelEvaluator::run_range(trace::TraceView& view,
                              }));
     if (!window.empty()) last_time = window.back().time.value;
 
-    // Provider-shard column for this window, computed in parallel.
-    util::parallel_ranges(
-        pool, window.size(), [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            const auto s = spec.shard_of(window[i], pshards);
-            PW_EXPECT(s < pshards);
-            provider_shard[i] = static_cast<std::uint32_t>(s);
-          }
-        });
+    // Bucket the rows once by provider shard and once by source shard.
+    for (auto& shard : stage1) shard.rows.clear();
+    for (auto& rows : stage2) rows.clear();
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      const std::size_t p =
+          shards == 1 ? 0 : provider_shard(window[i], shards);
+      PW_EXPECT(p < shards);
+      auto& owner = stage1[p].rows;
+      stage2[source_shard(window[i].source, shards)].push_back(
+          {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(p),
+           static_cast<std::uint32_t>(owner.size())});
+      owner.push_back(static_cast<std::uint32_t>(i));
+    }
 
-    // Stage 1: drive providers and apply the static filter, one batched
-    // provider call per shard per chunk. Within a shard, requests are
-    // visited in trace order, so per-volume state evolves exactly as in
-    // the serial run.
-    util::parallel_shards(pool, pshards, [&](std::size_t s) {
+    // Stage 1: one batched provider call per shard, then the static
+    // filter. Within a shard, requests are visited in trace order, so
+    // per-volume state evolves exactly as in a one-shard run.
+    for_each_shard([&](std::size_t s) {
       OBS_SPAN("parallel_eval.provider_shard");
-      auto& sc = scratch[s];
-      sc.rows.clear();
-      sc.batch.clear();
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        if (provider_shard[i] != s) continue;
-        sc.rows.push_back(i);
-        sc.batch.push_back(detail::make_volume_request(
-            window[i], types.type_of(window[i].path)));
+      auto& shard = stage1[s];
+      shard.batch.clear();
+      for (const auto row : shard.rows) {
+        shard.batch.push_back(
+            make_volume_request(window[row], types.type_of(window[row].path)));
       }
-      providers[s]->on_request_batch(sc.batch, sc.predictions);
-      for (std::size_t k = 0; k < sc.rows.size(); ++k) {
-        core::apply_filter_into(sc.predictions[k], sc.batch[k],
-                                config_.filter, meta, sc.message);
-        auto& slot = staged[sc.rows[k]];
-        slot.volume = sc.message.volume;
-        slot.resources.clear();
-        slot.resources.reserve(sc.message.elements.size());
-        for (const auto& element : sc.message.elements) {
-          slot.resources.push_back(element.resource);
+      providers[s]->on_request_batch(shard.batch, shard.predictions);
+      shard.messages.clear();
+      shard.ids.clear();
+      for (std::size_t k = 0; k < shard.batch.size(); ++k) {
+        core::apply_filter_into(shard.predictions[k], shard.batch[k],
+                                config.filter, meta, shard.message);
+        const auto first = shard.ids.size();
+        for (const auto& element : shard.message.elements) {
+          shard.ids.push_back(element.resource);
         }
+        shard.messages.push_back(
+            {shard.message.volume, first, shard.ids.size()});
       }
     });
 
-    // Stage 2: replay the staged messages through the per-source metric
-    // machine — the same MetricAccumulator the serial evaluator uses.
-    util::parallel_shards(pool, sshards, [&](std::size_t w) {
+    // Stage 2: each source shard's rows, in trace order, through its
+    // accumulator.
+    for_each_shard([&](std::size_t s) {
       OBS_SPAN("parallel_eval.metric_shard");
-      auto& acc = accumulators[w];
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        const auto& req = window[i];
-        if (source_shard(req.source) != w) continue;
-        const auto& slot = staged[i];
-        acc.observe(req, slot.volume, slot.resources);
+      auto& acc = accumulators[s];
+      for (const auto& [row, provider, slot] : stage2[s]) {
+        const auto& shard = stage1[provider];
+        const auto& message = shard.messages[slot];
+        acc.observe(window[row], message.volume,
+                    std::span<const util::InternId>(shard.ids)
+                        .subspan(message.first, message.last - message.first));
       }
     });
 
-    if (config_.on_progress) {
-      config_.on_progress(
-          {end - range_begin, range_end - range_begin, pool.queue_depth()});
+    if (config.on_progress) {
+      config.on_progress({stop - begin, end - begin,
+                          pool != nullptr ? pool->queue_depth() : 0});
     }
   }
-
-  if (hooks != nullptr && hooks->capture) {
-    std::vector<core::VolumeProvider*> provider_ptrs;
-    provider_ptrs.reserve(pshards);
-    for (const auto& provider : providers) {
-      provider_ptrs.push_back(provider.get());
-    }
-    std::vector<detail::MetricAccumulator*> accumulator_ptrs;
-    accumulator_ptrs.reserve(sshards);
-    for (auto& acc : accumulators) accumulator_ptrs.push_back(&acc);
-    hooks->capture(provider_ptrs, accumulator_ptrs);
-  }
-
-  std::vector<EvalResult> partials;
-  partials.reserve(sshards);
-  for (const auto& acc : accumulators) partials.push_back(acc.result());
-
-  if (stats != nullptr) {
-    stats->threads = pool.thread_count();
-    stats->provider_shards = pshards;
-    stats->source_shards = sshards;
-    stats->volume_count = 0;
-    for (const auto& provider : providers) {
-      stats->volume_count += provider->volume_count();
-    }
-  }
-  auto result = detail::merge_results(partials);
-  if (publish) detail::publish_eval_result(result);
-  if (auto* metrics = obs::global_metrics(); metrics != nullptr) {
-    // Parallel-shape gauges: a serial run never sets these, and a bigger
-    // pool changes them, so they are non-deterministic by definition.
-    constexpr bool kDet = false;
-    metrics->gauge("parallel_eval.threads", kDet)
-        .set_max(static_cast<double>(pool.thread_count()));
-    metrics->gauge("parallel_eval.provider_shards", kDet)
-        .set_max(static_cast<double>(pshards));
-    metrics->gauge("parallel_eval.source_shards", kDet)
-        .set_max(static_cast<double>(sshards));
-    metrics->gauge("parallel_eval.chunk_requests", kDet)
-        .set_max(static_cast<double>(chunk));
-  }
-  return result;
 }
+
+}  // namespace detail
 
 }  // namespace piggyweb::sim

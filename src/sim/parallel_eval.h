@@ -1,48 +1,61 @@
-// Parallel sharded evaluation engine.
+// Sharded evaluation engine.
 //
-// Replays a trace through a volume provider + proxy filter on N worker
-// threads while producing results *bit-identical* to PredictionEvaluator —
-// for any trace, configuration, and thread count. The trace is processed
-// in time-ordered chunks, each chunk in two stages:
+// Replays a trace through a volume provider + proxy filter on N threads
+// while producing results *bit-identical* to PredictionEvaluator — for
+// any trace, configuration, and thread count. Both evaluators run the same
+// window loop (detail::replay, sim/eval_core.h); N threads run N shards of
+// each of its two stages on a pool, one thread runs them inline:
 //
 //   stage 1 (provider): requests are sharded by *volume key* (server +
 //     k-level directory prefix for directory volumes; any stable hash for
 //     stateless probability volumes). Each shard owns a private provider
 //     instance, so the per-volume FIFO/move-to-front state evolves exactly
-//     as in the serial run — a volume's requests are always handled by the
-//     same shard, in trace order. The shard applies the static proxy
-//     filter and stages the resulting message per request.
+//     as in a one-shard run — a volume's requests are always handled by
+//     the same shard, in trace order. The shard applies the static proxy
+//     filter to each of its requests.
 //
 //   stage 2 (metrics): requests are sharded by *source*. Each shard owns
 //     the metric/frequency-control/RPV state for its sources (the paper's
 //     pseudo-proxies are independent prediction streams) and replays the
-//     staged messages through the shared MetricAccumulator — the same
-//     code the serial evaluator runs.
+//     stage-1 messages through its MetricAccumulator in trace order.
 //
 // Per-shard partial results merge by integer addition, so the totals do
 // not depend on thread count or scheduling. Directory-volume ids are
 // numbered offset/stride per shard (globally unique), which RPV equality
-// checks cannot distinguish from serial numbering.
+// checks cannot distinguish from one-shard numbering.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
 
 #include "sim/prediction_eval.h"
+#include "util/hash.h"
 #include "volume/directory.h"
 #include "volume/probability.h"
 
 namespace piggyweb::sim {
 
 struct ParallelEvalConfig {
-  std::size_t threads = 0;          // 0 = hardware concurrency
-  std::size_t provider_shards = 0;  // 0 = same as threads
-  std::size_t source_shards = 0;    // 0 = same as threads
-  // Requests per chunk; the two stages synchronize at chunk boundaries.
-  std::size_t chunk_requests = 1 << 15;
+  std::size_t threads = 0;  // 0 = hardware concurrency
 };
+
+// The two ownership rules of a sharded run, shared by the replay loop and
+// snapshot restore. Source shard: owns a source's metric state.
+inline std::size_t source_shard(util::InternId source, std::size_t shards) {
+  return static_cast<std::size_t>(util::mix64(source) % shards);
+}
+
+// Directory-volume shard: owns the volume (server, prefix), given the
+// prefix's util::fnv1a hash.
+inline std::size_t directory_shard(util::InternId server,
+                                   std::uint64_t prefix_hash,
+                                   std::size_t shards) {
+  return static_cast<std::size_t>(util::hash_combine(server, prefix_hash) %
+                                  shards);
+}
 
 // How to build and address per-shard provider instances.
 struct ShardedProviderSpec {
@@ -77,8 +90,6 @@ ShardedProviderSpec shard_probability_volumes(
 
 struct ParallelEvalStats {
   std::size_t threads = 0;
-  std::size_t provider_shards = 0;
-  std::size_t source_shards = 0;
   std::size_t volume_count = 0;  // summed over shard providers
 };
 
@@ -116,24 +127,17 @@ class ParallelEvaluator {
                  const core::MetaOracle& meta,
                  ParallelEvalStats* stats = nullptr);
 
-  // Checkpoint-grade variant: replays requests [begin, end) with optional
-  // resume hooks (nullptr = cold start). Publishes the eval.* metrics only
-  // when `publish` is set — a partial run's counters are not final.
-  EvalResult run_range(const trace::Trace& trace,
-                       const ShardedProviderSpec& provider,
-                       const core::MetaOracle& meta, std::size_t begin,
-                       std::size_t end, bool publish,
-                       const EvalResumeHooks* hooks,
-                       ParallelEvalStats* stats = nullptr);
-
-  // Batch-cursor variants over a TraceView (streaming or wrapped
-  // in-memory): one chunk-sized window is decoded per chunk and the
-  // provider-shard column is computed per chunk, so memory stays bounded
-  // by the chunk size regardless of trace length. Bit-identical to the
-  // Trace overloads, which delegate here.
+  // Replays straight off a TraceView (a streaming PIGGYTRC cursor or a
+  // wrapped in-memory trace): memory stays bounded by the window size
+  // regardless of trace length. The view's windows must be time-sorted
+  // (checked incrementally, window by window).
   EvalResult run(trace::TraceView& view, const ShardedProviderSpec& provider,
                  const core::MetaOracle& meta,
                  ParallelEvalStats* stats = nullptr);
+
+  // Checkpoint-grade variant: replays requests [begin, end) with optional
+  // resume hooks (nullptr = cold start). Publishes the eval.* metrics only
+  // when `publish` is set — a partial run's counters are not final.
   EvalResult run_range(trace::TraceView& view,
                        const ShardedProviderSpec& provider,
                        const core::MetaOracle& meta, std::size_t begin,

@@ -1,13 +1,11 @@
 #include "sim/prediction_eval.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "obs/registry.h"
 #include "obs/tracer.h"
 #include "sim/eval_core.h"
 #include "trace/stream.h"
-#include "util/expect.h"
 
 namespace piggyweb::sim {
 
@@ -112,7 +110,7 @@ void MetricAccumulator::import_state(
     bool take_counters) {
   if (take_counters) result_ = image.counters;
   const auto owned = [&owns](std::uint64_t key) {
-    return !owns || owns(static_cast<util::InternId>(key >> 32));
+    return owns(static_cast<util::InternId>(key >> 32));
   };
   for (const auto& [key, value] : image.resource_state) {
     if (owned(key)) state_[key] = value;
@@ -165,89 +163,19 @@ void publish_eval_result(const EvalResult& result) {
 EvalResult PredictionEvaluator::run(const trace::Trace& trace,
                                     core::VolumeProvider& provider,
                                     const core::MetaOracle& meta) {
-  detail::MetricAccumulator acc(config_);
-  return run_range(trace, provider, meta, 0, trace.requests().size(), acc,
-                   /*publish=*/true);
-}
-
-EvalResult PredictionEvaluator::run_range(const trace::Trace& trace,
-                                          core::VolumeProvider& provider,
-                                          const core::MetaOracle& meta,
-                                          std::size_t begin, std::size_t end,
-                                          detail::MetricAccumulator& acc,
-                                          bool publish) {
   trace::MaterializedTraceView view(trace);
-  return run_range(view, provider, meta, begin, end, acc, publish);
+  return run(view, provider, meta);
 }
 
 EvalResult PredictionEvaluator::run(trace::TraceView& view,
                                     core::VolumeProvider& provider,
                                     const core::MetaOracle& meta) {
-  detail::MetricAccumulator acc(config_);
-  return run_range(view, provider, meta, 0, view.request_count(), acc,
-                   /*publish=*/true);
-}
-
-EvalResult PredictionEvaluator::run_range(trace::TraceView& view,
-                                          core::VolumeProvider& provider,
-                                          const core::MetaOracle& meta,
-                                          std::size_t begin, std::size_t end,
-                                          detail::MetricAccumulator& acc,
-                                          bool publish) {
   OBS_SPAN("prediction_eval.run");
-  PW_EXPECT(begin <= end && end <= view.request_count());
-  PW_EXPECT(config_.cache_horizon > config_.prediction_window);
-
-  // Batched hot loop: one view window per batch (a subspan for
-  // materialized traces, a bounded decode straight off the mapped columns
-  // for streaming ones), provider predictions for the span, then filter +
-  // metrics over the same span. Requests are visited strictly in trace
-  // order inside each half, so results are bit-identical to the
-  // per-request formulation. All buffers live across batches, so the
-  // steady state performs no allocation and memory stays bounded by the
-  // batch size regardless of trace length.
-  const trace::PathTypeTable types(view.paths());
-  std::vector<core::VolumeRequest> batch;
-  std::vector<core::VolumePrediction> predictions;
-  core::PiggybackMessage message;
-  std::vector<util::InternId> resources;
-  batch.reserve(std::min(detail::kEvalBatchRequests, end - begin));
-  util::Seconds last_time = detail::kNever;
-
-  for (std::size_t base = begin; base < end;
-       base += detail::kEvalBatchRequests) {
-    const auto stop = std::min(base + detail::kEvalBatchRequests, end);
-    const auto window = view.window(base, stop - base);
-    // Incremental sortedness contract: each window in order, and ordered
-    // against the previous window's tail.
-    PW_EXPECT(window.empty() || window.front().time.value >= last_time);
-    PW_EXPECT(std::is_sorted(window.begin(), window.end(),
-                             [](const trace::Request& a,
-                                const trace::Request& b) {
-                               return a.time < b.time;
-                             }));
-    if (!window.empty()) last_time = window.back().time.value;
-    batch.clear();
-    for (const trace::Request& req : window) {
-      batch.push_back(
-          detail::make_volume_request(req, types.type_of(req.path)));
-    }
-    provider.on_request_batch(batch, predictions);
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      core::apply_filter_into(predictions[i], batch[i], config_.filter, meta,
-                              message);
-      resources.clear();
-      resources.reserve(message.elements.size());
-      for (const auto& element : message.elements) {
-        resources.push_back(element.resource);
-      }
-      acc.observe(window[i], message.volume, resources);
-    }
-    if (config_.on_progress) {
-      config_.on_progress({stop - begin, end - begin, 0});
-    }
-  }
-  if (publish) detail::publish_eval_result(acc.result());
+  core::VolumeProvider* const providers[] = {&provider};
+  detail::MetricAccumulator acc(config_);
+  detail::replay(config_, view, providers, nullptr, {&acc, 1}, meta, 0,
+                 view.request_count());
+  detail::publish_eval_result(acc.result());
   return acc.result();
 }
 

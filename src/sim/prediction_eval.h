@@ -38,7 +38,7 @@ class MetricAccumulator;
 struct EvalProgress {
   std::size_t done = 0;         // requests completed within the range
   std::size_t total = 0;        // requests in the evaluated range
-  std::size_t queue_depth = 0;  // pending pool tasks (parallel path only)
+  std::size_t queue_depth = 0;  // pending pool tasks (0 at one thread)
 };
 
 struct EvalConfig {
@@ -57,11 +57,11 @@ struct EvalConfig {
   util::Seconds min_piggyback_interval = 0;
 
   // Progress heartbeat, fired on the evaluating (calling) thread after
-  // each internal batch (serial path) or chunk barrier (parallel path)
-  // with the requests completed so far within the evaluated range.
-  // queue_depth is the worker-pool backlog at that instant — always 0 on
-  // the serial path. Purely observational: results are bit-identical
-  // with or without a callback installed. Null = off.
+  // each replay window with the requests completed so far within the
+  // evaluated range. queue_depth is the worker-pool backlog at that
+  // instant — always 0 at one thread, which runs without a pool. Purely
+  // observational: results are bit-identical with or without a callback
+  // installed. Null = off.
   std::function<void(const EvalProgress&)> on_progress;
 };
 
@@ -110,6 +110,8 @@ struct EvalResult {
   }
 };
 
+// The one-shard evaluator: ParallelEvaluator's loop at one thread, driving
+// a caller-built provider.
 class PredictionEvaluator {
  public:
   explicit PredictionEvaluator(const EvalConfig& config) : config_(config) {}
@@ -119,28 +121,12 @@ class PredictionEvaluator {
   EvalResult run(const trace::Trace& trace, core::VolumeProvider& provider,
                  const core::MetaOracle& meta);
 
-  // Checkpoint-grade variant: replays requests [begin, end) through `acc`,
-  // whose per-source state (and the provider's volume state) may have been
-  // seeded from a snapshot, and returns acc's cumulative result. Publishes
-  // the eval.* metrics only when `publish` is set — a partial run's
-  // counters are not final.
-  EvalResult run_range(const trace::Trace& trace,
-                       core::VolumeProvider& provider,
-                       const core::MetaOracle& meta, std::size_t begin,
-                       std::size_t end, detail::MetricAccumulator& acc,
-                       bool publish);
-
-  // Batch-cursor variants: replay straight off a TraceView (a streaming
-  // PIGGYTRC cursor or a wrapped in-memory trace) without materializing a
-  // Trace. Results are bit-identical to the Trace overloads — the Trace
-  // overloads delegate here through a MaterializedTraceView. The view's
+  // Replays straight off a TraceView (a streaming PIGGYTRC cursor or a
+  // wrapped in-memory trace) without materializing a Trace; the Trace
+  // overload delegates here through a MaterializedTraceView. The view's
   // windows must be time-sorted (checked incrementally, window by window).
   EvalResult run(trace::TraceView& view, core::VolumeProvider& provider,
                  const core::MetaOracle& meta);
-  EvalResult run_range(trace::TraceView& view, core::VolumeProvider& provider,
-                       const core::MetaOracle& meta, std::size_t begin,
-                       std::size_t end, detail::MetricAccumulator& acc,
-                       bool publish);
 
  private:
   EvalConfig config_;

@@ -44,7 +44,7 @@ struct EvalReportField {
 std::vector<EvalReportField> eval_report_fields(const EvalResult& result);
 
 // The §3.1 metric table for one evaluation, rendered to a string — shared
-// by piggyweb_evaluate and the parallel/serial equivalence tests, so
+// by piggyweb_evaluate and the thread-count equivalence tests, so
 // "identical report output" is asserted against the exact production
 // rendering.
 std::string render_eval_report(const EvalResult& result);

@@ -59,7 +59,7 @@ void parallel_shards(ThreadPool& pool, std::size_t shards, const Fn& fn) {
   join.pending = shards;
   // All shard tasks enqueue under one pool-mutex acquisition; workers
   // wake once and drain. Posting one at a time made the pool queue the
-  // hottest lock on the chunked replay path (two forks per chunk).
+  // hottest lock on the windowed replay path (two forks per window).
   std::vector<std::function<void()>> tasks;
   tasks.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {

@@ -69,62 +69,6 @@ double Quantiles::cdf(double x) {
          static_cast<double>(samples_.size());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)) {
-  PW_EXPECT(hi > lo);
-  PW_EXPECT(buckets > 0);
-  counts_.assign(buckets, 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // rounding guard
-  ++counts_[idx];
-}
-
-std::uint64_t Histogram::bucket_count(std::size_t i) const {
-  PW_EXPECT(i < counts_.size());
-  return counts_[i];
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  PW_EXPECT(i < counts_.size());
-  return lo_ + static_cast<double>(i) * width_;
-}
-
-double Histogram::bucket_high(std::size_t i) const {
-  PW_EXPECT(i < counts_.size());
-  return lo_ + static_cast<double>(i + 1) * width_;
-}
-
-double Histogram::cumulative_fraction(std::size_t i) const {
-  PW_EXPECT(i < counts_.size());
-  if (total_ == 0) return 0.0;
-  std::uint64_t below = underflow_;
-  for (std::size_t b = 0; b <= i; ++b) below += counts_[b];
-  return static_cast<double>(below) / static_cast<double>(total_);
-}
-
-void Histogram::merge(const Histogram& other) {
-  PW_EXPECT(lo_ == other.lo_ && hi_ == other.hi_ &&
-            counts_.size() == other.counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  total_ += other.total_;
-}
-
 void FrequencyTable::add(std::uint32_t id, std::uint64_t delta) {
   if (id >= counts_.size()) counts_.resize(id + 1, 0);
   counts_[id] += delta;

@@ -1,7 +1,7 @@
 // Streaming statistics used throughout the evaluation harness: running
-// moments (Welford), fixed-bucket and log-scale histograms, and exact
-// quantiles over collected samples (the figure benches report medians and
-// full CDFs, e.g. Figure 1(b)'s interarrival distribution).
+// moments (Welford), exact quantiles over collected samples (the figure
+// benches report medians and full CDFs, e.g. Figure 1(b)'s interarrival
+// distribution), and dense-id frequency tables.
 #pragma once
 
 #include <cstdint>
@@ -60,34 +60,6 @@ class Quantiles {
   void ensure_sorted();
   std::vector<double> samples_;
   bool sorted_ = true;
-};
-
-// Histogram over [lo, hi) with uniform buckets plus underflow/overflow.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::uint64_t bucket_count(std::size_t i) const;
-  std::size_t buckets() const { return counts_.size(); }
-  double bucket_low(std::size_t i) const;
-  double bucket_high(std::size_t i) const;
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const { return total_; }
-
-  // Cumulative fraction of samples strictly below the upper edge of
-  // bucket i (underflow included).
-  double cumulative_fraction(std::size_t i) const;
-
-  // Merge another histogram with the identical [lo, hi)/bucket layout
-  // (parallel reduction; counts add exactly).
-  void merge(const Histogram& other);
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 // A counter keyed by small dense ids; convenience for frequency tables.

@@ -72,8 +72,8 @@ class ThreadPool {
   // Enqueues every task in `tasks` (each is moved from) under a single
   // mutex acquisition, then wakes workers once. A fork-join posting S
   // shard tasks pays one lock + one notify_all instead of S of each —
-  // the dominant source of pool-queue contention on the chunked replay
-  // path, where every chunk forks twice.
+  // the dominant source of pool-queue contention on the windowed replay
+  // path, where every window forks twice.
   void post_batch(std::span<std::function<void()>> tasks);
 
   // Instantaneous backlog (tasks enqueued but not yet dequeued). A

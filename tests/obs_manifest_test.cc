@@ -60,7 +60,7 @@ TEST(Manifest, SchemaRoundTrip) {
   Registry registry;
   registry.counter("c").add(3);
   registry.gauge("g").set(2.5);
-  registry.histogram("h", 0.0, 1.0, 4).add(0.3);
+  registry.log_histogram("h").record(0.3);
   const auto manifest = build_run_manifest(
       "roundtrip", {"--a=1", "--b=2"}, 0.25, 0.25, registry, Json::object());
   const auto reparsed = parse_json(manifest.dump(2));

@@ -57,32 +57,12 @@ TEST(Registry, IdenticalContentSerializesIdenticalBytes) {
   EXPECT_EQ(a.to_json(), b.to_json());
 }
 
-TEST(Registry, HistogramBucketEdges) {
-  Registry registry;
-  auto& h = registry.histogram("h", 0.0, 1.0, 4);
-  h.add(-0.5);   // underflow
-  h.add(0.0);    // first bucket [0, 0.25)
-  h.add(0.25);   // second bucket edge -> [0.25, 0.5)
-  h.add(0.999);  // last bucket
-  h.add(1.0);    // hi is exclusive -> overflow
-  h.add(42.0);   // overflow
-  const auto buckets = h.snapshot_buckets();
-  ASSERT_EQ(buckets.items().size(), 6u);  // underflow + 4 + overflow
-  EXPECT_EQ(buckets.items()[0].number(), 1);  // underflow
-  EXPECT_EQ(buckets.items()[1].number(), 1);  // [0, 0.25)
-  EXPECT_EQ(buckets.items()[2].number(), 1);  // [0.25, 0.5)
-  EXPECT_EQ(buckets.items()[3].number(), 0);  // [0.5, 0.75)
-  EXPECT_EQ(buckets.items()[4].number(), 1);  // [0.75, 1)
-  EXPECT_EQ(buckets.items()[5].number(), 2);  // overflow
-  EXPECT_EQ(h.stats().count(), 6u);
-}
-
 // Build the per-shard registry a worker with the given seed would produce.
 void fill_shard(Registry& registry, std::uint64_t seed) {
   registry.counter("events").add(seed + 1);
   registry.gauge("watermark").set_max(static_cast<double>(seed * 3 % 7));
-  auto& h = registry.histogram("latency", 0.0, 1.0, 10);
-  h.add(static_cast<double>(seed % 10) / 10.0);
+  registry.log_histogram("latency").record(static_cast<double>(seed % 10) /
+                                           10.0);
 }
 
 TEST(Registry, MergeIsAssociative) {
@@ -133,7 +113,7 @@ TEST(Registry, PrometheusExposition) {
   Registry registry;
   registry.counter("eval.requests").add(10);
   registry.gauge("pool.depth").set(3);
-  registry.histogram("task.seconds", 0.0, 1.0, 2).add(0.4);
+  registry.log_histogram("task.seconds").record(0.4);
   const auto text = registry.to_prometheus();
   EXPECT_NE(text.find("eval_requests 10"), std::string::npos);
   EXPECT_NE(text.find("pool_depth 3"), std::string::npos);

@@ -1,7 +1,7 @@
 // Whole-run checkpoint/resume equivalence: interrupt an evaluation run at
 // an arbitrary request, snapshot, and prove the warm-started continuation
-// produces an EvalResult bit-identical to the uninterrupted run — serial
-// and parallel, directory and probability schemes, across thread counts.
+// produces an EvalResult bit-identical to the uninterrupted run — directory
+// and probability schemes, saved and resumed at any thread count.
 // Also covers the canonical-bytes guarantee (the snapshot does not depend
 // on the saving run's thread count) and the engine node-state round trip.
 #include "persist/eval_state.h"
@@ -21,6 +21,7 @@
 #include "sim/parallel_eval.h"
 #include "sim/prediction_eval.h"
 #include "trace/profiles.h"
+#include "trace/stream.h"
 #include "volume/directory.h"
 #include "volume/probability.h"
 
@@ -67,22 +68,65 @@ sim::EvalResult serial_baseline(const sim::EvalConfig& config) {
   return sim::PredictionEvaluator(config).run(workload().trace, volumes, meta);
 }
 
-// Capture a snapshot of a serial directory run stopped after `mid`.
-EvalSnapshot capture_serial_directory(const sim::EvalConfig& config,
-                                      std::size_t mid) {
+// Runs requests [0, mid) on `threads` shards and snapshots the stopped
+// run. `dvc` is null for the probability scheme, which saves no volumes.
+EvalSnapshot capture_run(const sim::EvalConfig& config,
+                         const sim::ShardedProviderSpec& spec,
+                         const volume::DirectoryVolumeConfig* dvc,
+                         std::size_t mid, std::size_t threads) {
   const auto& trace = workload().trace;
-  volume::DirectoryVolumes volumes(directory_config());
-  volumes.bind_paths(trace.paths());
   server::TraceMetaOracle meta(trace);
-  sim::detail::MetricAccumulator acc(config);
-  sim::PredictionEvaluator(config).run_range(trace, volumes, meta, 0, mid,
-                                             acc, /*publish=*/false);
+  std::optional<EvalSnapshot> captured;
+  sim::EvalResumeHooks hooks;
+  hooks.capture =
+      [&](std::span<core::VolumeProvider* const> providers,
+          std::span<sim::detail::MetricAccumulator* const> accumulators) {
+        std::vector<const volume::DirectoryVolumes*> dirs;
+        for (auto* provider : providers) {
+          if (dvc == nullptr) break;
+          auto* directory = dynamic_cast<volume::DirectoryVolumes*>(provider);
+          ASSERT_NE(directory, nullptr);
+          dirs.push_back(directory);
+        }
+        std::vector<const sim::detail::MetricAccumulator*> accs(
+            accumulators.begin(), accumulators.end());
+        captured = capture_eval_state(
+            dirs, accs,
+            make_eval_config_echo(dvc != nullptr ? "directory" : "probability",
+                                  config, dvc),
+            mid, trace.size(), trace_fingerprint(trace));
+      };
+  sim::ParallelEvalConfig par;
+  par.threads = threads;
+  trace::MaterializedTraceView view(trace);
+  sim::ParallelEvaluator(config, par)
+      .run_range(view, spec, meta, 0, mid, /*publish=*/false, &hooks);
+  return std::move(captured).value();  // throws if capture never ran
+}
+
+EvalSnapshot capture_directory(const sim::EvalConfig& config, std::size_t mid,
+                               std::size_t threads) {
   const auto dvc = directory_config();
-  const volume::DirectoryVolumes* providers[] = {&volumes};
-  const sim::detail::MetricAccumulator* accumulators[] = {&acc};
-  return capture_eval_state(providers, accumulators,
-                            make_eval_config_echo("directory", config, &dvc),
-                            mid, trace.size(), trace_fingerprint(trace));
+  return capture_run(config,
+                     sim::shard_directory_volumes(dvc, workload().trace),
+                     &dvc, mid, threads);
+}
+
+// Warm-starts `snapshot` through EvalRestore::hooks() on `threads` shards
+// and finishes the run.
+sim::EvalResult resume_run(const sim::EvalConfig& config,
+                           const sim::ShardedProviderSpec& spec,
+                           const EvalSnapshot& snapshot, std::size_t threads) {
+  const auto& trace = workload().trace;
+  server::TraceMetaOracle meta(trace);
+  EvalRestore restore(snapshot);
+  const auto hooks = restore.hooks();
+  sim::ParallelEvalConfig par;
+  par.threads = threads;
+  trace::MaterializedTraceView view(trace);
+  return sim::ParallelEvaluator(config, par)
+      .run_range(view, spec, meta, restore.next_request(), trace.size(),
+                 /*publish=*/false, &hooks);
 }
 
 TEST(CheckpointResume, SerialDirectoryMatchesUninterrupted) {
@@ -90,10 +134,11 @@ TEST(CheckpointResume, SerialDirectoryMatchesUninterrupted) {
   const auto& trace = workload().trace;
   ASSERT_GT(trace.size(), 400u);
   const auto baseline = serial_baseline(config);
+  const auto spec = sim::shard_directory_volumes(directory_config(), trace);
 
   for (const std::size_t mid :
        {trace.size() / 7, trace.size() / 2, trace.size() - 1}) {
-    const auto snapshot = capture_serial_directory(config, mid);
+    const auto snapshot = capture_directory(config, mid, 1);
 
     // The container round trips exactly: serialize -> parse -> serialize
     // is a byte identity.
@@ -104,107 +149,40 @@ TEST(CheckpointResume, SerialDirectoryMatchesUninterrupted) {
     EXPECT_EQ(serialize_eval_snapshot(*parsed), bytes);
     EXPECT_EQ(parsed->next_request, mid);
 
-    // Warm-start a fresh provider/accumulator pair and finish the run.
-    EvalRestore restore(*parsed);
-    volume::DirectoryVolumes volumes(directory_config());
-    volumes.bind_paths(trace.paths());
-    server::TraceMetaOracle meta(trace);
-    sim::detail::MetricAccumulator acc(config);
-    restore.warm_provider(volumes, 0, 1);
-    restore.seed_accumulator(acc, 0, 1);
-    const auto resumed = sim::PredictionEvaluator(config).run_range(
-        trace, volumes, meta, restore.next_request(), trace.size(), acc,
-        /*publish=*/false);
-    expect_identical(baseline, resumed);
+    // Warm-start a fresh one-thread run and finish it.
+    expect_identical(baseline, resume_run(config, spec, *parsed, 1));
   }
-}
-
-// Capture a snapshot of a parallel directory run stopped after `mid`.
-EvalSnapshot capture_parallel_directory(const sim::EvalConfig& config,
-                                        std::size_t mid,
-                                        std::size_t threads) {
-  const auto& trace = workload().trace;
-  const auto dvc = directory_config();
-  const auto spec = sim::shard_directory_volumes(dvc, trace);
-  server::TraceMetaOracle meta(trace);
-  std::optional<EvalSnapshot> captured;
-  sim::EvalResumeHooks hooks;
-  hooks.capture =
-      [&](std::span<core::VolumeProvider* const> providers,
-          std::span<sim::detail::MetricAccumulator* const> accumulators) {
-        std::vector<const volume::DirectoryVolumes*> dirs;
-        for (auto* provider : providers) {
-          auto* directory = dynamic_cast<volume::DirectoryVolumes*>(provider);
-          ASSERT_NE(directory, nullptr);
-          dirs.push_back(directory);
-        }
-        std::vector<const sim::detail::MetricAccumulator*> accs(
-            accumulators.begin(), accumulators.end());
-        captured = capture_eval_state(
-            dirs, accs, make_eval_config_echo("directory", config, &dvc), mid,
-            trace.size(), trace_fingerprint(trace));
-      };
-  sim::ParallelEvalConfig par;
-  par.threads = threads;
-  par.chunk_requests = 256;  // several chunks even on the tiny trace
-  sim::ParallelEvaluator(config, par)
-      .run_range(trace, spec, meta, 0, mid, /*publish=*/false, &hooks);
-  return std::move(captured).value();  // throws if capture never ran
 }
 
 TEST(CheckpointResume, SnapshotBytesAreThreadCountInvariant) {
   const auto config = eval_config();
   const auto mid = workload().trace.size() / 2;
-  const auto serial_bytes =
-      serialize_eval_snapshot(capture_serial_directory(config, mid));
-  for (const std::size_t threads : {1u, 3u}) {
-    const auto parallel_bytes = serialize_eval_snapshot(
-        capture_parallel_directory(config, mid, threads));
-    EXPECT_EQ(parallel_bytes, serial_bytes) << threads << " threads";
+  const auto one_thread =
+      serialize_eval_snapshot(capture_directory(config, mid, 1));
+  for (const std::size_t threads : {2u, 3u}) {
+    EXPECT_EQ(serialize_eval_snapshot(capture_directory(config, mid, threads)),
+              one_thread)
+        << threads << " threads";
   }
 }
 
 TEST(CheckpointResume, CrossThreadCountResumeMatchesUninterrupted) {
   const auto config = eval_config();
   const auto& trace = workload().trace;
-  const auto mid = trace.size() / 3;
   const auto baseline = serial_baseline(config);
 
-  // Save under one thread count, resume under others (including serial).
-  const auto snapshot = capture_parallel_directory(config, mid, 2);
-  const auto dvc = directory_config();
-  server::TraceMetaOracle meta(trace);
-
+  // Save under one thread count, resume under others (including one).
+  const auto snapshot = capture_directory(config, trace.size() / 3, 2);
+  const auto spec = sim::shard_directory_volumes(directory_config(), trace);
   for (const std::size_t threads : {1u, 4u}) {
-    EvalRestore restore(snapshot);
-    auto hooks = restore.hooks();
-    const auto spec = sim::shard_directory_volumes(dvc, trace);
-    sim::ParallelEvalConfig par;
-    par.threads = threads;
-    par.chunk_requests = 256;
-    const auto resumed =
-        sim::ParallelEvaluator(config, par)
-            .run_range(trace, spec, meta, restore.next_request(), trace.size(),
-                       /*publish=*/false, &hooks);
-    expect_identical(baseline, resumed);
+    expect_identical(baseline, resume_run(config, spec, snapshot, threads));
   }
-
-  EvalRestore restore(snapshot);
-  volume::DirectoryVolumes volumes(directory_config());
-  volumes.bind_paths(trace.paths());
-  sim::detail::MetricAccumulator acc(config);
-  restore.warm_provider(volumes, 0, 1);
-  restore.seed_accumulator(acc, 0, 1);
-  const auto resumed = sim::PredictionEvaluator(config).run_range(
-      trace, volumes, meta, mid, trace.size(), acc, /*publish=*/false);
-  expect_identical(baseline, resumed);
 }
 
 TEST(CheckpointResume, ProbabilitySchemeRoundTrip) {
   sim::EvalConfig config;
   config.filter.max_elements = 10;
   const auto& trace = workload().trace;
-  const auto mid = trace.size() / 2;
   server::TraceMetaOracle meta(trace);
 
   // A small hand-built volume set shared by all runs (the tool rebuilds it
@@ -218,15 +196,11 @@ TEST(CheckpointResume, ProbabilitySchemeRoundTrip) {
   const auto baseline =
       sim::PredictionEvaluator(config).run(trace, serial_provider, meta);
 
-  // Stop at mid, snapshot (no providers for the probability scheme).
-  volume::ProbabilityVolumes half_provider(&set, 10);
-  sim::detail::MetricAccumulator acc(config);
-  sim::PredictionEvaluator(config).run_range(trace, half_provider, meta, 0,
-                                             mid, acc, /*publish=*/false);
-  const sim::detail::MetricAccumulator* accumulators[] = {&acc};
-  const auto snapshot = capture_eval_state(
-      {}, accumulators, make_eval_config_echo("probability", config, nullptr),
-      mid, trace.size(), trace_fingerprint(trace));
+  // Stop at mid on one thread, snapshot (no providers for the probability
+  // scheme).
+  const auto spec = sim::shard_probability_volumes(&set, 10);
+  const auto snapshot =
+      capture_run(config, spec, nullptr, trace.size() / 2, 1);
   const auto bytes = serialize_eval_snapshot(snapshot);
   std::string error;
   const auto parsed = parse_eval_snapshot(bytes, error);
@@ -234,24 +208,14 @@ TEST(CheckpointResume, ProbabilitySchemeRoundTrip) {
   EXPECT_TRUE(parsed->volumes.empty());
   EXPECT_EQ(serialize_eval_snapshot(*parsed), bytes);
 
-  // Resume in parallel against the same set.
-  EvalRestore restore(*parsed);
-  auto hooks = restore.hooks();
-  const auto spec = sim::shard_probability_volumes(&set, 10);
-  sim::ParallelEvalConfig par;
-  par.threads = 2;
-  par.chunk_requests = 256;
-  const auto resumed =
-      sim::ParallelEvaluator(config, par)
-          .run_range(trace, spec, meta, restore.next_request(), trace.size(),
-                     /*publish=*/false, &hooks);
-  expect_identical(baseline, resumed);
+  // Resume on two threads against the same set.
+  expect_identical(baseline, resume_run(config, spec, *parsed, 2));
 }
 
 TEST(CheckpointResume, StructurallyInvalidSnapshotsAreRejected) {
   const auto config = eval_config();
   const auto mid = workload().trace.size() / 2;
-  auto snapshot = capture_serial_directory(config, mid);
+  auto snapshot = capture_directory(config, mid, 1);
 
   std::string error;
   auto broken = snapshot;
@@ -282,7 +246,7 @@ TEST(CheckpointResume, StructurallyInvalidSnapshotsAreRejected) {
 TEST(CheckpointResume, SaveLoadFileRoundTrip) {
   const auto config = eval_config();
   const auto snapshot =
-      capture_serial_directory(config, workload().trace.size() / 2);
+      capture_directory(config, workload().trace.size() / 2, 1);
   const std::string path = "checkpoint_test_roundtrip.snap";
   std::string error;
   ASSERT_TRUE(save_eval_snapshot(path, snapshot, error)) << error;

@@ -1,9 +1,10 @@
-// Determinism property tests for the parallel sharded evaluation engine:
-// for every synthetic log profile and a spread of filter configurations,
-// ParallelEvaluator at 1/2/4/8 threads must produce an EvalResult that is
-// byte-identical to the serial PredictionEvaluator, and the rendered
-// metric report must match character for character. Runs under the tsan
-// ctest label (-DPIGGYWEB_SANITIZE=thread + `ctest -L tsan`).
+// Determinism property tests for the sharded evaluation engine: for every
+// synthetic log profile and a spread of filter configurations,
+// ParallelEvaluator at 1/2/3/4/8 threads must produce an EvalResult that
+// is byte-identical to the one-shard PredictionEvaluator, and the rendered
+// metric report must match character for character. Also pins the
+// progress heartbeat's contract. Runs under the tsan ctest label
+// (-DPIGGYWEB_SANITIZE=thread + `ctest -L tsan`).
 #include "sim/parallel_eval.h"
 
 #include <cstring>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "server/meta.h"
+#include "sim/eval_core.h"
 #include "sim/prediction_eval.h"
 #include "sim/report.h"
 #include "trace/profiles.h"
@@ -142,19 +144,49 @@ TEST(ParallelEvalDeterminism, DirectoryAccessFilterConfig) {
   }
 }
 
-TEST(ParallelEvalDeterminism, ChunkBoundariesAndAsymmetricShards) {
+TEST(ParallelEvalDeterminism, MultiWindowTrace) {
+  // ~52 k requests: at least four replay windows at 2 and 3 threads, and
+  // 13 one-thread windows, so per-shard provider and accumulator state
+  // carries across many window boundaries.
   const auto config = full_controls_config();
-  const auto workload = trace::generate(trace::aiusa_profile(0.03));
+  const auto workload = trace::generate(trace::sun_profile(0.004));
+  ASSERT_GE(workload.trace.size(), 4 * 3 * sim::detail::kEvalBatchRequests);
   const auto serial = run_serial_directory(workload, config, 1);
-  // Tiny chunks force many stage-1/stage-2 handoffs; shard counts that
-  // differ from the thread count exercise the queueing paths.
-  sim::ParallelEvalConfig par;
-  par.threads = 2;
-  par.provider_shards = 3;
-  par.source_shards = 5;
-  par.chunk_requests = 64;
-  const auto parallel = run_parallel_directory(workload, config, 1, par);
-  expect_identical(serial, parallel, "chunk=64 pshards=3 sshards=5");
+  for (const std::size_t threads : {2u, 3u}) {
+    sim::ParallelEvalConfig par;
+    par.threads = threads;
+    expect_identical(serial, run_parallel_directory(workload, config, 1, par),
+                     "multi-window threads=" + std::to_string(threads));
+  }
+}
+
+TEST(EvalProgress, HeartbeatIsMonotoneAndObservational) {
+  const auto workload = trace::generate(trace::sun_profile(0.004));
+  ASSERT_GE(workload.trace.size(), 3 * 4 * sim::detail::kEvalBatchRequests);
+  const auto quiet = full_controls_config();
+  for (const std::size_t threads : {1u, 4u}) {
+    sim::ParallelEvalConfig par;
+    par.threads = threads;
+    std::vector<sim::EvalProgress> calls;
+    auto config = quiet;
+    config.on_progress = [&calls](const sim::EvalProgress& p) {
+      calls.push_back(p);
+    };
+    const auto label = "threads=" + std::to_string(threads);
+    expect_identical(run_parallel_directory(workload, quiet, 1, par),
+                     run_parallel_directory(workload, config, 1, par), label);
+    ASSERT_GE(calls.size(), 3u) << label;
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_EQ(calls[i].total, workload.trace.size()) << label;
+      if (i > 0) {
+        EXPECT_GT(calls[i].done, calls[i - 1].done) << label;
+      }
+      if (threads == 1) {
+        EXPECT_EQ(calls[i].queue_depth, 0u) << label;
+      }
+    }
+    EXPECT_EQ(calls.back().done, calls.back().total) << label;
+  }
 }
 
 TEST(ParallelEvalDeterminism, StatsReportShardingAndVolumeTotals) {
@@ -176,8 +208,6 @@ TEST(ParallelEvalDeterminism, StatsReportShardingAndVolumeTotals) {
       run_parallel_directory(workload, config, dvc.level, par, &stats);
   expect_identical(serial, parallel, "stats run");
   EXPECT_EQ(stats.threads, 4u);
-  EXPECT_EQ(stats.provider_shards, 4u);
-  EXPECT_EQ(stats.source_shards, 4u);
   // Sharded providers partition the same volume key space.
   EXPECT_EQ(stats.volume_count, serial_volumes.volume_count());
 }

@@ -107,42 +107,6 @@ TEST(Quantiles, AddAfterQueryResorts) {
   EXPECT_DOUBLE_EQ(q.median(), 5.0);
 }
 
-TEST(Histogram, BucketAssignment) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.0);   // bucket 0
-  h.add(9.99);  // bucket 9
-  h.add(5.0);   // bucket 5
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(9), 1u);
-  EXPECT_EQ(h.bucket_count(5), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, UnderOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(10.0);  // hi edge is exclusive
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, BucketEdges) {
-  Histogram h(0.0, 100.0, 4);
-  EXPECT_DOUBLE_EQ(h.bucket_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_high(0), 25.0);
-  EXPECT_DOUBLE_EQ(h.bucket_low(3), 75.0);
-  EXPECT_DOUBLE_EQ(h.bucket_high(3), 100.0);
-}
-
-TEST(Histogram, CumulativeFraction) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction(4), 0.5);
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction(9), 1.0);
-}
-
 TEST(FrequencyTable, CountsAndTotal) {
   FrequencyTable t;
   t.add(3);

@@ -31,6 +31,7 @@
 #include "sim/parallel_eval.h"
 #include "sim/prediction_eval.h"
 #include "sim/report.h"
+#include "trace/stream.h"
 #include "trace_load.h"
 #include "util/expect.h"
 #include "volume/directory.h"
@@ -83,7 +84,7 @@ int main(int argc, char** argv) {
   flags.add_int("window", 300, "prediction window T (seconds)");
   flags.add_int("horizon", 7200, "cache horizon C (seconds)");
   flags.add_int("threads", 1,
-                "worker threads for the sharded evaluator (1 = serial, "
+                "evaluator threads, one shard each (1 = no worker pool, "
                 "0 = hardware concurrency); metrics are identical for "
                 "any value");
   flags.add_bool("stream", false,
@@ -131,6 +132,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--threads must be >= 0\n");
     return 2;
   }
+  // Out-of-range numbers would trip a library precondition or wrap when
+  // cast to the unsigned config fields; reject them before any work.
+  if (flags.get_int("window") <= 0) {
+    std::fprintf(stderr, "--window must be > 0\n");
+    return 2;
+  }
+  if (flags.get_int("horizon") <= flags.get_int("window")) {
+    std::fprintf(stderr, "--horizon must be > --window\n");
+    return 2;
+  }
+  for (const char* name : {"level", "maxpiggy", "minfreq", "min-count"}) {
+    if (flags.get_int(name) < 0) {
+      std::fprintf(stderr, "--%s must be >= 0\n", name);
+      return 2;
+    }
+  }
+  if (const auto pt = flags.get_double("pt"); !(pt > 0.0 && pt <= 1.0)) {
+    std::fprintf(stderr, "--pt must be in (0, 1]\n");
+    return 2;
+  }
   const auto save_state = flags.get_string("save-state");
   const auto load_state = flags.get_string("load-state");
   const auto stop_fraction = flags.get_double("stop-fraction");
@@ -160,8 +181,9 @@ int main(int argc, char** argv) {
   }
 
   // Streaming mode drives everything through the batch-cursor TraceView;
-  // materializing mode loads a Trace as before. Both paths produce
-  // bit-identical metrics for the same log and flags.
+  // materializing mode loads a Trace and replays it through a view over
+  // it. Both paths produce bit-identical metrics for the same log and
+  // flags.
   trace::Trace trace;
   std::unique_ptr<trace::TraceView> view_owner;
   std::optional<trace::LimitedTraceView> limited;
@@ -189,6 +211,9 @@ int main(int argc, char** argv) {
     if (limit > 0 && limit < trace.requests().size()) {
       trace.requests().resize(limit);
     }
+    // The replay reads a materialized trace through the same view.
+    view_owner = std::make_unique<trace::MaterializedTraceView>(trace);
+    view = view_owner.get();
   }
   if (run_scope != nullptr) {
     run_scope->note("trace", tools::trace_stats_note(load_stats));
@@ -230,15 +255,13 @@ int main(int argc, char** argv) {
     };
   }
 
-  const auto threads = static_cast<std::size_t>(threads_flag);
   sim::ParallelEvalConfig par;
-  par.threads = threads;
+  par.threads = static_cast<std::size_t>(threads_flag);
 
   // Checkpoint plumbing shared by both schemes. The replayed range is
   // [range_begin, range_end): a resume starts where the snapshot stopped,
   // --stop-fraction moves the end short of the trace.
-  const auto total =
-      stream ? view->request_count() : trace.requests().size();
+  const auto total = view->request_count();
   // Checkpointing (the fingerprint's only consumer) is materializing-only.
   const auto fingerprint =
       stream ? std::uint64_t{0} : persist::trace_fingerprint(trace);
@@ -311,27 +334,38 @@ int main(int argc, char** argv) {
                  total, load_state.c_str());
     return true;
   };
-  // Builds the run_range capture hook writing into `captured`; the
+  // The replay, one run_range call for either scheme: restore hooks when
+  // resuming, a capture hook writing into `captured` when saving. The
   // providers span is empty for the stateless probability scheme.
-  const auto make_capture_hook = [&](const persist::EvalConfigEcho& echo,
-                                     bool directory) {
-    return [&, echo, directory](
-               std::span<core::VolumeProvider* const> providers,
-               std::span<sim::detail::MetricAccumulator* const> accumulators) {
-      std::vector<const volume::DirectoryVolumes*> dirs;
-      if (directory) {
-        dirs.reserve(providers.size());
-        for (auto* provider : providers) {
-          auto* dir = dynamic_cast<const volume::DirectoryVolumes*>(provider);
-          PW_ENSURE(dir != nullptr);
-          dirs.push_back(dir);
-        }
-      }
-      const std::vector<const sim::detail::MetricAccumulator*> accs(
-          accumulators.begin(), accumulators.end());
-      captured = persist::capture_eval_state(dirs, accs, echo, range_end,
-                                             total, fingerprint);
-    };
+  const auto evaluate = [&](const sim::ShardedProviderSpec& spec,
+                            const persist::EvalConfigEcho& echo,
+                            bool directory, sim::ParallelEvalStats* stats) {
+    std::optional<persist::EvalRestore> restore;
+    sim::EvalResumeHooks hooks;
+    if (snapshot.has_value()) hooks = restore.emplace(*snapshot).hooks();
+    if (!save_state.empty()) {
+      hooks.capture =
+          [&](std::span<core::VolumeProvider* const> providers,
+              std::span<sim::detail::MetricAccumulator* const> accumulators) {
+            std::vector<const volume::DirectoryVolumes*> dirs;
+            if (directory) {
+              dirs.reserve(providers.size());
+              for (auto* provider : providers) {
+                auto* dir =
+                    dynamic_cast<const volume::DirectoryVolumes*>(provider);
+                PW_ENSURE(dir != nullptr);
+                dirs.push_back(dir);
+              }
+            }
+            const std::vector<const sim::detail::MetricAccumulator*> accs(
+                accumulators.begin(), accumulators.end());
+            captured = persist::capture_eval_state(dirs, accs, echo, range_end,
+                                                   total, fingerprint);
+          };
+    }
+    return sim::ParallelEvaluator(config, par)
+        .run_range(*view, spec, meta, range_begin, range_end, publish, &hooks,
+                   stats);
   };
 
   if (scheme == "directory") {
@@ -339,61 +373,13 @@ int main(int argc, char** argv) {
     dvc.level = static_cast<int>(flags.get_int("level"));
     const auto echo = persist::make_eval_config_echo("directory", config, &dvc);
     if (!check_resume(echo)) return 1;
-    if (threads != 1) {
-      sim::ParallelEvalStats stats;
-      const auto spec = stream
-                            ? sim::shard_directory_volumes(dvc, view->paths())
-                            : sim::shard_directory_volumes(dvc, trace);
-      std::optional<persist::EvalRestore> restore;
-      sim::EvalResumeHooks hooks;
-      if (snapshot.has_value()) {
-        restore.emplace(*snapshot);
-        hooks = restore->hooks();
-      }
-      if (!save_state.empty()) {
-        hooks.capture = make_capture_hook(echo, /*directory=*/true);
-      }
-      const bool use_hooks = snapshot.has_value() || !save_state.empty();
-      result =
-          stream
-              ? sim::ParallelEvaluator(config, par)
-                    .run_range(*view, spec, meta, range_begin, range_end,
-                               publish, nullptr, &stats)
-              : sim::ParallelEvaluator(config, par)
-                    .run_range(trace, spec, meta, range_begin, range_end,
-                               publish, use_hooks ? &hooks : nullptr, &stats);
-      std::fprintf(info,
-                   "scheme: directory level-%d (%zu volumes, %zu threads)\n",
-                   dvc.level, stats.volume_count, stats.threads);
-    } else {
-      volume::DirectoryVolumes volumes(dvc);
-      if (stream) {
-        volumes.bind_paths(view->paths());
-      } else {
-        volumes.bind_paths(trace.paths());
-      }
-      sim::detail::MetricAccumulator acc(config);
-      if (snapshot.has_value()) {
-        persist::EvalRestore restore(*snapshot);
-        restore.warm_provider(volumes, 0, 1);
-        restore.seed_accumulator(acc, 0, 1);
-      }
-      result = stream
-                   ? sim::PredictionEvaluator(config).run_range(
-                         *view, volumes, meta, range_begin, range_end, acc,
-                         publish)
-                   : sim::PredictionEvaluator(config).run_range(
-                         trace, volumes, meta, range_begin, range_end, acc,
-                         publish);
-      if (!save_state.empty()) {
-        const volume::DirectoryVolumes* dirs[] = {&volumes};
-        const sim::detail::MetricAccumulator* accs[] = {&acc};
-        captured = persist::capture_eval_state(dirs, accs, echo, range_end,
-                                               total, fingerprint);
-      }
-      std::fprintf(info, "scheme: directory level-%d (%zu volumes)\n",
-                   dvc.level, volumes.volume_count());
-    }
+    sim::ParallelEvalStats stats;
+    result = evaluate(sim::shard_directory_volumes(dvc, view->paths()), echo,
+                      /*directory=*/true, &stats);
+    std::fprintf(info, "scheme: directory level-%d (%zu volumes", dvc.level,
+                 stats.volume_count);
+    if (stats.threads > 1) std::fprintf(info, ", %zu threads", stats.threads);
+    std::fprintf(info, ")\n");
   } else if (scheme == "probability") {
     volume::ProbabilityVolumeSet set;
     if (const auto volumes_path = flags.get_string("volumes");
@@ -436,8 +422,7 @@ int main(int argc, char** argv) {
       pvc.combine_prefix_level =
           static_cast<int>(flags.get_int("combine-level"));
       pvc.window = config.prediction_window;
-      set = stream ? volume::build_probability_volumes(*view, counts, pvc)
-                   : volume::build_probability_volumes(trace, counts, pvc);
+      set = volume::build_probability_volumes(*view, counts, pvc);
     }
     // Probability volumes are rebuilt deterministically from the trace and
     // training flags, so only the shared eval knobs are echoed; the trace
@@ -445,46 +430,8 @@ int main(int argc, char** argv) {
     const auto echo =
         persist::make_eval_config_echo("probability", config, nullptr);
     if (!check_resume(echo)) return 1;
-    if (threads != 1) {
-      const auto spec = sim::shard_probability_volumes(&set, 200);
-      std::optional<persist::EvalRestore> restore;
-      sim::EvalResumeHooks hooks;
-      if (snapshot.has_value()) {
-        restore.emplace(*snapshot);
-        hooks = restore->hooks();
-      }
-      if (!save_state.empty()) {
-        hooks.capture = make_capture_hook(echo, /*directory=*/false);
-      }
-      const bool use_hooks = snapshot.has_value() || !save_state.empty();
-      result = stream
-                   ? sim::ParallelEvaluator(config, par)
-                         .run_range(*view, spec, meta, range_begin,
-                                    range_end, publish, nullptr)
-                   : sim::ParallelEvaluator(config, par)
-                         .run_range(trace, spec, meta, range_begin,
-                                    range_end, publish,
-                                    use_hooks ? &hooks : nullptr);
-    } else {
-      volume::ProbabilityVolumes provider(&set, 200);
-      sim::detail::MetricAccumulator acc(config);
-      if (snapshot.has_value()) {
-        persist::EvalRestore restore(*snapshot);
-        restore.seed_accumulator(acc, 0, 1);
-      }
-      result = stream
-                   ? sim::PredictionEvaluator(config).run_range(
-                         *view, provider, meta, range_begin, range_end, acc,
-                         publish)
-                   : sim::PredictionEvaluator(config).run_range(
-                         trace, provider, meta, range_begin, range_end, acc,
-                         publish);
-      if (!save_state.empty()) {
-        const sim::detail::MetricAccumulator* accs[] = {&acc};
-        captured = persist::capture_eval_state({}, accs, echo, range_end,
-                                               total, fingerprint);
-      }
-    }
+    result = evaluate(sim::shard_probability_volumes(&set, 200), echo,
+                      /*directory=*/false, nullptr);
     std::fprintf(info, "scheme: probability (%zu volumes)\n",
                  set.volume_count());
   } else {
