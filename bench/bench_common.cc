@@ -27,14 +27,14 @@ void warn_malformed(std::string_view flag, std::string_view raw) {
                static_cast<int>(raw.size()), raw.data());
 }
 
-}  // namespace
-
-std::string string_arg(int argc, char** argv, std::string_view flag,
-                       std::string fallback) {
+// Value of the first "--name=value" argv entry matching `flag` (the full
+// prefix, equals sign included), or "" when absent.
+std::string string_arg(int argc, char** argv, std::string_view flag) {
   const auto raw = raw_flag(argc, argv, flag);
-  return raw ? std::string(*raw) : fallback;
+  return raw ? std::string(*raw) : std::string();
 }
 
+// As string_arg, parsed; a malformed value warns on stderr and falls back.
 double double_arg(int argc, char** argv, std::string_view flag,
                   double fallback) {
   const auto raw = raw_flag(argc, argv, flag);
@@ -54,6 +54,8 @@ std::uint64_t u64_arg(int argc, char** argv, std::string_view flag,
   warn_malformed(flag, *raw);
   return fallback;
 }
+
+}  // namespace
 
 double scale_arg(int argc, char** argv, double fallback) {
   const double value = double_arg(argc, argv, "--scale=", fallback);

@@ -10,7 +10,6 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "obs/manifest.h"
 #include "server/meta.h"
@@ -21,17 +20,6 @@
 #include "volume/probability.h"
 
 namespace piggyweb::bench {
-
-// Generic "--name=value" flag parsers. `flag` is the full prefix
-// including the equals sign (e.g. "--scale="); malformed values warn on
-// stderr and fall back. The named wrappers below cover the flags shared
-// by several binaries.
-std::string string_arg(int argc, char** argv, std::string_view flag,
-                       std::string fallback = "");
-double double_arg(int argc, char** argv, std::string_view flag,
-                  double fallback);
-std::uint64_t u64_arg(int argc, char** argv, std::string_view flag,
-                      std::uint64_t fallback);
 
 // Parse "--scale=<x>" from argv; returns fallback when absent or not
 // positive.

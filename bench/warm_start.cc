@@ -176,7 +176,7 @@ obs::Json scenario_json(const ScenarioResult& r) {
 
 int main(int argc, char** argv) {
   bench::Observability obs("warm_start", argc, argv);
-  const auto json_path = bench::string_arg(argc, argv, "--json=");
+  const auto json_path = bench::json_arg(argc, argv);
   const bool quick = flag_present(argc, argv, "--quick");
 
   const std::size_t warmup = quick ? 20'000 : 200'000;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <istream>
 #include <ostream>
+#include <vector>
 
 #include "trace/stream.h"
 #include "util/date.h"
@@ -303,20 +304,28 @@ ClfLoadResult load_clf_text(std::string_view text, Trace& trace,
   return result;
 }
 
-void write_clf(std::ostream& out, const Trace& trace) {
+ClfLoss write_clf(std::ostream& out, const Trace& trace) {
   MaterializedTraceView view(trace);
-  write_clf(out, view);
+  return write_clf(out, view);
 }
 
-void write_clf(std::ostream& out, TraceView& view) {
+ClfLoss write_clf(std::ostream& out, TraceView& view) {
   const auto sources = view.sources();
   const auto paths = view.paths();
   const auto total = view.request_count();
   constexpr std::size_t kWriteWindow = 4096;
+  ClfLoss loss;
+  std::vector<bool> server_seen(view.servers().size());
+  std::size_t servers = 0;
   ClfEntry entry;
   for (std::size_t base = 0; base < total; base += kWriteWindow) {
     const auto count = std::min(kWriteWindow, total - base);
     for (const auto& r : view.window(base, count)) {
+      if (!server_seen[r.server]) {
+        server_seen[r.server] = true;
+        ++servers;
+      }
+      if (r.last_modified != -1) ++loss.last_modified;
       entry.host = std::string(sources.str(r.source));
       entry.time = r.time;
       entry.method = r.method;
@@ -326,6 +335,8 @@ void write_clf(std::ostream& out, TraceView& view) {
       out << format_clf_line(entry) << '\n';
     }
   }
+  if (servers > 1) loss.servers = servers;
+  return loss;
 }
 
 }  // namespace piggyweb::trace

@@ -8,6 +8,7 @@
 // synthetic traces back out as CLF so external tools can consume them.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -50,8 +51,7 @@ bool parse_clf_fields(std::string_view line, ClfFields& out);
 // Reference implementation of parse_clf_fields using one-byte-at-a-time
 // scanning. parse_clf_fields itself locates delimiters with the wide
 // (SSE2/SWAR) scanner in util/scan.h; the two must agree on every input —
-// a randomized differential test enforces it. Exposed for that test and
-// for the hot-path microbench.
+// a randomized differential test enforces it. Exposed for that test.
 bool parse_clf_fields_scalar(std::string_view line, ClfFields& out);
 
 // Serialize an entry back to a CLF line (UTC zone).
@@ -84,12 +84,21 @@ ClfLoadResult load_clf(std::istream& in, Trace& trace,
 ClfLoadResult load_clf_text(std::string_view text, Trace& trace,
                             const ClfLoadOptions& options = {});
 
-// Write a trace as CLF lines (server logs: one line per request). The
-// TraceView overload walks bounded windows, so a streaming (mmap-backed)
-// view converts to CLF without materializing; the Trace overload
-// delegates to it and writes identical bytes.
-void write_clf(std::ostream& out, const Trace& trace);
-void write_clf(std::ostream& out, TraceView& view);
+// What a CLF file cannot hold of the trace written to it. CLF lines name
+// no server and carry no Last-Modified, so reading the file back stamps
+// every request with one server name and an unknown modification time.
+struct ClfLoss {
+  std::size_t servers = 0;        // distinct servers, when more than one
+  std::size_t last_modified = 0;  // requests whose Last-Modified was known
+};
+
+// Write a trace as CLF lines (server logs: one line per request) and
+// report what the lines could not hold. The TraceView overload walks
+// bounded windows, so a streaming (mmap-backed) view converts to CLF
+// without materializing; the Trace overload delegates to it and writes
+// identical bytes.
+ClfLoss write_clf(std::ostream& out, const Trace& trace);
+ClfLoss write_clf(std::ostream& out, TraceView& view);
 
 // §A cleanup predicate: true if the URL should be treated as uncachable.
 bool is_uncachable_url(std::string_view path);

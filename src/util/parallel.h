@@ -1,10 +1,10 @@
-// Blocking fork-join helpers over a ThreadPool.
+// Blocking fork-join helper over a ThreadPool.
 //
-// Both helpers are *barriers*: they return only after every invocation of
-// `fn` has finished, so callers may hand workers mutable references to
-// disjoint shard state without further synchronisation. The first
+// It is a *barrier*: it returns only after every invocation of `fn` has
+// finished, so callers may hand workers mutable references to disjoint
+// shard state without further synchronisation. The first
 // exception thrown by any invocation is rethrown on the calling thread
-// after the barrier. Do not call these from inside a pool task — with
+// after the barrier. Do not call it from inside a pool task — with
 // every worker blocked on the barrier the nested tasks could never run.
 #pragma once
 
@@ -75,22 +75,6 @@ void parallel_shards(ThreadPool& pool, std::size_t shards, const Fn& fn) {
   }
   pool.post_batch(tasks);
   join.wait();
-}
-
-// Runs fn(begin, end) over a static partition of [0, n) into one
-// contiguous range per worker. Static ranges keep per-worker output
-// independent of scheduling, which the deterministic merges rely on.
-template <typename Fn>
-void parallel_ranges(ThreadPool& pool, std::size_t n, const Fn& fn) {
-  const auto workers = pool.thread_count();
-  if (n == 0) return;
-  const auto shards = workers < n ? workers : n;
-  const auto chunk = (n + shards - 1) / shards;
-  parallel_shards(pool, shards, [&fn, n, chunk](std::size_t s) {
-    const auto begin = s * chunk;
-    const auto end = begin + chunk < n ? begin + chunk : n;
-    if (begin < end) fn(begin, end);
-  });
 }
 
 }  // namespace piggyweb::util

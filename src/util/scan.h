@@ -3,7 +3,7 @@
 // examining 16 bytes per step with SSE2 where the target supports it, or 8
 // bytes per step with a SWAR register trick otherwise; find_byte_scalar()
 // is the obviously-correct one-byte-at-a-time reference the randomized
-// differential tests and the microbench compare against.
+// differential tests compare against.
 //
 // Dispatch policy: the wide path is chosen once, at compile time, behind
 // the single PIGGYWEB_SCAN_SSE2 point below — no runtime CPU detection, so

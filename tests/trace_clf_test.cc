@@ -1,5 +1,6 @@
 #include "trace/clf.h"
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -138,7 +139,9 @@ TEST(WriteClf, RoundTripsThroughLoad) {
   original.add({875000000}, "c1", "svr", "/a/b.html", Method::kGet, 200, 99);
   original.add({875000100}, "c2", "svr", "/c.gif", Method::kGet, 304, 0);
   std::ostringstream out;
-  write_clf(out, original);
+  const auto loss = write_clf(out, original);
+  EXPECT_EQ(loss.servers, 0u);  // one server: the reader names it again
+  EXPECT_EQ(loss.last_modified, 0u);
 
   std::istringstream in(out.str());
   Trace loaded;
@@ -150,6 +153,19 @@ TEST(WriteClf, RoundTripsThroughLoad) {
   EXPECT_EQ(loaded.requests()[0].time.value, 875000000);
   EXPECT_EQ(loaded.paths().str(loaded.requests()[0].path), "/a/b.html");
   EXPECT_EQ(loaded.requests()[1].status, 304);
+}
+
+TEST(WriteClf, ReportsWhatTheLinesCannotHold) {
+  Trace original;
+  original.add({875000000}, "c1", "a.com", "/x", Method::kGet, 200, 9, 100);
+  original.add({875000001}, "c1", "b.com", "/x", Method::kGet, 200, 9);
+  original.add({875000002}, "c2", "a.com", "/y", Method::kGet, 200, 9, 200);
+  std::ostringstream out;
+  const auto loss = write_clf(out, original);
+  EXPECT_EQ(loss.servers, 2u);
+  EXPECT_EQ(loss.last_modified, 2u);
+  const auto text = out.str();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -84,42 +83,6 @@ TEST(ParallelShards, RethrowsTaskException) {
   std::atomic<int> runs{0};
   parallel_shards(pool, 4, [&runs](std::size_t) { ++runs; });
   EXPECT_EQ(runs.load(), 4);
-}
-
-TEST(ParallelRanges, PartitionsExactly) {
-  for (const std::size_t threads : {1u, 2u, 5u}) {
-    ThreadPool pool(threads);
-    for (const std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {
-      std::vector<std::atomic<int>> hits(n);
-      parallel_ranges(pool, n, [&hits](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "n " << n << " index " << i;
-      }
-    }
-  }
-}
-
-TEST(ParallelRanges, SumMatchesSerial) {
-  ThreadPool pool(4);
-  std::vector<std::uint64_t> values(10'000);
-  std::iota(values.begin(), values.end(), 1);
-  // One partial slot per shard index keeps the merge deterministic.
-  std::vector<std::uint64_t> partial(values.size(), 0);
-  parallel_ranges(pool, values.size(),
-                  [&](std::size_t begin, std::size_t end) {
-                    std::uint64_t sum = 0;
-                    for (std::size_t i = begin; i < end; ++i) {
-                      sum += values[i];
-                    }
-                    partial[begin] = sum;
-                  });
-  const auto total =
-      std::accumulate(partial.begin(), partial.end(), std::uint64_t{0});
-  EXPECT_EQ(total, 10'000ull * 10'001ull / 2);
 }
 
 class CountingObserver : public ThreadPoolObserver {

@@ -1,353 +1,294 @@
 #include "bench_compare.h"
 
+#include <algorithm>
+#include <optional>
 #include <utility>
+
+#include "util/stats.h"
+#include "util/strings.h"
 
 namespace piggyweb::tools {
 
 namespace {
 
-bool contains(std::string_view haystack, std::string_view needle) {
-  return haystack.find(needle) != std::string_view::npos;
+const std::string* string_member(const obs::Json& object,
+                                 std::string_view key) {
+  const auto* value = object.is_object() ? object.find(key) : nullptr;
+  return value != nullptr && value->is_string() ? &value->string() : nullptr;
 }
 
-std::string join_path(const std::string& path, std::string_view key) {
-  if (path.empty()) return std::string(key);
-  return path + "." + std::string(key);
+std::optional<double> number_member(const obs::Json& object,
+                                    std::string_view key) {
+  const auto* value = object.is_object() ? object.find(key) : nullptr;
+  if (value == nullptr || !value->is_number()) return std::nullopt;
+  return value->number();
 }
 
-const char* kind_name(BenchKeyKind kind) {
-  switch (kind) {
-    case BenchKeyKind::kTiming:
-      return "timing";
-    case BenchKeyKind::kRate:
-      return "rate";
-    case BenchKeyKind::kBoolean:
-      return "boolean";
-    case BenchKeyKind::kWorkload:
-      return "workload";
+bool parse_metric_list(const obs::Json& spec, const char* list,
+                       bool end_to_end, std::vector<BenchMetricSpec>& metrics,
+                       std::string& error) {
+  const auto* items = spec.is_object() ? spec.find(list) : nullptr;
+  if (items == nullptr || !items->is_array()) {
+    error = std::string("spec has no \"") + list + "\" list";
+    return false;
   }
-  return "unknown";
+  for (const auto& item : items->items()) {
+    const auto* name = string_member(item, "name");
+    const auto* unit = string_member(item, "unit");
+    const auto* better = string_member(item, "better");
+    if (name == nullptr || unit == nullptr || better == nullptr ||
+        (*better != "higher" && *better != "lower")) {
+      error = std::string("spec \"") + list +
+              "\" entry lacks a name, unit or better (higher|lower)";
+      return false;
+    }
+    BenchMetricSpec metric{*name, *unit, *better == "higher", end_to_end, 0};
+    if (end_to_end) {
+      const auto bound = number_member(item, "bound");
+      if (!bound.has_value() || !(*bound > 0)) {
+        error = std::string("spec metric ") + *name + " has no positive bound";
+        return false;
+      }
+      metric.bound = *bound;
+    }
+    metrics.push_back(std::move(metric));
+  }
+  return true;
 }
 
-const char* status_name(BenchDelta::Status status) {
-  switch (status) {
-    case BenchDelta::Status::kOk:
-      return "ok";
-    case BenchDelta::Status::kImprovement:
-      return "improvement";
-    case BenchDelta::Status::kRegression:
-      return "regression";
-    case BenchDelta::Status::kSkippedNoise:
-      return "skipped_noise";
-  }
-  return "unknown";
+std::string run_label(const char* side, std::size_t index) {
+  return std::string(side) + " run " + std::to_string(index + 1);
 }
 
-// Walks baseline and candidate in lockstep, appending deltas and notes.
-class Comparator {
- public:
-  Comparator(const BenchCompareOptions& options, BenchCompareReport& report)
-      : options_(options), report_(report) {}
-
-  void compare(const obs::Json& base, const obs::Json& cand,
-               const std::string& path, std::string_view key) {
-    if (base.is_object() && cand.is_object()) {
-      compare_objects(base, cand, path);
-      return;
+// Checks each run's shape and returns failed / attempted over all of them.
+bool failed_share(const std::vector<obs::Json>& runs, const char* side,
+                  double& share, std::string& error) {
+  double attempted = 0;
+  double failed = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto* metrics = runs[i].find("metrics");
+    if (metrics == nullptr || !metrics->is_object()) {
+      error = run_label(side, i) + ": no \"metrics\" object";
+      return false;
     }
-    if (base.is_array() && cand.is_array()) {
-      compare_arrays(base, cand, path, key);
-      return;
+    const auto run_attempted = number_member(runs[i], "attempted");
+    const auto run_failed = number_member(runs[i], "failed");
+    if (!run_attempted.has_value() || !run_failed.has_value() ||
+        *run_failed < 0 || *run_failed > *run_attempted) {
+      error = run_label(side, i) +
+              ": no valid \"attempted\"/\"failed\" counts";
+      return false;
     }
-    if (base.is_bool() && cand.is_bool()) {
-      compare_booleans(base.boolean(), cand.boolean(), path);
-      return;
-    }
-    if (base.is_number() && cand.is_number()) {
-      compare_numbers(base.number(), cand.number(), path, key);
-      return;
-    }
-    if (base.is_string() && cand.is_string()) {
-      if (base.string() != cand.string()) {
-        note(path + ": string differs (\"" + base.string() + "\" vs \"" +
-             cand.string() + "\")");
-      }
-      return;
-    }
-    if (base.type() != cand.type()) {
-      note(path + ": type differs between baseline and candidate");
-    }
+    attempted += *run_attempted;
+    failed += *run_failed;
   }
+  share = attempted > 0 ? failed / attempted : 0;
+  return true;
+}
 
- private:
-  void note(std::string text) { report_.notes.push_back(std::move(text)); }
-
-  void compare_objects(const obs::Json& base, const obs::Json& cand,
-                       const std::string& path) {
-    // Workload guard: two runs that did different amounts of work are
-    // not comparable, so a descriptor mismatch skips the whole subtree.
-    for (const auto& [key, value] : base.members()) {
-      if (!value.is_number()) continue;
-      if (classify_bench_key(key, false) != BenchKeyKind::kWorkload) {
-        continue;
-      }
-      const auto* other = cand.find(key);
-      if (other != nullptr && other->is_number() &&
-          other->number() != value.number()) {
-        note(join_path(path, key) + ": workload differs (" +
-             obs::Json(value.number()).dump() + " vs " +
-             obs::Json(other->number()).dump() + ") — subtree skipped");
-        return;
-      }
+// Appends the metric's value in every run of one side that carries it.
+bool collect_values(const BenchMetricSpec& metric,
+                    const std::vector<obs::Json>& runs, const char* side,
+                    std::vector<double>& values, std::string& error) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto* entry = runs[i].find("metrics")->find(metric.name);
+    if (entry == nullptr) continue;
+    const auto value = number_member(*entry, "value");
+    const auto* unit = string_member(*entry, "unit");
+    const auto where = run_label(side, i) + ": " + metric.name;
+    if (!value.has_value()) {
+      error = where + " has no numeric value";
+      return false;
     }
-    for (const auto& [key, value] : base.members()) {
-      const auto child = join_path(path, key);
-      const auto* other = cand.find(key);
-      if (other == nullptr) {
-        note(child + ": missing from candidate");
-        continue;
-      }
-      compare(value, *other, child, key);
+    if (unit == nullptr || *unit != metric.unit) {
+      error = where + " is not in " + metric.unit + ", the spec's unit";
+      return false;
     }
-    for (const auto& [key, value] : cand.members()) {
-      (void)value;
-      if (base.find(key) == nullptr) {
-        note(join_path(path, key) + ": new in candidate (not compared)");
-      }
+    if (metric.end_to_end && !(*value > 0)) {
+      error = where + " is not positive";
+      return false;
     }
+    values.push_back(*value);
   }
+  return true;
+}
 
-  void compare_arrays(const obs::Json& base, const obs::Json& cand,
-                      const std::string& path, std::string_view key) {
-    if (base.items().size() != cand.items().size()) {
-      note(path + ": array length differs (" +
-           std::to_string(base.items().size()) + " vs " +
-           std::to_string(cand.items().size()) + ") — skipped");
-      return;
-    }
-    // Arrays of named records (e.g. e2e replica lists) pair by name so a
-    // reordering is not misread as a swap of measurements.
-    const auto name_of = [](const obs::Json& entry) -> const std::string* {
-      if (!entry.is_object()) return nullptr;
-      const auto* name = entry.find("name");
-      return (name != nullptr && name->is_string()) ? &name->string()
-                                                    : nullptr;
-    };
-    bool all_named = !base.items().empty();
-    for (const auto& entry : base.items()) {
-      if (name_of(entry) == nullptr) all_named = false;
-    }
-    for (const auto& entry : cand.items()) {
-      if (name_of(entry) == nullptr) all_named = false;
-    }
-    if (all_named) {
-      for (const auto& entry : base.items()) {
-        const auto& name = *name_of(entry);
-        const obs::Json* match = nullptr;
-        for (const auto& other : cand.items()) {
-          if (*name_of(other) == name) {
-            match = &other;
-            break;
-          }
-        }
-        const auto child = path + "[" + name + "]";
-        if (match == nullptr) {
-          note(child + ": missing from candidate");
-          continue;
-        }
-        compare(entry, *match, child, key);
-      }
-      return;
-    }
-    for (std::size_t i = 0; i < base.items().size(); ++i) {
-      compare(base.items()[i], cand.items()[i],
-              path + "[" + std::to_string(i) + "]", key);
-    }
+BenchMetricDiff judge(const BenchMetricSpec& metric,
+                      const std::vector<double>& baseline,
+                      const std::vector<double>& candidate) {
+  util::Quantiles base;
+  util::Quantiles cand;
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    base.add(baseline[i]);
+    cand.add(candidate[i]);
   }
+  BenchMetricDiff diff;
+  diff.spec = metric;
+  diff.baseline_median = base.median();
+  diff.candidate_median = cand.median();
+  diff.baseline_iqr = base.quantile(0.75) - base.quantile(0.25);
+  if (!metric.end_to_end) return diff;
 
-  void compare_booleans(bool base, bool cand, const std::string& path) {
-    BenchDelta delta;
-    delta.path = path;
-    delta.kind = BenchKeyKind::kBoolean;
-    delta.baseline = base ? 1.0 : 0.0;
-    delta.candidate = cand ? 1.0 : 0.0;
-    delta.worse_ratio = 0;
-    // Booleans in bench reports are invariants (checksums_match, ...):
-    // losing one is a regression regardless of --ratio-only.
-    delta.gated = true;
-    if (base && !cand) {
-      delta.status = BenchDelta::Status::kRegression;
-    } else if (!base && cand) {
-      delta.status = BenchDelta::Status::kImprovement;
-    } else {
-      delta.status = BenchDelta::Status::kOk;
-    }
-    report_.deltas.push_back(std::move(delta));
+  const auto better = [&metric](double a, double b) {
+    return metric.higher_is_better ? a > b : a < b;
+  };
+  const double worse_by =
+      metric.higher_is_better ? diff.baseline_median - diff.candidate_median
+                              : diff.candidate_median - diff.baseline_median;
+  diff.worse = worse_by / diff.baseline_median;
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    if (better(candidate[i], baseline[i])) ++diff.wins;
   }
+  // Every candidate run beats every baseline run when the worst candidate
+  // run beats the best baseline run.
+  const bool candidate_dominates =
+      metric.higher_is_better ? cand.quantile(0) > base.quantile(1)
+                              : cand.quantile(1) < base.quantile(0);
 
-  void compare_numbers(double base, double cand, const std::string& path,
-                       std::string_view key) {
-    const auto kind = classify_bench_key(key, false);
-    if (kind == BenchKeyKind::kWorkload) {
-      return;  // equal by the guard above, or a bare top-level number
-    }
-    BenchDelta delta;
-    delta.path = path;
-    delta.kind = kind;
-    delta.baseline = base;
-    delta.candidate = cand;
-    if (kind == BenchKeyKind::kTiming) {
-      delta.gated = !options_.ratio_only;
-      if ((base < options_.min_seconds && cand < options_.min_seconds) ||
-          base <= 0) {
-        delta.status = BenchDelta::Status::kSkippedNoise;
-        delta.gated = false;
-      } else {
-        delta.worse_ratio = cand / base;
-        if (cand > base * (1 + options_.threshold)) {
-          delta.status = BenchDelta::Status::kRegression;
-        } else if (cand < base * (1 - options_.threshold)) {
-          delta.status = BenchDelta::Status::kImprovement;
-        } else {
-          delta.status = BenchDelta::Status::kOk;
-        }
-      }
-    } else {  // kRate: higher is better
-      delta.gated = true;
-      if (base <= 0) {
-        delta.status = BenchDelta::Status::kSkippedNoise;
-        delta.gated = false;
-      } else if (cand <= 0) {
-        delta.status = BenchDelta::Status::kRegression;
-      } else {
-        delta.worse_ratio = base / cand;
-        if (cand < base * (1 - options_.threshold)) {
-          delta.status = BenchDelta::Status::kRegression;
-        } else if (cand > base * (1 + options_.threshold)) {
-          delta.status = BenchDelta::Status::kImprovement;
-        } else {
-          delta.status = BenchDelta::Status::kOk;
-        }
-      }
-    }
-    report_.deltas.push_back(std::move(delta));
+  if (diff.worse > metric.bound) {
+    diff.verdict = BenchVerdict::kRegression;
+  } else if (diff.baseline_iqr / diff.baseline_median > metric.bound &&
+             !candidate_dominates) {
+    diff.verdict = BenchVerdict::kUnresolved;
+  } else if (diff.wins * 10 >= baseline.size() * 9 &&
+             -worse_by > diff.baseline_iqr) {
+    diff.verdict = BenchVerdict::kGain;
   }
-
-  const BenchCompareOptions& options_;
-  BenchCompareReport& report_;
-};
+  return diff;
+}
 
 }  // namespace
 
-BenchKeyKind classify_bench_key(std::string_view key, bool is_boolean) {
-  if (is_boolean) return BenchKeyKind::kBoolean;
-  // Rates first: "per_second" would otherwise be caught by a sloppy
-  // timing match.
-  if (contains(key, "per_second") || contains(key, "speedup")) {
-    return BenchKeyKind::kRate;
-  }
-  if (contains(key, "seconds")) return BenchKeyKind::kTiming;
-  return BenchKeyKind::kWorkload;
+bool parse_bench_spec(const obs::Json& spec,
+                      std::vector<BenchMetricSpec>& metrics,
+                      std::string& error) {
+  return parse_metric_list(spec, "end_to_end", true, metrics, error) &&
+         parse_metric_list(spec, "per_layer", false, metrics, error);
 }
 
-std::size_t BenchCompareReport::gated_comparisons() const {
-  std::size_t gated = 0;
-  for (const auto& delta : deltas) {
-    if (delta.gated) ++gated;
-  }
-  return gated;
-}
-
-bool BenchCompareReport::has_regression() const {
-  for (const auto& delta : deltas) {
-    if (delta.gated && delta.status == BenchDelta::Status::kRegression) {
-      return true;
+bool parse_bench_runs(std::string_view text, std::vector<obs::Json>& runs,
+                      std::string& error) {
+  std::size_t line_number = 0;
+  for (const auto line : util::split(text, '\n')) {
+    ++line_number;
+    if (util::trim(line).empty()) continue;
+    std::string parse_error;
+    auto run = obs::parse_json(line, &parse_error);
+    if (!run.has_value() || !run->is_object()) {
+      error = std::string("line ") + std::to_string(line_number) + ": " +
+              (run.has_value() ? "not a JSON object"
+                               : std::string("invalid JSON: ") + parse_error);
+      return false;
     }
+    runs.push_back(std::move(*run));
   }
-  return false;
+  return true;
 }
 
-obs::Json BenchCompareReport::to_json(
-    const BenchCompareOptions& options) const {
+const char* verdict_name(BenchVerdict verdict) {
+  switch (verdict) {
+    case BenchVerdict::kOk:
+      return "ok";
+    case BenchVerdict::kGain:
+      return "gain";
+    case BenchVerdict::kUnresolved:
+      return "unresolved";
+    case BenchVerdict::kRegression:
+      return "regression";
+  }
+  return "unknown";
+}
+
+bool BenchDiff::has_regression() const {
+  if (candidate_failed_share > baseline_failed_share) return true;
+  return std::any_of(metrics.begin(), metrics.end(), [](const auto& metric) {
+    return metric.verdict == BenchVerdict::kRegression;
+  });
+}
+
+obs::Json BenchDiff::to_json() const {
   auto root = obs::Json::object();
-  root.set("piggyweb_benchdiff", 1);
-  auto opts = obs::Json::object();
-  opts.set("threshold", options.threshold);
-  opts.set("min_seconds", options.min_seconds);
-  opts.set("ratio_only", options.ratio_only);
-  root.set("options", std::move(opts));
-  std::size_t regressions = 0;
+  root.set("piggyweb_benchdiff", 2);
+  root.set("pairs", pairs);
+  root.set("baseline_failed_share", baseline_failed_share);
+  root.set("candidate_failed_share", candidate_failed_share);
+  root.set("regression", has_regression());
   auto list = obs::Json::array();
-  for (const auto& delta : deltas) {
-    if (delta.gated && delta.status == BenchDelta::Status::kRegression) {
-      ++regressions;
-    }
+  for (const auto& metric : metrics) {
     auto entry = obs::Json::object();
-    entry.set("path", delta.path);
-    entry.set("kind", kind_name(delta.kind));
-    entry.set("status", status_name(delta.status));
-    entry.set("baseline", delta.baseline);
-    entry.set("candidate", delta.candidate);
-    entry.set("worse_ratio", delta.worse_ratio);
-    entry.set("gated", delta.gated);
+    entry.set("name", metric.spec.name);
+    entry.set("unit", metric.spec.unit);
+    entry.set("better", metric.spec.higher_is_better ? "higher" : "lower");
+    entry.set("baseline_median", metric.baseline_median);
+    entry.set("candidate_median", metric.candidate_median);
+    entry.set("baseline_iqr", metric.baseline_iqr);
+    if (metric.spec.end_to_end) {
+      entry.set("bound", metric.spec.bound);
+      entry.set("worse", metric.worse);
+      entry.set("wins", metric.wins);
+      entry.set("verdict", verdict_name(metric.verdict));
+    }
     list.push_back(std::move(entry));
   }
-  root.set("compared", gated_comparisons());
-  root.set("regressions", regressions);
-  root.set("deltas", std::move(list));
-  auto note_list = obs::Json::array();
-  for (const auto& text : notes) note_list.push_back(text);
-  root.set("notes", std::move(note_list));
+  root.set("metrics", std::move(list));
   return root;
 }
 
-BenchCompareReport compare_bench_reports(const obs::Json& baseline,
-                                         const obs::Json& candidate,
-                                         const BenchCompareOptions& options) {
-  BenchCompareReport report;
-  if (!baseline.is_object() || !candidate.is_object()) {
-    report.notes.push_back("top level is not an object on both sides");
-    return report;
+bool compare_bench_runs(const std::vector<BenchMetricSpec>& spec,
+                        const std::vector<obs::Json>& baseline,
+                        const std::vector<obs::Json>& candidate,
+                        BenchDiff& diff, std::string& error) {
+  if (baseline.empty() || baseline.size() != candidate.size()) {
+    error = std::string("the baseline holds ") +
+            std::to_string(baseline.size()) +
+            " runs and the candidate " + std::to_string(candidate.size()) +
+            "; pairs need the same number of runs, at least one";
+    return false;
   }
-  Comparator(options, report).compare(baseline, candidate, "", "");
-  return report;
+  diff = BenchDiff{};
+  diff.pairs = baseline.size();
+  if (!failed_share(baseline, "baseline", diff.baseline_failed_share,
+                    error) ||
+      !failed_share(candidate, "candidate", diff.candidate_failed_share,
+                    error)) {
+    return false;
+  }
+  for (const auto& metric : spec) {
+    std::vector<double> base;
+    std::vector<double> cand;
+    if (!collect_values(metric, baseline, "baseline", base, error) ||
+        !collect_values(metric, candidate, "candidate", cand, error)) {
+      return false;
+    }
+    if (base.empty() && cand.empty()) continue;
+    if (base.size() != diff.pairs || cand.size() != diff.pairs) {
+      error = metric.name + " is in " +
+              std::to_string(base.size() + cand.size()) + " of " +
+              std::to_string(2 * diff.pairs) +
+              " runs; it must be in all or none";
+      return false;
+    }
+    diff.metrics.push_back(judge(metric, base, cand));
+  }
+  return true;
 }
 
-namespace {
-
-obs::Json scale_node(const obs::Json& node, std::string_view key,
-                     double factor) {
-  if (node.is_object()) {
-    auto out = obs::Json::object();
-    for (const auto& [child_key, value] : node.members()) {
-      out.set(child_key, scale_node(value, child_key, factor));
-    }
-    return out;
+obs::Json inject_slowdown(const obs::Json& run,
+                          const std::vector<BenchMetricSpec>& spec,
+                          double factor) {
+  auto metrics = *run.find("metrics");
+  for (const auto& metric : spec) {
+    const auto* entry = metrics.find(metric.name);
+    if (!metric.end_to_end || entry == nullptr) continue;
+    const double value = entry->find("value")->number();
+    auto scaled = *entry;
+    scaled.set("value",
+               metric.higher_is_better ? value / factor : value * factor);
+    metrics.set(metric.name, std::move(scaled));
   }
-  if (node.is_array()) {
-    auto out = obs::Json::array();
-    for (const auto& value : node.items()) {
-      out.push_back(scale_node(value, key, factor));
-    }
-    return out;
-  }
-  if (node.is_number()) {
-    switch (classify_bench_key(key, false)) {
-      case BenchKeyKind::kTiming:
-        return obs::Json(node.number() * factor);
-      case BenchKeyKind::kRate:
-        return obs::Json(node.number() / factor);
-      default:
-        break;
-    }
-  }
-  return node;
-}
-
-}  // namespace
-
-obs::Json inject_slowdown(const obs::Json& report, double factor) {
-  return scale_node(report, "", factor);
+  auto slowed = run;
+  slowed.set("metrics", std::move(metrics));
+  return slowed;
 }
 
 }  // namespace piggyweb::tools

@@ -1,23 +1,29 @@
-// Noise-aware comparison of two benchmark reports (BENCH_*.json) or run
-// manifests. The comparator walks both JSON trees in parallel and
-// classifies every shared leaf by its key name:
+// Judges perfbench runs by the metrics BENCHMARK.json declares. A run is
+// one perfbench result line, the last stdout line of perfbench/run.py:
 //
-//   *seconds*                  timing — lower is better
-//   *per_second* / *speedup*   rate   — higher is better
-//   booleans                   must not flip true -> false
-//   other numbers              workload descriptors (ops, requests, ...)
+//   {"correct": true, "attempted": 40, "failed": 0,
+//    "metrics": {"setup_s": {"value": 0.012, "unit": "s"}, ...}}
 //
-// Workload descriptors act as a guard, not a measurement: when any two
-// sibling descriptors differ the containing subtree is incomparable (the
-// two runs measured different work) and its timings are skipped with a
-// note instead of being flagged. Timings where both sides are below the
-// minimum-seconds floor are skipped as noise — quick-mode benches produce
-// sub-millisecond sections whose relative error dwarfs any real shift.
+// A result file holds one run per line, and line i of the baseline file
+// pairs with line i of the candidate file, so runs made in alternation
+// pair with their neighbours in time.
 //
-// Regression = a gated comparison worse than the relative threshold.
-// piggyweb_benchdiff turns has_regression() into its exit code; the CI
-// release-bench lane runs the quick benches twice and requires the pair
-// to compare clean.
+// The spec gives every metric its unit and direction ("better"), and
+// every end-to-end metric the relative bound by which it may worsen. Each
+// end-to-end metric the runs carry gets one verdict, tried in this order:
+//
+//   regression  the candidate median is worse than the baseline median by
+//               more than the bound (relative to the baseline median);
+//   unresolved  the baseline's IQR / median exceeds the bound, and not
+//               every candidate run beats every baseline run;
+//   gain        the candidate wins at least 9 of 10 pairs (ties count for
+//               neither side) and the medians differ by more than the
+//               baseline IQR;
+//   ok          anything else.
+//
+// A higher share of failed output checks (failed / attempted over all
+// runs of a side) is a regression too. Per-layer metrics are summarised
+// by their medians and never gated.
 #pragma once
 
 #include <cstddef>
@@ -29,70 +35,71 @@
 
 namespace piggyweb::tools {
 
-// What a key name says about the value it holds.
-enum class BenchKeyKind { kTiming, kRate, kBoolean, kWorkload };
-
-// Classify a leaf key by name. Rates are checked first so "per_second"
-// never falls into the timing bucket.
-BenchKeyKind classify_bench_key(std::string_view key, bool is_boolean);
-
-struct BenchCompareOptions {
-  // Relative change that counts as a regression: timings may grow and
-  // rates may shrink by up to this fraction.
-  double threshold = 0.10;
-  // Timings where both sides are below this floor are noise, not signal.
-  double min_seconds = 1e-3;
-  // Gate only dimensionless comparisons (rates and booleans); absolute
-  // timings are still reported but cannot fail the run. For comparing
-  // reports from different machines.
-  bool ratio_only = false;
+struct BenchMetricSpec {
+  std::string name;
+  std::string unit;
+  bool higher_is_better = false;
+  bool end_to_end = false;  // gated; per-layer metrics are not
+  double bound = 0;         // end-to-end only, e.g. 0.25 = 25 % worse
 };
 
-struct BenchDelta {
-  enum class Status {
-    kOk,           // within threshold
-    kImprovement,  // beyond threshold in the good direction
-    kRegression,   // beyond threshold in the bad direction
-    kSkippedNoise, // both sides under min_seconds
-  };
+// Reads the spec's "end_to_end" and "per_layer" lists, end-to-end metrics
+// first. Returns false with a message when the spec is malformed.
+bool parse_bench_spec(const obs::Json& spec,
+                      std::vector<BenchMetricSpec>& metrics,
+                      std::string& error);
 
-  std::string path;  // dotted path into the report, e.g. "micro.flat_seconds"
-  BenchKeyKind kind = BenchKeyKind::kTiming;
-  Status status = Status::kOk;
-  double baseline = 0;
-  double candidate = 0;
-  // Normalised so that > 1 means "candidate is worse": candidate/baseline
-  // for timings, baseline/candidate for rates. 0 when undefined.
-  double worse_ratio = 0;
-  // False when --ratio-only demoted this comparison to informational.
-  bool gated = true;
+// Splits a result file into runs, one JSON object per non-blank line.
+// Returns false with "line N: ..." on the first line that is not one.
+bool parse_bench_runs(std::string_view text, std::vector<obs::Json>& runs,
+                      std::string& error);
+
+enum class BenchVerdict { kOk, kGain, kUnresolved, kRegression };
+
+struct BenchMetricDiff {
+  BenchMetricSpec spec;
+  double baseline_median = 0;
+  double candidate_median = 0;
+  double baseline_iqr = 0;
+  // Relative change of the median in the metric's own direction: 0.1
+  // means the candidate is 10 % worse, -0.1 that it is 10 % better.
+  double worse = 0;
+  std::size_t wins = 0;  // pairs in which the candidate reads better
+  BenchVerdict verdict = BenchVerdict::kOk;  // kOk for per-layer metrics
 };
 
-struct BenchCompareReport {
-  std::vector<BenchDelta> deltas;
-  // Structural findings: workload mismatches, missing keys, skipped
-  // subtrees. Never affect the exit code.
-  std::vector<std::string> notes;
+struct BenchDiff {
+  std::size_t pairs = 0;
+  double baseline_failed_share = 0;
+  double candidate_failed_share = 0;
+  // Every spec metric the runs carry, in spec order.
+  std::vector<BenchMetricDiff> metrics;
 
-  std::size_t gated_comparisons() const;
   bool has_regression() const;
 
-  // Machine-readable form (written by --json=): options echo, per-delta
-  // records, notes, and a top-level "regressions" count.
-  obs::Json to_json(const BenchCompareOptions& options) const;
+  // Machine-readable form (written by --json=).
+  obs::Json to_json() const;
 };
 
-// Compare candidate against baseline. Both should be JSON objects (a
-// bench report or a run manifest); anything else yields a note and no
-// comparisons.
-BenchCompareReport compare_bench_reports(const obs::Json& baseline,
-                                         const obs::Json& candidate,
-                                         const BenchCompareOptions& options);
+const char* verdict_name(BenchVerdict verdict);
 
-// Fault injector for testing the gate end to end: returns a copy of the
-// report with every timing multiplied and every rate divided by `factor`
-// — the signature of a uniformly slower build. factor 1.0 is an identity
-// copy.
-obs::Json inject_slowdown(const obs::Json& report, double factor);
+// Compares candidate runs against baseline runs. Returns false with a
+// message when the input is malformed: a run without a "metrics" object
+// or without valid "attempted"/"failed" counts, a metric entry without a
+// numeric value, an end-to-end value that is not positive, a unit that
+// differs from the spec, a spec metric that only some runs carry, or
+// files holding different numbers of runs (or none).
+bool compare_bench_runs(const std::vector<BenchMetricSpec>& spec,
+                        const std::vector<obs::Json>& baseline,
+                        const std::vector<obs::Json>& candidate,
+                        BenchDiff& diff, std::string& error);
+
+// Fault injector that proves the gate can fail: a copy of `run` with every
+// end-to-end metric `factor` times worse in its own direction (lower-is-
+// better values multiplied, higher-is-better values divided by it).
+// `run` must be one that compare_bench_runs accepts.
+obs::Json inject_slowdown(const obs::Json& run,
+                          const std::vector<BenchMetricSpec>& spec,
+                          double factor);
 
 }  // namespace piggyweb::tools

@@ -115,9 +115,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
       return 1;
     }
-    trace::write_clf(out, *view);
+    const auto loss = trace::write_clf(out, *view);
     std::printf("wrote %s (clf, %zu requests, streamed)\n", out_path.c_str(),
                 view->request_count());
+    tools::warn_clf_loss(out_path, loss);
     return 0;
   }
 
@@ -138,9 +139,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
       return 1;
     }
-    trace::write_clf(out, trace);
+    const auto loss = trace::write_clf(out, trace);
     std::printf("wrote %s (clf, %zu requests)\n", out_path.c_str(),
                 trace.size());
+    tools::warn_clf_loss(out_path, loss);
     return 0;
   }
 

@@ -15,6 +15,7 @@
 #include "trace/clf.h"
 #include "trace/log_stats.h"
 #include "trace/profiles.h"
+#include "trace_load.h"
 #include "volume/pair_counter.h"
 #include "volume/probability.h"
 #include "volume/serialize.h"
@@ -70,8 +71,9 @@ int main(int argc, char** argv) {
                    flags.get_string("out").c_str());
       return 1;
     }
-    trace::write_clf(out, workload.trace);
+    const auto loss = trace::write_clf(out, workload.trace);
     std::printf("wrote %s\n", flags.get_string("out").c_str());
+    tools::warn_clf_loss(flags.get_string("out"), loss);
   }
 
   const auto volumes_out = flags.get_string("volumes-out");

@@ -110,4 +110,12 @@ obs::Json trace_stats_note(const trace::TraceLoadStats& stats) {
   return note;
 }
 
+void warn_clf_loss(const std::string& path, const trace::ClfLoss& loss) {
+  if (loss.servers == 0 && loss.last_modified == 0) return;
+  std::fprintf(stderr,
+               "warning: %s lost what CLF cannot hold: %zu distinct servers "
+               "merged into one, %zu known Last-Modified values dropped\n",
+               path.c_str(), loss.servers, loss.last_modified);
+}
+
 }  // namespace piggyweb::tools

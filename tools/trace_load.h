@@ -14,6 +14,7 @@
 
 #include "cli_common.h"
 #include "obs/manifest.h"
+#include "trace/clf.h"
 #include "trace/source.h"
 #include "trace/stream.h"
 
@@ -50,5 +51,9 @@ int load_view_from_flags(const FlagSet& flags, std::FILE* info,
 // Manifest section describing a load: requests/malformed/filtered counts
 // plus the format and backing names — attach with run_scope->note("trace").
 obs::Json trace_stats_note(const trace::TraceLoadStats& stats);
+
+// Print on stderr what the CLF file at `path` could not hold of the trace
+// trace::write_clf wrote to it; print nothing when it lost nothing.
+void warn_clf_loss(const std::string& path, const trace::ClfLoss& loss);
 
 }  // namespace piggyweb::tools
