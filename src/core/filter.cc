@@ -7,38 +7,20 @@ namespace piggyweb::core {
 void apply_filter_into(const VolumePrediction& prediction,
                        const VolumeRequest& request, const ProxyFilter& filter,
                        const MetaOracle& meta, PiggybackMessage& out) {
-  out.volume = kNoVolume;
-  out.elements.clear();
-  if (!filter.enabled || prediction.volume == kNoVolume ||
-      prediction.resources.empty() || filter.max_elements == 0) {
-    return;
-  }
-  if (std::find(filter.rpv.begin(), filter.rpv.end(), prediction.volume) !=
-      filter.rpv.end()) {
-    return;
-  }
-  out.volume = prediction.volume;
-  out.elements.reserve(
-      std::min<std::size_t>(prediction.resources.size(),
-                            filter.max_elements));
-  const bool has_probs =
-      prediction.probs.size() == prediction.resources.size();
-  for (std::size_t i = 0; i < prediction.resources.size(); ++i) {
-    if (out.elements.size() >= filter.max_elements) break;
-    const auto res = prediction.resources[i];
-    if (res == request.path) continue;  // never echo the requested resource
-    if (filter.probability_threshold && has_probs &&
-        prediction.probs[i] < *filter.probability_threshold) {
-      continue;
+  MessageFilter message(request, filter, meta, out);
+  if (message.open(prediction.volume)) {
+    const auto& resources = prediction.resources;
+    out.elements.reserve(
+        std::min<std::size_t>(resources.size(), filter.max_elements));
+    const bool has_probs = prediction.probs.size() == resources.size();
+    for (std::size_t i = 0; i < resources.size(); ++i) {
+      const auto probability =
+          has_probs ? std::optional<double>(prediction.probs[i])
+                    : std::nullopt;
+      if (!message.offer(resources[i], probability)) break;
     }
-    const auto info = meta.lookup(request.server, res);
-    if (filter.max_size && info.size > *filter.max_size) continue;
-    if (!filter.allows_type(info.type)) continue;
-    if (info.access_count < filter.min_access_count) continue;
-    out.elements.push_back({res, info.size, info.last_modified,
-                            has_probs ? prediction.probs[i] : 0.0});
   }
-  if (out.elements.empty()) out.volume = kNoVolume;
+  message.close();
 }
 
 PiggybackMessage apply_filter(const VolumePrediction& prediction,

@@ -7,6 +7,7 @@
 // transparent volume center, and the HTTP demo all share it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -73,12 +74,76 @@ class MetaOracle {
                               util::InternId resource) const = 0;
 };
 
+// Builds one piggyback message from candidates offered best-first. It is
+// the one home of the filter's rules:
+//   * open(): the message is suppressed whole if !filter.enabled, there is
+//     no volume, the volume is in the RPV, or max_elements is 0;
+//   * offer(): the requested resource itself is never echoed back, and the
+//     probability / size / type / access-count limits apply per candidate;
+//     the message ends once it holds max_elements elements;
+//   * close(): a message left without elements names no volume.
+// apply_filter_into drives it over a VolumePrediction; providers drive it
+// from VolumeProvider::on_request_filtered without building one.
+class MessageFilter {
+ public:
+  // Clears `out`, which receives the message; all four arguments must
+  // outlive the filter.
+  MessageFilter(const VolumeRequest& request, const ProxyFilter& filter,
+                const MetaOracle& meta, PiggybackMessage& out)
+      : request_(&request), filter_(&filter), meta_(&meta), out_(&out) {
+    out.volume = kNoVolume;
+    out.elements.clear();
+  }
+
+  // Starts the message for `volume`. False when the filter suppresses the
+  // whole message: offer nothing; `out` stays empty.
+  bool open(VolumeId volume) {
+    if (!filter_->enabled || volume == kNoVolume ||
+        filter_->max_elements == 0 ||
+        std::find(filter_->rpv.begin(), filter_->rpv.end(), volume) !=
+            filter_->rpv.end()) {
+      return false;
+    }
+    volume_ = volume;
+    return true;
+  }
+
+  // Applies the per-candidate rules to the next-best candidate.
+  // `probability` is absent for providers that compute none, which also
+  // exempts the candidate from the probability threshold. Returns false
+  // once the message is full: offer nothing more.
+  bool offer(util::InternId resource, std::optional<double> probability) {
+    if (resource == request_->path) return true;
+    if (probability && filter_->probability_threshold &&
+        *probability < *filter_->probability_threshold) {
+      return true;
+    }
+    const auto info = meta_->lookup(request_->server, resource);
+    if (filter_->max_size && info.size > *filter_->max_size) return true;
+    if (!filter_->allows_type(info.type)) return true;
+    if (info.access_count < filter_->min_access_count) return true;
+    out_->elements.push_back({resource, info.size, info.last_modified,
+                              probability.value_or(0.0)});
+    return out_->elements.size() < filter_->max_elements;
+  }
+
+  // Ends the message: one without elements names no volume.
+  void close() {
+    out_->volume = out_->elements.empty() ? kNoVolume : volume_;
+  }
+
+ private:
+  const VolumeRequest* request_;
+  const ProxyFilter* filter_;
+  const MetaOracle* meta_;
+  PiggybackMessage* out_;
+  VolumeId volume_ = kNoVolume;
+};
+
 // Apply `filter` to a provider's prediction for `request`, producing the
-// piggyback message the server would actually append (possibly empty):
-//   * suppressed entirely if !filter.enabled or the volume is in the RPV,
-//   * the requested resource itself is never echoed back,
-//   * probability / size / type / access-count limits applied per element,
-//   * truncated to max_elements (candidates arrive best-first).
+// piggyback message the server would actually append (possibly empty): the
+// prediction's candidates, in order, through a MessageFilter. Candidates
+// carry probabilities only when `probs` parallels `resources`.
 PiggybackMessage apply_filter(const VolumePrediction& prediction,
                               const VolumeRequest& request,
                               const ProxyFilter& filter,

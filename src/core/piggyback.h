@@ -17,6 +17,9 @@
 
 namespace piggyweb::core {
 
+struct ProxyFilter;
+class MetaOracle;
+
 // Dense per-server volume identifier. The wire format (§2.3) allocates two
 // bytes (up to 32767 volumes per server); internally we keep 32 bits and
 // let the HTTP layer enforce the wire bound.
@@ -84,6 +87,18 @@ class VolumeProvider {
   // return-by-value copies.
   virtual void on_request_batch(std::span<const VolumeRequest> requests,
                                 std::vector<VolumePrediction>& predictions);
+
+  // Observes the request exactly as on_request does, then writes the
+  // piggyback message `filter` lets through into `out` (cleared first; its
+  // element capacity is reused). The result always equals
+  // apply_filter_into(on_request(request), request, filter, meta, out),
+  // which is the default implementation. Overrides offer candidates
+  // best-first to a core::MessageFilter and stop once the message is
+  // full, without building the capped candidate list.
+  virtual void on_request_filtered(const VolumeRequest& request,
+                                   const ProxyFilter& filter,
+                                   const MetaOracle& meta,
+                                   PiggybackMessage& out);
 
   // Number of volumes currently defined (for stats / wire-id checks).
   virtual std::size_t volume_count() const = 0;

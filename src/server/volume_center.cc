@@ -4,14 +4,20 @@
 
 namespace piggyweb::server {
 
-void LearnedMetaOracle::observe(util::InternId server,
-                                util::InternId resource, std::uint64_t size,
-                                std::int64_t last_modified) {
+trace::ContentType LearnedMetaOracle::observe(util::InternId server,
+                                             util::InternId resource,
+                                             std::uint64_t size,
+                                             std::int64_t last_modified) {
   auto& meta = meta_[key(server, resource)];
   ++meta.access_count;
   if (size > 0) meta.size = size;
   if (last_modified > meta.last_modified) meta.last_modified = last_modified;
-  meta.type = trace::classify_path(paths_->str(resource));
+  // The type depends only on the path, so one scan at first touch
+  // matches re-assigning it on every access.
+  if (meta.access_count == 1) {
+    meta.type = trace::classify_path(paths_->str(resource));
+  }
+  return meta.type;
 }
 
 core::ResourceMeta LearnedMetaOracle::lookup(
@@ -36,7 +42,6 @@ core::PiggybackMessage VolumeCenter::observe(
     util::TimePoint time, std::uint64_t size, std::int64_t last_modified,
     const core::ProxyFilter& filter) {
   ++stats_.exchanges_observed;
-  meta_.observe(server, path, size, last_modified);
 
   core::VolumeRequest vr;
   vr.server = server;
@@ -44,16 +49,16 @@ core::PiggybackMessage VolumeCenter::observe(
   vr.path = path;
   vr.time = time;
   vr.size = size;
-  vr.type = trace::classify_path(paths_->str(path));
+  vr.type = meta_.observe(server, path, size, last_modified);
   auto& provider = provider_override_ != nullptr
                        ? *provider_override_
                        : static_cast<core::VolumeProvider&>(
                              provider_for(server));
-  const auto prediction = provider.on_request(vr);
   const auto& meta =
       meta_override_ != nullptr ? *meta_override_
                                 : static_cast<const core::MetaOracle&>(meta_);
-  const auto message = core::apply_filter(prediction, vr, filter, meta);
+  core::PiggybackMessage message;
+  provider.on_request_filtered(vr, filter, meta, message);
   if (!message.empty()) {
     ++stats_.piggybacks_injected;
     stats_.elements_injected += message.elements.size();

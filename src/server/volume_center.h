@@ -23,8 +23,10 @@ class LearnedMetaOracle final : public core::MetaOracle {
   explicit LearnedMetaOracle(const util::InternTable& paths)
       : paths_(&paths) {}
 
-  void observe(util::InternId server, util::InternId resource,
-               std::uint64_t size, std::int64_t last_modified);
+  // Folds one observed response into the resource's metadata and
+  // returns its content type, classified from the path at first touch.
+  trace::ContentType observe(util::InternId server, util::InternId resource,
+                             std::uint64_t size, std::int64_t last_modified);
 
   core::ResourceMeta lookup(util::InternId server,
                             util::InternId resource) const override;

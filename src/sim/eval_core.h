@@ -2,9 +2,10 @@
 //
 // The evaluation of one request factors into two halves with disjoint
 // state:
-//   1. the *provider* half — drive VolumeProvider::on_request and apply
-//      the static proxy filter; state partitions by volume (directory
-//      volumes) or is absent (probability volumes);
+//   1. the *provider* half — VolumeProvider::on_request_filtered, which
+//      observes the request and builds its message under the static proxy
+//      filter; state partitions by volume (directory volumes) or is absent
+//      (probability volumes);
 //   2. the *metrics* half — prediction/true-prediction/update accounting,
 //      frequency control, and RPV suppression; state partitions by source
 //      (the paper's pseudo-proxies are independent prediction streams,
@@ -35,11 +36,15 @@ namespace piggyweb::sim::detail {
 // Sentinel "long ago" for first-touch comparisons.
 inline constexpr util::Seconds kNever = -(1LL << 60);
 
-// Requests per shard in one replay() window. Windows keep the
-// VolumeRequest column and prediction slots hot in cache and amortize the
-// virtual dispatch; the per-request evaluation *sequence* is unchanged, so
-// window size never affects results.
-inline constexpr std::size_t kEvalBatchRequests = 4096;
+// Requests per shard in one replay() window. Windows amortize the
+// bucketing and the pool hand-off of each stage; the per-request
+// evaluation *sequence* is unchanged, so window size never affects
+// results. Each hand-off wakes workers that sat idle through the
+// previous stage, which costs about a millisecond on a virtual machine
+// and varies with its host's load; 16,384 rows keep the two hand-offs
+// per window a small and steady share of a window's work now that stage
+// 1 stops at a full message.
+inline constexpr std::size_t kEvalBatchRequests = 16384;
 
 // The provider-facing view of a trace request. `type` comes from a
 // trace::PathTypeTable so the hot loop never re-scans path strings.
@@ -132,8 +137,9 @@ void publish_eval_result(const EvalResult& result);
 // (providers.size() == accumulators.size()). Each window holds
 // kEvalBatchRequests rows per shard. Its rows are bucketed once by
 // provider shard (`provider_shard`; unused, and may be null, at one
-// shard) and once by source shard (source_shard()); stage 1 then drives
-// each provider shard's batch and filters its messages, and stage 2 feeds
+// shard) and once by source shard (source_shard()); stage 1 then has each
+// provider shard build its rows' filtered messages (on_request_filtered,
+// in trace order), and stage 2 feeds
 // each source shard's rows to its accumulator in trace order. One shard
 // runs both stages inline; N shards run on an N-thread pool whose
 // wait-state metrics publish under `parallel_eval.pool`. Fires

@@ -190,8 +190,6 @@ void replay(const EvalConfig& config, trace::TraceView& view,
   };
   struct ProviderShard {
     std::vector<std::uint32_t> rows;  // owned window rows, in trace order
-    std::vector<core::VolumeRequest> batch;
-    std::vector<core::VolumePrediction> predictions;
     core::PiggybackMessage message;
     std::vector<Message> messages;
     std::vector<util::InternId> ids;
@@ -236,23 +234,19 @@ void replay(const EvalConfig& config, trace::TraceView& view,
       owner.push_back(static_cast<std::uint32_t>(i));
     }
 
-    // Stage 1: one batched provider call per shard, then the static
-    // filter. Within a shard, requests are visited in trace order, so
-    // per-volume state evolves exactly as in a one-shard run.
+    // Stage 1: each shard's provider observes its requests and filters
+    // them with the static filter, one request at a time, stopping at a
+    // full message. Within a shard, requests are visited in trace order,
+    // so per-volume state evolves exactly as in a one-shard run.
     for_each_shard([&](std::size_t s) {
       OBS_SPAN("parallel_eval.provider_shard");
       auto& shard = stage1[s];
-      shard.batch.clear();
-      for (const auto row : shard.rows) {
-        shard.batch.push_back(
-            make_volume_request(window[row], types.type_of(window[row].path)));
-      }
-      providers[s]->on_request_batch(shard.batch, shard.predictions);
       shard.messages.clear();
       shard.ids.clear();
-      for (std::size_t k = 0; k < shard.batch.size(); ++k) {
-        core::apply_filter_into(shard.predictions[k], shard.batch[k],
-                                config.filter, meta, shard.message);
+      for (const auto row : shard.rows) {
+        providers[s]->on_request_filtered(
+            make_volume_request(window[row], types.type_of(window[row].path)),
+            config.filter, meta, shard.message);
         const auto first = shard.ids.size();
         for (const auto& element : shard.message.elements) {
           shard.ids.push_back(element.resource);

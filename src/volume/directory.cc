@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/filter.h"
 #include "util/expect.h"
 #include "util/strings.h"
 
@@ -36,8 +37,7 @@ util::InternId DirectoryVolumes::prefix_of(util::InternId path) {
   return cached;
 }
 
-void DirectoryVolumes::predict_into(const core::VolumeRequest& request,
-                                    core::VolumePrediction& out) {
+core::VolumeId DirectoryVolumes::observe(const core::VolumeRequest& request) {
   PW_EXPECT(live_paths_ != nullptr || !fixed_paths_.empty());
   const auto prefix = prefix_of(request.path);
   const auto key = volume_key(request.server, prefix);
@@ -51,9 +51,14 @@ void DirectoryVolumes::predict_into(const core::VolumeRequest& request,
 
   touch(volume, request);
   trim(volume);
+  return it->second;
+}
 
-  out.volume = config_.id_offset + config_.id_stride * it->second;
-  collect(volume, out.resources);
+void DirectoryVolumes::predict_into(const core::VolumeRequest& request,
+                                    core::VolumePrediction& out) {
+  const auto local = observe(request);
+  out.volume = public_id(local);
+  collect(volumes_[local], out.resources);
   out.probs.clear();
 }
 
@@ -119,19 +124,20 @@ void DirectoryVolumes::trim(Volume& volume) {
   }
 }
 
-void DirectoryVolumes::collect(const Volume& volume,
-                               std::vector<util::InternId>& out) const {
+template <typename Visit>
+void DirectoryVolumes::for_each_candidate(const Volume& volume,
+                                          Visit&& visit) const {
   // Merge the six MRU-ordered partition lists into one recency-ordered
-  // candidate list (most recent first), up to max_candidates.
+  // sequence (most recent first); on equal last-access times the lower
+  // partition goes first.
   std::array<ElementList::const_iterator, kPartitions> cursor;
   std::array<ElementList::const_iterator, kPartitions> end;
   for (std::size_t p = 0; p < kPartitions; ++p) {
     cursor[p] = volume.parts[p].begin();
     end[p] = volume.parts[p].end();
   }
-  out.clear();
-  out.reserve(std::min(volume.index.size(), config_.max_candidates));
-  while (out.size() < config_.max_candidates) {
+  for (std::size_t visited = 0; visited < config_.max_candidates;
+       ++visited) {
     std::size_t best = kPartitions;
     for (std::size_t p = 0; p < kPartitions; ++p) {
       if (cursor[p] == end[p]) continue;
@@ -140,10 +146,35 @@ void DirectoryVolumes::collect(const Volume& volume,
         best = p;
       }
     }
-    if (best == kPartitions) break;
-    out.push_back(cursor[best]->resource);
+    if (best == kPartitions) return;
+    const auto resource = cursor[best]->resource;
     ++cursor[best];
+    if (!visit(resource)) return;
   }
+}
+
+void DirectoryVolumes::collect(const Volume& volume,
+                               std::vector<util::InternId>& out) const {
+  out.clear();
+  out.reserve(std::min(volume.index.size(), config_.max_candidates));
+  for_each_candidate(volume, [&out](util::InternId resource) {
+    out.push_back(resource);
+    return true;
+  });
+}
+
+void DirectoryVolumes::on_request_filtered(const core::VolumeRequest& request,
+                                           const core::ProxyFilter& filter,
+                                           const core::MetaOracle& meta,
+                                           core::PiggybackMessage& out) {
+  core::MessageFilter message(request, filter, meta, out);
+  const auto local = observe(request);
+  if (message.open(public_id(local))) {
+    for_each_candidate(volumes_[local], [&message](util::InternId resource) {
+      return message.offer(resource, std::nullopt);
+    });
+  }
+  message.close();
 }
 
 core::VolumeId DirectoryVolumes::peek_volume(util::InternId server,
@@ -153,7 +184,7 @@ core::VolumeId DirectoryVolumes::peek_volume(util::InternId server,
   if (!prefix.has_value()) return core::kNoVolume;
   const auto it = ids_.find(volume_key(server, *prefix));
   if (it == ids_.end()) return core::kNoVolume;
-  return config_.id_offset + config_.id_stride * it->second;
+  return public_id(it->second);
 }
 
 std::size_t DirectoryVolumes::volume_size(core::VolumeId id) const {

@@ -59,6 +59,14 @@ class DirectoryVolumes final : public core::VolumeProvider {
       std::span<const core::VolumeRequest> requests,
       std::vector<core::VolumePrediction>& predictions) override;
 
+  // Observes the access as on_request does, then offers the volume's
+  // contents in the same order straight to the filter, stopping once the
+  // message is full or max_candidates have been offered.
+  void on_request_filtered(const core::VolumeRequest& request,
+                           const core::ProxyFilter& filter,
+                           const core::MetaOracle& meta,
+                           core::PiggybackMessage& out) override;
+
   std::size_t volume_count() const override { return volumes_.size(); }
   const char* scheme_name() const override { return "directory"; }
 
@@ -101,10 +109,24 @@ class DirectoryVolumes final : public core::VolumeProvider {
     return (static_cast<std::uint64_t>(server) << 32) | prefix;
   }
 
+  // Applies the access to its volume (insert or move-to-front, then
+  // trim) and returns the volume's dense local index.
+  core::VolumeId observe(const core::VolumeRequest& request);
+  // Public id of the volume at dense local index `local`.
+  core::VolumeId public_id(core::VolumeId local) const {
+    return config_.id_offset + config_.id_stride * local;
+  }
   void predict_into(const core::VolumeRequest& request,
                     core::VolumePrediction& out);
   void touch(Volume& volume, const core::VolumeRequest& request);
   void trim(Volume& volume);
+  // Calls visit(resource) on the volume's elements best-first — last
+  // access descending, then partition ascending, then most recently used
+  // first within a partition — until it returns false or max_candidates
+  // elements have been visited. collect() and on_request_filtered() both
+  // read a volume through this one merge.
+  template <typename Visit>
+  void for_each_candidate(const Volume& volume, Visit&& visit) const;
   void collect(const Volume& volume, std::vector<util::InternId>& out) const;
 
   // Path string for an id from whichever table is bound (see bind_paths).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/filter.h"
 #include "trace/stream.h"
 #include "util/expect.h"
 #include "util/strings.h"
@@ -200,6 +201,21 @@ void ProbabilityVolumes::on_request_batch(
   for (std::size_t i = 0; i < requests.size(); ++i) {
     predict_into(requests[i], predictions[i]);
   }
+}
+
+void ProbabilityVolumes::on_request_filtered(
+    const core::VolumeRequest& request, const core::ProxyFilter& filter,
+    const core::MetaOracle& meta, core::PiggybackMessage& out) {
+  core::MessageFilter message(request, filter, meta, out);
+  const auto* entries = set_->volume_of(request.path);
+  if (entries != nullptr && message.open(set_->volume_id(request.path))) {
+    const auto n = std::min(entries->size(), max_candidates_);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& entry = (*entries)[i];
+      if (!message.offer(entry.resource, entry.probability)) break;
+    }
+  }
+  message.close();
 }
 
 }  // namespace piggyweb::volume

@@ -111,6 +111,13 @@ class ProbabilityVolumes final : public core::VolumeProvider {
       std::span<const core::VolumeRequest> requests,
       std::vector<core::VolumePrediction>& predictions) override;
 
+  // Offers the stored entries, best first, straight to the filter,
+  // stopping once the message is full or max_candidates have been offered.
+  void on_request_filtered(const core::VolumeRequest& request,
+                           const core::ProxyFilter& filter,
+                           const core::MetaOracle& meta,
+                           core::PiggybackMessage& out) override;
+
   std::size_t volume_count() const override { return set_->volume_count(); }
   const char* scheme_name() const override { return "probability"; }
 

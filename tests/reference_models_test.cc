@@ -8,6 +8,7 @@
 #include <list>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -107,46 +108,96 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LruDifferential,
 
 // --- Directory volume reference ---------------------------------------------
 
-// Naive model: per (server, prefix), a recency-ordered vector of
-// resources; candidate list = that vector, most recent first.
+// Naive model of the §3.2.1 volume and its tie contract. Each volume is a
+// flat vector of members; a member remembers its last access, its
+// (type, size) partition and the sequence number of its last touch, which
+// orders a partition's FIFO (latest touch first). Then:
+//   * candidates: last access descending, then partition ascending, then
+//     latest touch first, capped at max_candidates;
+//   * trim: while over max_volume_elements, evict the tail (earliest touch)
+//     of the partition whose tail was accessed longest ago; on equal
+//     times the lowest partition loses its tail.
 class ReferenceDirectory {
  public:
-  explicit ReferenceDirectory(int level) : level_(level) {}
+  explicit ReferenceDirectory(const volume::DirectoryVolumeConfig& config)
+      : config_(config) {}
 
   std::vector<std::string> on_request(const std::string& path,
-                                      util::Seconds now) {
-    auto& members = volumes_[std::string(util::directory_prefix(path,
-                                                                level_))];
+                                      util::Seconds now,
+                                      trace::ContentType type,
+                                      std::uint64_t size) {
+    auto& members = volumes_[std::string(
+        util::directory_prefix(path, config_.level))];
+    const auto partition =
+        static_cast<std::size_t>(type) * 2 +
+        (size >= config_.large_size_threshold ? 1 : 0);
     const auto it = std::find_if(
         members.begin(), members.end(),
-        [&path](const auto& m) { return m.first == path; });
-    if (it != members.end()) members.erase(it);
-    members.insert(members.begin(), {path, now});
-    // Recency order (stable under equal stamps because later arrivals are
-    // always inserted at the front).
+        [&path](const Member& m) { return m.path == path; });
+    if (it != members.end()) {
+      *it = {path, now, partition, ++touches_};
+    } else {
+      members.push_back({path, now, partition, ++touches_});
+    }
+    trim(members);
+
+    auto order = members;
+    std::sort(order.begin(), order.end(),
+              [](const Member& a, const Member& b) {
+                if (a.last_access != b.last_access) {
+                  return a.last_access > b.last_access;
+                }
+                if (a.partition != b.partition) {
+                  return a.partition < b.partition;
+                }
+                return a.touch > b.touch;
+              });
     std::vector<std::string> out;
-    out.reserve(members.size());
-    for (const auto& m : members) out.push_back(m.first);
+    for (const auto& m : order) {
+      if (out.size() == config_.max_candidates) break;
+      out.push_back(m.path);
+    }
     return out;
   }
 
  private:
-  int level_;
-  std::map<std::string, std::vector<std::pair<std::string, util::Seconds>>>
-      volumes_;
+  struct Member {
+    std::string path;
+    util::Seconds last_access;
+    std::size_t partition;
+    std::uint64_t touch;
+  };
+
+  void trim(std::vector<Member>& members) const {
+    while (members.size() > config_.max_volume_elements) {
+      // Tail of each partition: its member with the earliest touch.
+      std::map<std::size_t, std::size_t> tails;  // partition -> member
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        const auto [tail, fresh] = tails.emplace(members[i].partition, i);
+        if (!fresh && members[i].touch < members[tail->second].touch) {
+          tail->second = i;
+        }
+      }
+      // Ascending partitions, strict `<`: the lowest wins a tie.
+      std::size_t victim = members.size();
+      for (const auto& [partition, i] : tails) {
+        if (victim == members.size() ||
+            members[i].last_access < members[victim].last_access) {
+          victim = i;
+        }
+      }
+      members.erase(members.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+  }
+
+  volume::DirectoryVolumeConfig config_;
+  std::uint64_t touches_ = 0;
+  std::map<std::string, std::vector<Member>> volumes_;
 };
 
 class DirectoryDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(DirectoryDifferential, MatchesReferenceOverRandomRequests) {
-  const int level = GetParam();
-  volume::DirectoryVolumeConfig config;
-  config.level = level;
-  volume::DirectoryVolumes volumes(config);
-  util::InternTable paths;
-  volumes.bind_paths(paths);
-  ReferenceDirectory reference(level);
-
   // A pool of paths over a small tree so prefixes collide heavily.
   std::vector<std::string> pool;
   for (const char* dir : {"", "/a", "/a/x", "/b", "/b/y/z"}) {
@@ -155,24 +206,46 @@ TEST_P(DirectoryDifferential, MatchesReferenceOverRandomRequests) {
     }
   }
 
-  util::Rng rng(0xD1FF + static_cast<std::uint64_t>(level));
-  util::Seconds now = 0;
-  for (int op = 0; op < 2500; ++op) {
-    ++now;  // strictly increasing: recency order is unambiguous
-    const auto& path = pool[rng.below(pool.size())];
-    core::VolumeRequest request;
-    request.server = 0;
-    request.path = paths.intern(path);
-    request.time = {now};
-    request.size = 100;
-    request.type = trace::ContentType::kHtml;
-    const auto prediction = volumes.on_request(request);
-    const auto expected = reference.on_request(path, now);
-    ASSERT_EQ(prediction.resources.size(), expected.size())
-        << "op " << op << " path " << path;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(paths.str(prediction.resources[i]), expected[i])
-          << "op " << op << " slot " << i;
+  // (max_volume_elements, max_candidates): no trim and no cap, then
+  // volumes small enough that trim runs, with the cap below and above
+  // the volume size.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {2000, 200}, {6, 4}, {4, 6}, {2, 2}};
+  for (const auto& [max_volume, max_candidates] : shapes) {
+    const int level = GetParam();
+    volume::DirectoryVolumeConfig config;
+    config.level = level;
+    config.max_volume_elements = max_volume;
+    config.max_candidates = max_candidates;
+    volume::DirectoryVolumes volumes(config);
+    util::InternTable paths;
+    volumes.bind_paths(paths);
+    ReferenceDirectory reference(config);
+
+    util::Rng rng(0xD1FF + static_cast<std::uint64_t>(level) + max_volume);
+    util::Seconds now = 0;
+    for (int op = 0; op < 2500; ++op) {
+      // Whole-second clock: most steps stay in the same second, so ties
+      // on last access are the common case, as with embedded images.
+      now += static_cast<util::Seconds>(rng.below(3) == 0 ? 1 : 0);
+      const auto& path = pool[rng.below(pool.size())];
+      core::VolumeRequest request;
+      request.server = 0;
+      request.path = paths.intern(path);
+      request.time = {now};
+      // Every type x size class; a resource changes class now and then,
+      // which migrates it between partitions.
+      request.type = static_cast<trace::ContentType>(rng.below(3));
+      request.size = rng.chance(0.5) ? 100 : config.large_size_threshold;
+      const auto prediction = volumes.on_request(request);
+      const auto expected =
+          reference.on_request(path, now, request.type, request.size);
+      ASSERT_EQ(prediction.resources.size(), expected.size())
+          << "op " << op << " path " << path << " max_volume " << max_volume;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(paths.str(prediction.resources[i]), expected[i])
+            << "op " << op << " slot " << i << " max_volume " << max_volume;
+      }
     }
   }
 }

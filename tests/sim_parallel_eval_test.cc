@@ -145,11 +145,11 @@ TEST(ParallelEvalDeterminism, DirectoryAccessFilterConfig) {
 }
 
 TEST(ParallelEvalDeterminism, MultiWindowTrace) {
-  // ~52 k requests: at least four replay windows at 2 and 3 threads, and
+  // ~208 k requests: at least four replay windows at 2 and 3 threads, and
   // 13 one-thread windows, so per-shard provider and accumulator state
   // carries across many window boundaries.
   const auto config = full_controls_config();
-  const auto workload = trace::generate(trace::sun_profile(0.004));
+  const auto workload = trace::generate(trace::sun_profile(0.016));
   ASSERT_GE(workload.trace.size(), 4 * 3 * sim::detail::kEvalBatchRequests);
   const auto serial = run_serial_directory(workload, config, 1);
   for (const std::size_t threads : {2u, 3u}) {
@@ -161,7 +161,7 @@ TEST(ParallelEvalDeterminism, MultiWindowTrace) {
 }
 
 TEST(EvalProgress, HeartbeatIsMonotoneAndObservational) {
-  const auto workload = trace::generate(trace::sun_profile(0.004));
+  const auto workload = trace::generate(trace::sun_profile(0.016));
   ASSERT_GE(workload.trace.size(), 3 * 4 * sim::detail::kEvalBatchRequests);
   const auto quiet = full_controls_config();
   for (const std::size_t threads : {1u, 4u}) {

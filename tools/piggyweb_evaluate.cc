@@ -15,12 +15,15 @@
 // --load-state=ckpt.snap (same log, same flags) resumes there and reports
 // metrics bit-identical to an uninterrupted run, at any --threads value.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cli_common.h"
@@ -133,7 +136,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   // Out-of-range numbers would trip a library precondition or wrap when
-  // cast to the unsigned config fields; reject them before any work.
+  // cast to the narrower config fields; reject them before any work.
   if (flags.get_int("window") <= 0) {
     std::fprintf(stderr, "--window must be > 0\n");
     return 2;
@@ -142,9 +145,21 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--horizon must be > --window\n");
     return 2;
   }
-  for (const char* name : {"level", "maxpiggy", "minfreq", "min-count"}) {
-    if (flags.get_int(name) < 0) {
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  const std::pair<const char*, std::int64_t> ranges[] = {
+      {"level", kIntMax},    {"combine-level", kIntMax},
+      {"maxpiggy", kU32Max}, {"minfreq", kU32Max},
+      {"min-count", std::numeric_limits<std::int64_t>::max()}};
+  for (const auto& [name, max] : ranges) {
+    const auto value = flags.get_int(name);
+    if (value < 0) {
       std::fprintf(stderr, "--%s must be >= 0\n", name);
+      return 2;
+    }
+    if (value > max) {
+      std::fprintf(stderr, "--%s must be <= %lld\n", name,
+                   static_cast<long long>(max));
       return 2;
     }
   }
