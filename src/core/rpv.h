@@ -16,10 +16,6 @@
 #include "util/flat_map.h"
 #include "util/time.h"
 
-namespace piggyweb::persist {
-struct StateAccess;
-}
-
 namespace piggyweb::core {
 
 struct RpvConfig {
@@ -80,8 +76,6 @@ class RpvTable {
   std::size_t tracked_servers() const { return lists_.size(); }
 
  private:
-  friend struct piggyweb::persist::StateAccess;
-
   void evict_if_needed(util::InternId just_used);
 
   RpvConfig config_;

@@ -30,15 +30,8 @@ void sort_unique_by_key(Pairs& pairs) {
                                }) == pairs.end());
 }
 
-}  // namespace
-
-std::uint64_t trace_fingerprint(const trace::Trace& trace) {
-  return trace::trace_content_fingerprint(trace);
-}
-
-EvalConfigEcho make_eval_config_echo(
-    std::string_view scheme, const sim::EvalConfig& eval,
-    const volume::DirectoryVolumeConfig* directory) {
+EvalConfigEcho shared_echo(std::string_view scheme,
+                           const sim::EvalConfig& eval) {
   EvalConfigEcho echo;
   echo.scheme = std::string(scheme);
   echo.prediction_window = eval.prediction_window;
@@ -49,12 +42,53 @@ EvalConfigEcho make_eval_config_echo(
   echo.rpv_timeout = eval.rpv.timeout;
   echo.rpv_max_entries = eval.rpv.max_entries;
   echo.min_piggyback_interval = eval.min_piggyback_interval;
-  if (directory != nullptr) {
-    echo.directory_level = directory->level;
-    echo.max_volume_elements = directory->max_volume_elements;
-    echo.max_candidates = directory->max_candidates;
-    echo.large_size_threshold = directory->large_size_threshold;
+  return echo;
+}
+
+}  // namespace
+
+std::uint64_t trace_fingerprint(const trace::Trace& trace) {
+  return trace::trace_content_fingerprint(trace);
+}
+
+std::uint64_t volume_set_fingerprint(const volume::ProbabilityVolumeSet& set) {
+  std::vector<util::InternId> resource_of(set.volume_count());
+  for (const auto& kv : set.volumes()) {
+    const auto id = set.volume_id(kv.first);
+    PW_ENSURE(id < resource_of.size());
+    resource_of[id] = kv.first;
   }
+  std::uint64_t hash = util::kFnvOffset;
+  for (const auto resource : resource_of) {
+    const auto& entries = *set.volume_of(resource);
+    ByteWriter out;
+    out.u32(resource);
+    out.u64(entries.size());
+    for (const auto& entry : entries) {
+      out.u32(entry.resource);
+      out.f64(entry.probability);
+      out.f64(entry.effectiveness);
+    }
+    hash = util::fnv1a(out.bytes(), hash);
+  }
+  return hash;
+}
+
+EvalConfigEcho make_eval_config_echo(
+    const sim::EvalConfig& eval,
+    const volume::DirectoryVolumeConfig& directory) {
+  auto echo = shared_echo("directory", eval);
+  echo.directory_level = directory.level;
+  echo.max_volume_elements = directory.max_volume_elements;
+  echo.max_candidates = directory.max_candidates;
+  echo.large_size_threshold = directory.large_size_threshold;
+  return echo;
+}
+
+EvalConfigEcho make_eval_config_echo(const sim::EvalConfig& eval,
+                                     const volume::ProbabilityVolumeSet& set) {
+  auto echo = shared_echo("probability", eval);
+  echo.volume_set = volume_set_fingerprint(set);
   return echo;
 }
 
@@ -148,6 +182,11 @@ std::string serialize_eval_snapshot(const EvalSnapshot& snapshot) {
     serialize_directory_volume_images(snapshot.volumes, volumes);
     writer.add_section("eval_volumes", volumes.take());
   }
+  if (snapshot.config.scheme == "probability") {
+    ByteWriter volume_set;
+    volume_set.u64(snapshot.config.volume_set);
+    writer.add_section("eval_volume_set", volume_set.take());
+  }
   {
     ByteWriter out;
     const auto& m = snapshot.metrics;
@@ -240,6 +279,28 @@ std::optional<EvalSnapshot> parse_eval_snapshot(std::string_view file,
     return std::nullopt;
   }
   const bool directory = snapshot.config.scheme == "directory";
+
+  // The probability scheme's volume-set fingerprint has a section of its
+  // own, so directory snapshots keep their layout; a probability snapshot
+  // without one predates the fingerprint and cannot be checked.
+  const auto* volume_set_section = reader->find("eval_volume_set");
+  if (directory && volume_set_section != nullptr) {
+    error = "directory snapshot carries a volume-set fingerprint";
+    return std::nullopt;
+  }
+  if (!directory) {
+    if (volume_set_section == nullptr) {
+      error = "probability snapshot has no volume-set fingerprint (written "
+              "by an older version); save it again";
+      return std::nullopt;
+    }
+    ByteReader in(volume_set_section->payload);
+    snapshot.config.volume_set = in.u64();
+    if (!in.ok() || !in.at_end()) {
+      error = "malformed eval_volume_set section";
+      return std::nullopt;
+    }
+  }
 
   {
     ByteReader in(volumes_section->payload);
@@ -371,18 +432,6 @@ std::optional<EvalSnapshot> parse_eval_snapshot(std::string_view file,
     }
   }
   return snapshot;
-}
-
-bool save_eval_snapshot(const std::string& path, const EvalSnapshot& snapshot,
-                        std::string& error) {
-  return write_file_bytes(path, serialize_eval_snapshot(snapshot), error);
-}
-
-std::optional<EvalSnapshot> load_eval_snapshot(const std::string& path,
-                                               std::string& error) {
-  const auto bytes = read_file_bytes(path, error);
-  if (!bytes.has_value()) return std::nullopt;
-  return parse_eval_snapshot(*bytes, error);
 }
 
 EvalRestore::EvalRestore(const EvalSnapshot& snapshot)

@@ -22,9 +22,11 @@
 //     run's sim::source_shard decides ownership, as its volumes'
 //     sim::directory_shard does for volume images.
 //
-// Probability volumes are stateless lookups into a set rebuilt
-// deterministically at load, with set-derived dense ids — no volume
-// contents to save and no translation needed.
+// Probability volumes are stateless lookups into a set rebuilt at load
+// (trained on the trace or read from a --volumes file), with set-derived
+// dense ids — no volume contents to save and no translation needed. The
+// snapshot echoes the set's fingerprint instead, so a resume against a
+// set built any other way is refused.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +39,7 @@
 #include "sim/parallel_eval.h"
 #include "trace/record.h"
 #include "volume/directory.h"
+#include "volume/probability.h"
 
 namespace piggyweb::persist {
 
@@ -50,7 +53,8 @@ std::uint64_t trace_fingerprint(const trace::Trace& trace);
 
 // Behaviour-shaping knobs echoed into the snapshot; a resume whose flags
 // disagree is rejected instead of silently diverging. Directory fields are
-// zero for the probability scheme.
+// zero for the probability scheme, volume_set is zero for the directory
+// scheme.
 struct EvalConfigEcho {
   std::string scheme;  // provider scheme_name(): "directory"/"probability"
   util::Seconds prediction_window = 0;
@@ -65,13 +69,23 @@ struct EvalConfigEcho {
   std::uint64_t max_volume_elements = 0;
   std::uint64_t max_candidates = 0;
   std::uint64_t large_size_threshold = 0;
+  // volume_set_fingerprint of the replayed probability volumes: it pins
+  // every training flag and a pretrained --volumes file alike.
+  std::uint64_t volume_set = 0;
 
   bool operator==(const EvalConfigEcho&) const = default;
 };
 
+// FNV-1a over a probability volume set in volume-id order: per volume its
+// resource id and entry count, then each entry's resource, probability
+// and effectiveness.
+std::uint64_t volume_set_fingerprint(const volume::ProbabilityVolumeSet& set);
+
+// The echo of a directory-scheme run and of a probability-scheme run.
 EvalConfigEcho make_eval_config_echo(
-    std::string_view scheme, const sim::EvalConfig& eval,
-    const volume::DirectoryVolumeConfig* directory);
+    const sim::EvalConfig& eval, const volume::DirectoryVolumeConfig& directory);
+EvalConfigEcho make_eval_config_echo(const sim::EvalConfig& eval,
+                                     const volume::ProbabilityVolumeSet& set);
 
 // A captured mid-run evaluation state, canonical across thread counts:
 // saving the same run at --threads=1 and --threads=4 produces identical
@@ -101,14 +115,11 @@ EvalSnapshot capture_eval_state(
 
 // Snapshot container round trip. parse_ validates structure exhaustively
 // (section checksums, sorted keys, id ranges) and never crashes on
-// corrupt input.
+// corrupt input. Files go through the codec's write_file_bytes /
+// read_file_bytes.
 std::string serialize_eval_snapshot(const EvalSnapshot& snapshot);
 std::optional<EvalSnapshot> parse_eval_snapshot(std::string_view file,
                                                 std::string& error);
-bool save_eval_snapshot(const std::string& path, const EvalSnapshot& snapshot,
-                        std::string& error);
-std::optional<EvalSnapshot> load_eval_snapshot(const std::string& path,
-                                               std::string& error);
 
 // Replays a snapshot into a restarting run: pass hooks() to
 // ParallelEvaluator::run_range, at any thread count. The snapshot must

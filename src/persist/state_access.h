@@ -1,14 +1,13 @@
 // Private-state bridge for the snapshot layer.
 //
-// The durable tables keep their invariants behind private members; rather
-// than widen their public APIs with persistence-only accessors, each one
+// DirectoryVolumes keeps its partitions and index behind private members;
+// rather than widen its public API with persistence-only accessors, it
 // befriends this single struct. StateAccess member functions (defined in
-// tables.cc and engine_state.cc) are the only code outside a table's own
-// translation unit that may touch its internals, which keeps the blast
-// radius of a representation change easy to audit: grep for StateAccess.
+// tables.cc) are the only code outside the provider's own translation unit
+// that may touch its internals, which keeps the blast radius of a
+// representation change easy to audit: grep for StateAccess.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,33 +15,12 @@
 #include "persist/tables.h"
 
 namespace piggyweb::volume {
-class PairCounts;
 class DirectoryVolumes;
 }  // namespace piggyweb::volume
-
-namespace piggyweb::proxy {
-class ProxyCache;
-}
-
-namespace piggyweb::core {
-class RpvTable;
-}
-
-namespace piggyweb::sim {
-class ProxyNode;
-class SimulationEngine;
-}  // namespace piggyweb::sim
 
 namespace piggyweb::persist {
 
 struct StateAccess {
-  // volume::PairCounts — dense c(r) vector plus the pair-counter map.
-  static void serialize_pair_counts(const volume::PairCounts& counts,
-                                    ByteWriter& out);
-  static bool deserialize_pair_counts(ByteReader& in,
-                                      volume::PairCounts& counts,
-                                      std::string& error);
-
   // volume::DirectoryVolumes — full structural export/import. Import
   // installs `images` in order into an empty provider (the i-th image
   // becomes local volume i, public id = offset + stride * i) and appends
@@ -56,28 +34,6 @@ struct StateAccess {
       volume::DirectoryVolumes& provider,
       std::span<const DirectoryVolumeImage* const> images,
       std::vector<core::VolumeId>& assigned_ids, std::string& error);
-
-  // proxy::ProxyCache — exact state: entries in LRU order, the three
-  // replacement queues as index sequences (preserving equal-key order),
-  // GreedyDual inflation, freshness overrides, and stats. The restore
-  // target must be constructed with the same CacheConfig as the saved
-  // cache (checked); on failure its state is unspecified.
-  static void serialize_proxy_cache(const proxy::ProxyCache& cache,
-                                    ByteWriter& out);
-  static bool deserialize_proxy_cache(ByteReader& in, proxy::ProxyCache& cache,
-                                      std::string& error);
-
-  // core::RpvTable — per-server FIFO lists plus the server LRU order. The
-  // restore target must be constructed with the same RpvConfig and
-  // max_servers as the saved table (checked).
-  static void serialize_rpv_table(const core::RpvTable& table, ByteWriter& out);
-  static bool deserialize_rpv_table(ByteReader& in, core::RpvTable& table,
-                                    std::string& error);
-
-  // sim::SimulationEngine — the durable per-node state (caches and filter
-  // RPV tables) lives in the node array.
-  static std::span<const std::unique_ptr<sim::ProxyNode>> nodes(
-      const sim::SimulationEngine& engine);
 };
 
 }  // namespace piggyweb::persist

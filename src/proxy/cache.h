@@ -22,10 +22,6 @@
 #include "util/intern.h"
 #include "util/time.h"
 
-namespace piggyweb::persist {
-struct StateAccess;
-}
-
 namespace piggyweb::proxy {
 
 struct CacheKey {
@@ -153,8 +149,6 @@ class ProxyCache {
                                            std::size_t limit) const;
 
  private:
-  friend struct piggyweb::persist::StateAccess;
-
   struct Entry {
     CacheKey key;
     std::uint64_t size = 0;

@@ -27,10 +27,6 @@
 #include "util/flat_map.h"
 #include "volume/probability.h"
 
-namespace piggyweb::persist {
-struct StateAccess;
-}
-
 namespace piggyweb::sim {
 
 // Engine-wide knobs: piggyback generation and the wire-overhead constants
@@ -103,8 +99,6 @@ class SimulationEngine {
   EngineResult run();
 
  private:
-  friend struct piggyweb::persist::StateAccess;
-
   // The leaf→…→root node-index chain a request from `source` traverses.
   const std::vector<int>& path_for_source(util::InternId source) const;
 

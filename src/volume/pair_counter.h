@@ -22,10 +22,6 @@
 #include "util/rng.h"
 #include "util/time.h"
 
-namespace piggyweb::persist {
-struct StateAccess;
-}
-
 namespace piggyweb::volume {
 
 struct PairCounterConfig {
@@ -78,7 +74,6 @@ class PairCounts {
 
  private:
   friend class PairCounterBuilder;
-  friend struct piggyweb::persist::StateAccess;
   std::vector<std::uint64_t> c_r_;  // indexed by resource id
   util::FlatMap<std::uint64_t, PairCount> pairs_;
 };

@@ -3,7 +3,8 @@
 // produces an EvalResult bit-identical to the uninterrupted run — directory
 // and probability schemes, saved and resumed at any thread count.
 // Also covers the canonical-bytes guarantee (the snapshot does not depend
-// on the saving run's thread count) and the engine node-state round trip.
+// on the saving run's thread count), the probability scheme's volume-set
+// fingerprint, and the file round trip the tool uses.
 #include "persist/eval_state.h"
 
 #include <gtest/gtest.h>
@@ -15,9 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "persist/engine_state.h"
+#include "persist/codec.h"
 #include "server/meta.h"
-#include "sim/engine.h"
 #include "sim/parallel_eval.h"
 #include "sim/prediction_eval.h"
 #include "trace/profiles.h"
@@ -60,6 +60,15 @@ void expect_identical(const sim::EvalResult& a, const sim::EvalResult& b) {
   EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0);
 }
 
+// Twenty two-entry probability volumes over resources 0..19.
+volume::ProbabilityVolumeSet small_volume_set() {
+  volume::ProbabilityVolumeSet set;
+  for (util::InternId r = 0; r < 20; ++r) {
+    set.add_volume(r, {{(r + 1) % 20, 0.8, 0.5}, {(r + 7) % 20, 0.4, 0.2}});
+  }
+  return set;
+}
+
 // Serial directory-scheme baseline: the uninterrupted result.
 sim::EvalResult serial_baseline(const sim::EvalConfig& config) {
   volume::DirectoryVolumes volumes(directory_config());
@@ -69,11 +78,11 @@ sim::EvalResult serial_baseline(const sim::EvalConfig& config) {
 }
 
 // Runs requests [0, mid) on `threads` shards and snapshots the stopped
-// run. `dvc` is null for the probability scheme, which saves no volumes.
+// run under `echo`. Only the directory scheme saves volumes.
 EvalSnapshot capture_run(const sim::EvalConfig& config,
                          const sim::ShardedProviderSpec& spec,
-                         const volume::DirectoryVolumeConfig* dvc,
-                         std::size_t mid, std::size_t threads) {
+                         const EvalConfigEcho& echo, std::size_t mid,
+                         std::size_t threads) {
   const auto& trace = workload().trace;
   server::TraceMetaOracle meta(trace);
   std::optional<EvalSnapshot> captured;
@@ -83,18 +92,15 @@ EvalSnapshot capture_run(const sim::EvalConfig& config,
           std::span<sim::detail::MetricAccumulator* const> accumulators) {
         std::vector<const volume::DirectoryVolumes*> dirs;
         for (auto* provider : providers) {
-          if (dvc == nullptr) break;
+          if (echo.scheme != "directory") break;
           auto* directory = dynamic_cast<volume::DirectoryVolumes*>(provider);
           ASSERT_NE(directory, nullptr);
           dirs.push_back(directory);
         }
         std::vector<const sim::detail::MetricAccumulator*> accs(
             accumulators.begin(), accumulators.end());
-        captured = capture_eval_state(
-            dirs, accs,
-            make_eval_config_echo(dvc != nullptr ? "directory" : "probability",
-                                  config, dvc),
-            mid, trace.size(), trace_fingerprint(trace));
+        captured = capture_eval_state(dirs, accs, echo, mid, trace.size(),
+                                      trace_fingerprint(trace));
       };
   sim::ParallelEvalConfig par;
   par.threads = threads;
@@ -109,7 +115,7 @@ EvalSnapshot capture_directory(const sim::EvalConfig& config, std::size_t mid,
   const auto dvc = directory_config();
   return capture_run(config,
                      sim::shard_directory_volumes(dvc, workload().trace),
-                     &dvc, mid, threads);
+                     make_eval_config_echo(config, dvc), mid, threads);
 }
 
 // Warm-starts `snapshot` through EvalRestore::hooks() on `threads` shards
@@ -186,11 +192,8 @@ TEST(CheckpointResume, ProbabilitySchemeRoundTrip) {
   server::TraceMetaOracle meta(trace);
 
   // A small hand-built volume set shared by all runs (the tool rebuilds it
-  // deterministically from the trace; the snapshot stores no volume data).
-  volume::ProbabilityVolumeSet set;
-  for (util::InternId r = 0; r < 20; ++r) {
-    set.add_volume(r, {{(r + 1) % 20, 0.8, 0.5}, {(r + 7) % 20, 0.4, 0.2}});
-  }
+  // at load; the snapshot stores only its fingerprint).
+  const auto set = small_volume_set();
 
   volume::ProbabilityVolumes serial_provider(&set, 10);
   const auto baseline =
@@ -199,13 +202,14 @@ TEST(CheckpointResume, ProbabilitySchemeRoundTrip) {
   // Stop at mid on one thread, snapshot (no providers for the probability
   // scheme).
   const auto spec = sim::shard_probability_volumes(&set, 10);
-  const auto snapshot =
-      capture_run(config, spec, nullptr, trace.size() / 2, 1);
+  const auto snapshot = capture_run(
+      config, spec, make_eval_config_echo(config, set), trace.size() / 2, 1);
   const auto bytes = serialize_eval_snapshot(snapshot);
   std::string error;
   const auto parsed = parse_eval_snapshot(bytes, error);
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_TRUE(parsed->volumes.empty());
+  EXPECT_EQ(parsed->config.volume_set, volume_set_fingerprint(set));
   EXPECT_EQ(serialize_eval_snapshot(*parsed), bytes);
 
   // Resume on two threads against the same set.
@@ -243,63 +247,86 @@ TEST(CheckpointResume, StructurallyInvalidSnapshotsAreRejected) {
   }
 }
 
+TEST(CheckpointResume, ProbabilityEchoPinsTheVolumeSet) {
+  const sim::EvalConfig config{};
+  const auto set = small_volume_set();
+  EXPECT_EQ(make_eval_config_echo(config, small_volume_set()),
+            make_eval_config_echo(config, set));
+
+  // One entry's probability changed, as in another --volumes file.
+  auto other = small_volume_set();
+  other.add_volume(4, {{5, 0.8, 0.5}, {11, 0.41, 0.2}});
+  EXPECT_FALSE(make_eval_config_echo(config, other) ==
+               make_eval_config_echo(config, set));
+
+  // The same volumes under other ids: RPV state names volumes by id.
+  volume::ProbabilityVolumeSet reordered;
+  for (util::InternId r = 20; r-- > 0;) {
+    reordered.add_volume(r, *set.volume_of(r));
+  }
+  EXPECT_NE(volume_set_fingerprint(reordered), volume_set_fingerprint(set));
+
+  // The directory scheme has no volume set to pin.
+  EXPECT_EQ(make_eval_config_echo(config, directory_config()).volume_set, 0u);
+}
+
+TEST(CheckpointResume, ProbabilitySnapshotWithoutFingerprintIsRejected) {
+  sim::EvalConfig config;
+  config.filter.max_elements = 10;
+  const auto set = small_volume_set();
+  const auto bytes = serialize_eval_snapshot(
+      capture_run(config, sim::shard_probability_volumes(&set, 10),
+                  make_eval_config_echo(config, set),
+                  workload().trace.size() / 2, 1));
+
+  // Rewrite the container without its eval_volume_set section, as a
+  // version that predates the fingerprint wrote it.
+  std::string error;
+  const auto reader = SnapshotReader::parse(bytes, error);
+  ASSERT_TRUE(reader.has_value()) << error;
+  SnapshotWriter older;
+  for (const auto& section : reader->sections()) {
+    if (section.name != "eval_volume_set") {
+      older.add_section(section.name, std::string(section.payload));
+    }
+  }
+  ASSERT_EQ(older.section_count() + 1, reader->sections().size());
+  EXPECT_FALSE(parse_eval_snapshot(older.finish(), error).has_value());
+  EXPECT_NE(error.find("no volume-set fingerprint"), std::string::npos)
+      << error;
+
+  // A directory snapshot keeps the three-section layout and must not
+  // carry the probability section.
+  const auto directory =
+      serialize_eval_snapshot(capture_directory(eval_config(), 100, 1));
+  const auto directory_reader = SnapshotReader::parse(directory, error);
+  ASSERT_TRUE(directory_reader.has_value()) << error;
+  EXPECT_EQ(directory_reader->sections().size(), 3u);
+  SnapshotWriter mixed;
+  for (const auto& section : directory_reader->sections()) {
+    mixed.add_section(section.name, std::string(section.payload));
+  }
+  mixed.add_section("eval_volume_set", std::string(8, '\0'));
+  EXPECT_FALSE(parse_eval_snapshot(mixed.finish(), error).has_value());
+}
+
+// The tool's file path: write_file_bytes, read_file_bytes, then parse.
 TEST(CheckpointResume, SaveLoadFileRoundTrip) {
   const auto config = eval_config();
-  const auto snapshot =
-      capture_directory(config, workload().trace.size() / 2, 1);
+  const auto bytes = serialize_eval_snapshot(
+      capture_directory(config, workload().trace.size() / 2, 1));
   const std::string path = "checkpoint_test_roundtrip.snap";
   std::string error;
-  ASSERT_TRUE(save_eval_snapshot(path, snapshot, error)) << error;
-  const auto loaded = load_eval_snapshot(path, error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(serialize_eval_snapshot(*loaded),
-            serialize_eval_snapshot(snapshot));
+  ASSERT_TRUE(write_file_bytes(path, bytes, error)) << error;
+  const auto read = read_file_bytes(path, error);
   std::remove(path.c_str());
+  ASSERT_TRUE(read.has_value()) << error;
+  EXPECT_EQ(*read, bytes);
+  const auto loaded = parse_eval_snapshot(*read, error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(serialize_eval_snapshot(*loaded), bytes);
 
-  EXPECT_FALSE(load_eval_snapshot("missing_checkpoint.snap", error)
-                   .has_value());
-  EXPECT_FALSE(error.empty());
-}
-
-// Engine node state (caches + filter RPV tables) ----------------------------
-
-sim::UniformTreeSpec tree_spec() {
-  sim::UniformTreeSpec spec;
-  spec.depth = 2;
-  spec.fanout = 2;
-  spec.leaf_cache.capacity_bytes = 512 * 1024;
-  spec.root_cache.capacity_bytes = 2ULL * 1024 * 1024;
-  spec.base_filter.max_elements = 16;
-  return spec;
-}
-
-TEST(EngineState, RoundTripIsByteStable) {
-  const auto topology = sim::uniform_tree_topology(tree_spec());
-  sim::EngineConfig config;
-  config.volumes.level = 1;
-
-  sim::SimulationEngine engine(workload(), topology, config);
-  engine.run();
-  const auto bytes = serialize_engine_state(engine);
-
-  sim::SimulationEngine restored(workload(), topology, config);
-  std::string error;
-  ASSERT_TRUE(restore_engine_state(restored, bytes, error)) << error;
-  EXPECT_EQ(serialize_engine_state(restored), bytes);
-}
-
-TEST(EngineState, NodeCountMismatchIsRejected) {
-  sim::EngineConfig config;
-  sim::SimulationEngine engine(
-      workload(), sim::uniform_tree_topology(tree_spec()), config);
-  const auto bytes = serialize_engine_state(engine);
-
-  auto wider = tree_spec();
-  wider.fanout = 3;
-  sim::SimulationEngine other(workload(),
-                              sim::uniform_tree_topology(wider), config);
-  std::string error;
-  EXPECT_FALSE(restore_engine_state(other, bytes, error));
+  EXPECT_FALSE(read_file_bytes("missing_checkpoint.snap", error).has_value());
   EXPECT_FALSE(error.empty());
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -90,6 +91,36 @@ TEST(PairCounter, SelfPairsAllowed) {
   const auto counts = PairCounterBuilder(exact()).build(t);
   const auto a = *t.paths().find("/a");
   EXPECT_EQ(counts.pair_count(a, a), 1u);
+}
+
+TEST(PairCounter, PairsFormOnlyWithinSessions) {
+  // Sessions 1000 s apart (beyond the 300 s window) from one client, each
+  // repeated: {/p0} once, {/p1 /p2 /p3} twice, {/p1 /p2} three times,
+  // {/p2 /p3} seven times, {/p1} five times.
+  struct Session {
+    int repeat;
+    std::vector<int> paths;
+  };
+  const Session sessions[] = {
+      {1, {0}}, {2, {1, 2, 3}}, {3, {1, 2}}, {7, {2, 3}}, {5, {1}}};
+  trace::Trace t;
+  util::Seconds now = 0;
+  for (const auto& session : sessions) {
+    for (int i = 0; i < session.repeat; ++i, now += 1000) {
+      for (const int path : session.paths) {
+        t.add({now + path}, "c1", "server",
+              std::string("/p").append(std::to_string(path)));
+      }
+    }
+  }
+  const auto counts = PairCounterBuilder(exact()).build(t);
+  const auto p1 = *t.paths().find("/p1");
+  const auto p2 = *t.paths().find("/p2");
+  const auto p3 = *t.paths().find("/p3");
+  EXPECT_EQ(counts.pair_count(p1, p2), 5u);
+  EXPECT_EQ(counts.pair_count(p2, p3), 9u);
+  EXPECT_EQ(counts.occurrences(p2), 12u);
+  EXPECT_DOUBLE_EQ(counts.probability(p1, p2), 0.5);  // 5 of 10
 }
 
 TEST(PairCounter, MinResourceCountDropsUnpopular) {

@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
     if (!(snapshot->config == echo)) {
       std::fprintf(stderr,
                    "%s was saved under different flags; rerun with the "
-                   "saving run's scheme/filter options\n",
+                   "saving run's scheme, filter and volume options\n",
                    load_state.c_str());
       return false;
     }
@@ -386,7 +386,7 @@ int main(int argc, char** argv) {
   if (scheme == "directory") {
     volume::DirectoryVolumeConfig dvc;
     dvc.level = static_cast<int>(flags.get_int("level"));
-    const auto echo = persist::make_eval_config_echo("directory", config, &dvc);
+    const auto echo = persist::make_eval_config_echo(config, dvc);
     if (!check_resume(echo)) return 1;
     sim::ParallelEvalStats stats;
     result = evaluate(sim::shard_directory_volumes(dvc, view->paths()), echo,
@@ -439,11 +439,9 @@ int main(int argc, char** argv) {
       pvc.window = config.prediction_window;
       set = volume::build_probability_volumes(*view, counts, pvc);
     }
-    // Probability volumes are rebuilt deterministically from the trace and
-    // training flags, so only the shared eval knobs are echoed; the trace
-    // fingerprint pins the input.
-    const auto echo =
-        persist::make_eval_config_echo("probability", config, nullptr);
+    // The echo carries the built set's fingerprint, so a resume refuses
+    // volumes trained under other flags or read from another file.
+    const auto echo = persist::make_eval_config_echo(config, set);
     if (!check_resume(echo)) return 1;
     result = evaluate(sim::shard_probability_volumes(&set, 200), echo,
                       /*directory=*/false, nullptr);
