@@ -1,10 +1,10 @@
 // Snapshot serializer symmetry (persist-serializer-symmetry).
 //
-// Every durable table in src/persist/ is a (serialize_X, deserialize_X)
-// function pair over the codec's ByteWriter/ByteReader; restore safety
-// rests on the write sequence and the read sequence staying mirror
-// images in order and type. This rule extracts, per function taking a
-// codec by reference, its codec-op stream:
+// Each codec in src/persist/ is a (serialize_X, deserialize_X) function
+// pair over the codec's ByteWriter/ByteReader; restore safety rests on
+// the write sequence and the read sequence staying mirror images in
+// order and type. This rule extracts, per function taking a codec by
+// reference, its codec-op stream:
 //
 //   * primitive calls on the codec (u8/u16/u32/u64/i64/f64/str) in
 //     source order — a loop body contributes its ops once, which is
@@ -13,21 +13,11 @@
 //     when the callee is known (same file or an included persist
 //     header), cycle-guarded; unknown callees become an opaque
 //     "call:<suffix>" op with the serialize_/deserialize_ prefix
-//     stripped so symmetric unknown calls still compare equal;
-//   * calls through a function *parameter* (serialize_flat_map's
-//     `write_value(out, v)`) become "param#k" ops, where k indexes the
-//     non-codec parameters — the writer's WriteValue and the reader's
-//     ReadValue unify even though their names differ. At a call site
-//     the k-th non-codec argument is substituted: a lambda taking the
-//     codec contributes its own extracted ops, a named function its
-//     expansion;
-//   * lambdas that capture the codec (proxy_cache's write_queue /
-//     read_queue) contribute their ops once, at the definition — again
-//     symmetric when both sides define and invoke in the same shape.
+//     stripped so symmetric unknown calls still compare equal.
 //
 // Pairs are matched by suffix within the file that defines them; a
-// mismatch is reported on the deserializer. Non-codec-parameter
-// functions (whole-snapshot entry points that own a local ByteWriter)
+// mismatch is reported on the deserializer. Functions without a codec
+// parameter (whole-snapshot entry points that own a local ByteWriter)
 // are out of scope — the round-trip suites cover those end-to-end.
 #include <map>
 #include <set>
@@ -59,19 +49,6 @@ std::size_t match_punct(const std::vector<Token>& toks, std::size_t open,
   return limit;
 }
 
-std::string normalize_range(const std::vector<Token>& toks,
-                            std::size_t begin, std::size_t end) {
-  std::string out;
-  for (std::size_t j = begin; j < end; ++j) {
-    if (toks[j].is_punct("->")) {
-      out += '.';
-    } else {
-      out += toks[j].text;
-    }
-  }
-  return out;
-}
-
 // Top-level argument token ranges of the call whose '(' is at `open`.
 std::vector<std::pair<std::size_t, std::size_t>> arg_ranges(
     const std::vector<Token>& toks, std::size_t open, std::size_t close) {
@@ -101,31 +78,18 @@ std::vector<std::pair<std::size_t, std::size_t>> arg_ranges(
   return args;
 }
 
-struct CodecFn;
-
-// A non-codec argument at a codec-forwarding call site.
-struct Arg {
-  bool is_lambda = false;
-  std::vector<struct Op> lambda_ops;   // when is_lambda
-  std::string text;                    // normalized expression otherwise
-};
-
 struct Op {
-  enum Kind { kPrim, kCall, kParamCall };
+  enum Kind { kPrim, kCall };
   Kind kind = kPrim;
-  std::string_view prim;     // kPrim: u8..str
-  std::string_view callee;   // kCall: function name
-  std::size_t param = 0;     // kParamCall: non-codec parameter index
-  std::vector<Arg> args;     // kCall/kParamCall: non-codec call args
+  std::string_view text;  // kPrim: u8..str; kCall: function name
   std::uint32_t line = 0;
 };
 
-// A function (or lambda) taking the codec by reference.
+// A function taking the codec by reference.
 struct CodecFn {
   std::string_view name;
   bool is_writer = false;
   std::uint32_t line = 0;
-  std::vector<std::string> noncodec_params;  // declared order
   std::vector<Op> ops;
 };
 
@@ -152,45 +116,8 @@ bool piece_mentions(const std::vector<Token>& toks, std::size_t begin,
 
 std::vector<Op> extract_ops(const std::vector<Token>& toks,
                             std::size_t begin, std::size_t end,
-                            std::string_view codec,
-                            const std::vector<std::string>& noncodec_params);
-
-// Parse a lambda starting at `begin` (the '[' of its capture list):
-// capture, optional params, body. Its ops are extracted with the
-// lambda's own codec parameter if it declares one, else with the
-// enclosing codec (capture by reference).
-Arg parse_lambda_arg(const std::vector<Token>& toks, std::size_t begin,
-                     std::size_t end, std::string_view outer_codec) {
-  Arg arg;
-  arg.is_lambda = true;
-  std::size_t j = match_punct(toks, begin, "[", "]", end) + 1;
-  std::string codec(outer_codec);
-  std::vector<std::string> noncodec;
-  if (j < end && toks[j].is_punct("(")) {
-    const std::size_t close = match_punct(toks, j, "(", ")", end);
-    for (const auto& [pb, pe] : arg_ranges(toks, j, close)) {
-      if (piece_mentions(toks, pb, pe, "ByteWriter") ||
-          piece_mentions(toks, pb, pe, "ByteReader")) {
-        codec = param_piece_name(toks, pb, pe);
-      } else {
-        noncodec.push_back(param_piece_name(toks, pb, pe));
-      }
-    }
-    j = close + 1;
-  }
-  while (j < end && !toks[j].is_punct("{")) ++j;  // mutable/noexcept/->
-  if (j >= end) return arg;
-  const std::size_t body_close = match_punct(toks, j, "{", "}", end);
-  arg.lambda_ops = extract_ops(toks, j + 1, body_close, codec, noncodec);
-  return arg;
-}
-
-std::vector<Op> extract_ops(const std::vector<Token>& toks,
-                            std::size_t begin, std::size_t end,
-                            std::string_view codec,
-                            const std::vector<std::string>& noncodec_params) {
+                            std::string_view codec) {
   std::vector<Op> ops;
-  if (codec.empty()) return ops;
   for (std::size_t i = begin; i < end; ++i) {
     const Token& t = toks[i];
     if (t.kind != TokKind::kIdent) continue;
@@ -202,11 +129,7 @@ std::vector<Op> extract_ops(const std::vector<Token>& toks,
         (toks[i + 1].is_punct(".") || toks[i + 1].is_punct("->")) &&
         toks[i + 2].kind == TokKind::kIdent && toks[i + 3].is_punct("(")) {
       if (primitive_op(toks[i + 2].text)) {
-        Op op;
-        op.kind = Op::kPrim;
-        op.prim = toks[i + 2].text;
-        op.line = toks[i + 2].line;
-        ops.push_back(std::move(op));
+        ops.push_back({Op::kPrim, toks[i + 2].text, toks[i + 2].line});
       }
       i += 2;  // non-primitive codec methods (ok/fits/skip) are ignored
       continue;
@@ -217,44 +140,20 @@ std::vector<Op> extract_ops(const std::vector<Token>& toks,
     if (!chained && !is_cpp_keyword(t.text) && i + 1 < end &&
         toks[i + 1].is_punct("(") && t.text != codec) {
       const std::size_t close = match_punct(toks, i + 1, "(", ")", end);
-      const auto ranges = arg_ranges(toks, i + 1, close);
       bool has_codec_arg = false;
-      for (const auto& [ab, ae] : ranges) {
+      for (const auto& [ab, ae] : arg_ranges(toks, i + 1, close)) {
         if (ae - ab == 1 && toks[ab].is_ident(codec)) has_codec_arg = true;
       }
       if (!has_codec_arg) continue;  // keep scanning inside the args
-      Op op;
-      op.kind = Op::kCall;
-      op.callee = t.text;
-      op.line = t.line;
-      for (std::size_t k = 0; k < noncodec_params.size(); ++k) {
-        if (noncodec_params[k] == t.text) {
-          op.kind = Op::kParamCall;
-          op.param = k;
-          break;
-        }
-      }
-      for (const auto& [ab, ae] : ranges) {
-        if (ae - ab == 1 && toks[ab].is_ident(codec)) continue;
-        if (toks[ab].is_punct("[")) {
-          op.args.push_back(parse_lambda_arg(toks, ab, ae, codec));
-        } else {
-          Arg a;
-          a.text = normalize_range(toks, ab, ae);
-          op.args.push_back(std::move(a));
-        }
-      }
-      ops.push_back(std::move(op));
-      i = close;  // lambda bodies in the args were handled above
-      continue;
+      ops.push_back({Op::kCall, t.text, t.line});
+      i = close;
     }
   }
   return ops;
 }
 
-// Canonical op text for the flattened stream. Known calls are expanded
-// recursively; a param call is resolved through the caller's argument
-// list when one is in scope.
+// Canonical op text for the flattened stream: primitives as they are,
+// known calls expanded recursively, unknown calls as "call:<suffix>".
 struct FlatOp {
   std::string text;
   std::uint32_t line = 0;
@@ -264,48 +163,25 @@ struct Flattener {
   const std::map<std::string_view, const CodecFn*>& known;
   std::set<std::string_view> expanding;
 
-  void flatten(const std::vector<Op>& ops, const std::vector<Arg>* args,
-               std::vector<FlatOp>& out) {
+  void flatten(const std::vector<Op>& ops, std::vector<FlatOp>& out) {
     for (const Op& op : ops) {
-      switch (op.kind) {
-        case Op::kPrim:
-          out.push_back({std::string(op.prim), op.line});
-          break;
-        case Op::kParamCall: {
-          const Arg* bound =
-              args != nullptr && op.param < args->size()
-                  ? &(*args)[op.param]
-                  : nullptr;
-          if (bound == nullptr) {
-            out.push_back({"param#" + std::to_string(op.param), op.line});
-          } else if (bound->is_lambda) {
-            flatten(bound->lambda_ops, nullptr, out);
-          } else {
-            expand_named(bound->text, op, out);
-          }
-          break;
-        }
-        case Op::kCall:
-          expand_named(std::string(op.callee), op, out);
-          break;
+      if (op.kind == Op::kPrim) {
+        out.push_back({std::string(op.text), op.line});
+        continue;
       }
+      const auto it = known.find(op.text);
+      if (it != known.end() && !expanding.contains(it->second->name)) {
+        expanding.insert(it->second->name);
+        flatten(it->second->ops, out);
+        expanding.erase(it->second->name);
+        continue;
+      }
+      std::string_view suffix = op.text;
+      for (const std::string_view prefix : {"serialize_", "deserialize_"}) {
+        if (suffix.starts_with(prefix)) suffix.remove_prefix(prefix.size());
+      }
+      out.push_back({"call:" + std::string(suffix), op.line});
     }
-  }
-
-  void expand_named(const std::string& name, const Op& op,
-                    std::vector<FlatOp>& out) {
-    const auto it = known.find(name);
-    if (it != known.end() && !expanding.contains(it->second->name)) {
-      expanding.insert(it->second->name);
-      flatten(it->second->ops, &op.args, out);
-      expanding.erase(it->second->name);
-      return;
-    }
-    std::string suffix = name;
-    for (const std::string_view prefix : {"serialize_", "deserialize_"}) {
-      if (suffix.starts_with(prefix)) suffix = suffix.substr(prefix.size());
-    }
-    out.push_back({"call:" + suffix, op.line});
   }
 };
 
@@ -337,13 +213,10 @@ void collect_codec_fns(const Project& project, const SourceFile& file,
       if (writer || reader) {
         codec = param_piece_name(toks, pb, pe);
         cf.is_writer = writer;
-      } else {
-        cf.noncodec_params.push_back(param_piece_name(toks, pb, pe));
       }
     }
     if (codec.empty()) continue;
-    cf.ops = extract_ops(toks, fn.body_begin, fn.body_end, codec,
-                         cf.noncodec_params);
+    cf.ops = extract_ops(toks, fn.body_begin, fn.body_end, codec);
     out.push_back(std::move(cf));
   }
 }
@@ -389,8 +262,8 @@ void check_serializer_symmetry(const Project& project,
 
     std::vector<FlatOp> writes;
     std::vector<FlatOp> reads;
-    Flattener{known, {}}.flatten(writer.ops, nullptr, writes);
-    Flattener{known, {}}.flatten(reader->ops, nullptr, reads);
+    Flattener{known, {}}.flatten(writer.ops, writes);
+    Flattener{known, {}}.flatten(reader->ops, reads);
 
     const std::string pair_name = std::string("'").append(writer.name) +
                                   "'/'" + std::string(reader->name) + "'";

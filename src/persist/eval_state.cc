@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "persist/state_access.h"
-#include "trace/binary.h"
 #include "util/expect.h"
 #include "util/hash.h"
 
@@ -46,10 +45,6 @@ EvalConfigEcho shared_echo(std::string_view scheme,
 }
 
 }  // namespace
-
-std::uint64_t trace_fingerprint(const trace::Trace& trace) {
-  return trace::trace_content_fingerprint(trace);
-}
 
 std::uint64_t volume_set_fingerprint(const volume::ProbabilityVolumeSet& set) {
   std::vector<util::InternId> resource_of(set.volume_count());

@@ -37,19 +37,10 @@
 #include "persist/tables.h"
 #include "sim/eval_core.h"
 #include "sim/parallel_eval.h"
-#include "trace/record.h"
 #include "volume/directory.h"
 #include "volume/probability.h"
 
 namespace piggyweb::persist {
-
-// Fingerprint of a time-sorted trace: trace::trace_content_fingerprint,
-// the fold over the canonical "PIGGYTRC" column encoding (requests plus
-// string tables). A resume refuses to run against a trace with a
-// different fingerprint — intern ids must line up with the saved run —
-// and the value is identical whether the trace was parsed from CLF or
-// mapped from a binary container of the same content.
-std::uint64_t trace_fingerprint(const trace::Trace& trace);
 
 // Behaviour-shaping knobs echoed into the snapshot; a resume whose flags
 // disagree is rejected instead of silently diverging. Directory fields are
@@ -94,6 +85,10 @@ struct EvalSnapshot {
   EvalConfigEcho config;
   std::uint64_t next_request = 0;   // first unprocessed request index
   std::uint64_t total_requests = 0;
+  // trace::trace_content_fingerprint of the replayed trace, the same
+  // whether it was parsed from CLF or mapped from PIGGYTRC. A resume
+  // against another trace is refused: intern ids must line up with the
+  // saved run.
   std::uint64_t fingerprint = 0;
   // Metric state, sorted by key; directory RPV entries hold canonical
   // volume indices into `volumes`.

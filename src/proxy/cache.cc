@@ -1,6 +1,8 @@
 #include "proxy/cache.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "util/expect.h"
@@ -51,36 +53,45 @@ double ProxyCache::gd_credit(const Entry& entry) const {
   return 1.0 / size;
 }
 
+// The entry's key in order_ after an insert or a use.
+double ProxyCache::next_priority(const Entry& entry) {
+  switch (config_.policy) {
+    case ReplacementPolicy::kLru:
+    case ReplacementPolicy::kLruPiggyback:
+      return static_cast<double>(++uses_);
+    case ReplacementPolicy::kSize:
+      return static_cast<double>(entry.size);
+    case ReplacementPolicy::kGdSize:
+    case ReplacementPolicy::kGdSizeHint:
+      // GreedyDual-Size: full credit at the current inflation level.
+      return gd_inflation_ + gd_credit(entry);
+  }
+  return 0;
+}
+
 void ProxyCache::set_hint(const CacheKey& key, double hint) {
   PW_EXPECT(hint >= 0.0 && hint <= 1.0);
   const auto it = entries_.find(key.packed());
   if (it == entries_.end()) return;
   it->second.hint = hint;
-  if (config_.policy != ReplacementPolicy::kGdSizeHint) return;
-  gd_queue_.erase(it->second.gd_pos);
-  it->second.gd_h = gd_inflation_ + gd_credit(it->second);
-  it->second.gd_pos =
-      gd_queue_.emplace(it->second.gd_h, key.packed());
+  if (config_.policy == ReplacementPolicy::kGdSizeHint) touch(it->second);
 }
 
 void ProxyCache::set_expiry(Entry& entry, util::TimePoint expires) {
   entry.expires = expires;
-  expiry_queue_.erase(entry.expiry_pos);
-  entry.expiry_pos =
-      expiry_queue_.emplace(expires.value, entry.key.packed());
+  auto node = expiry_queue_.extract(entry.expiry_pos);
+  node.key() = expires.value;
+  entry.expiry_pos = expiry_queue_.insert(std::move(node));
 }
 
-void ProxyCache::touch(Entry& entry, util::TimePoint now) {
-  entry.last_access = now;
-  const auto packed = entry.key.packed();
-  // LRU position: splice to front.
-  lru_.erase(entry.lru_pos);
-  lru_.push_front(packed);
-  entry.lru_pos = lru_.begin();
-  // GreedyDual-Size: restore full credit at the current inflation level.
-  gd_queue_.erase(entry.gd_pos);
-  entry.gd_h = gd_inflation_ + gd_credit(entry);
-  entry.gd_pos = gd_queue_.emplace(entry.gd_h, packed);
+void ProxyCache::touch(Entry& entry) {
+  // SIZE keys by size, which a use does not change.
+  if (config_.policy == ReplacementPolicy::kSize) return;
+  // Re-key the node in place: it goes behind its new equals, as an
+  // insert would, and a use allocates nothing.
+  auto node = order_.extract(entry.order_pos);
+  node.key() = next_priority(entry);
+  entry.order_pos = order_.insert(std::move(node));
 }
 
 LookupOutcome ProxyCache::lookup(const CacheKey& key, util::TimePoint now) {
@@ -90,7 +101,7 @@ LookupOutcome ProxyCache::lookup(const CacheKey& key, util::TimePoint now) {
     ++stats_.misses;
     return LookupOutcome::kMiss;
   }
-  touch(it->second, now);
+  touch(it->second);
   if (now < it->second.expires) {
     ++stats_.fresh_hits;
     return LookupOutcome::kFreshHit;
@@ -103,38 +114,25 @@ void ProxyCache::erase_entry(std::uint64_t packed) {
   const auto it = entries_.find(packed);
   PW_EXPECT(it != entries_.end());
   used_ -= it->second.size;
-  lru_.erase(it->second.lru_pos);
-  gd_queue_.erase(it->second.gd_pos);
-  size_queue_.erase(it->second.size_pos);
+  order_.erase(it->second.order_pos);
   expiry_queue_.erase(it->second.expiry_pos);
   entries_.erase(it);
-}
-
-std::uint64_t ProxyCache::pick_victim() const {
-  PW_EXPECT(!entries_.empty());
-  switch (config_.policy) {
-    case ReplacementPolicy::kLru:
-    case ReplacementPolicy::kLruPiggyback:
-      return lru_.back();
-    case ReplacementPolicy::kSize:
-      return size_queue_.rbegin()->second;  // largest first
-    case ReplacementPolicy::kGdSize:
-    case ReplacementPolicy::kGdSizeHint:
-      return gd_queue_.begin()->second;  // smallest H first
-  }
-  return lru_.back();
 }
 
 void ProxyCache::evict_until_fits(std::uint64_t incoming) {
   while (!entries_.empty() &&
          used_ + incoming > config_.capacity_bytes) {
-    const auto victim = pick_victim();
+    // SIZE evicts the largest entry, the newest among equals; the other
+    // policies evict the lowest priority, the oldest among equals.
+    const auto victim = config_.policy == ReplacementPolicy::kSize
+                            ? std::prev(order_.end())
+                            : order_.begin();
     if (config_.policy == ReplacementPolicy::kGdSize ||
         config_.policy == ReplacementPolicy::kGdSizeHint) {
       // GreedyDual-Size: inflation rises to the evicted entry's H.
-      gd_inflation_ = gd_queue_.begin()->first;
+      gd_inflation_ = victim->first;
     }
-    erase_entry(victim);
+    erase_entry(victim->second);
     ++stats_.evictions;
   }
 }
@@ -153,12 +151,7 @@ void ProxyCache::insert(const CacheKey& key, std::uint64_t size,
   entry.size = size;
   entry.last_modified = last_modified;
   entry.expires = now + freshness_for(key);
-  entry.last_access = now;
-  lru_.push_front(packed);
-  entry.lru_pos = lru_.begin();
-  entry.gd_h = gd_inflation_ + gd_credit(entry);
-  entry.gd_pos = gd_queue_.emplace(entry.gd_h, packed);
-  entry.size_pos = size_queue_.emplace(size, packed);
+  entry.order_pos = order_.emplace(next_priority(entry), packed);
   entry.expiry_pos = expiry_queue_.emplace(entry.expires.value, packed);
   used_ += size;
   entries_.emplace(packed, entry);
@@ -179,7 +172,7 @@ ProxyCache::PiggybackEffect ProxyCache::apply_piggyback(
     // Our copy is current: a free revalidation.
     set_expiry(it->second, now + freshness_for(key));
     if (config_.policy == ReplacementPolicy::kLruPiggyback) {
-      touch(it->second, now);
+      touch(it->second);
     }
     ++stats_.piggyback_refreshes;
     return PiggybackEffect::kRefreshed;

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <optional>
 
@@ -149,35 +148,36 @@ class ProxyCache {
                                            std::size_t limit) const;
 
  private:
+  // The replacement order, keyed by the policy's priority: the use count
+  // under LRU and LRU-Piggyback, the size under SIZE, H = L + credit under
+  // GD-Size and GD-Size-Hint. An entry (re)keyed to a taken key goes
+  // behind its equals.
+  using Order = std::multimap<double, std::uint64_t>;
+
   struct Entry {
     CacheKey key;
     std::uint64_t size = 0;
     std::int64_t last_modified = -1;
     util::TimePoint expires{};
-    util::TimePoint last_access{};
-    double gd_h = 0;   // GreedyDual-Size H value
-    double hint = 0;   // server-assisted replacement hint
-    std::list<std::uint64_t>::iterator lru_pos;
-    std::multimap<double, std::uint64_t>::iterator gd_pos;
-    std::multimap<std::uint64_t, std::uint64_t>::iterator size_pos;
+    double hint = 0;  // server-assisted replacement hint
+    Order::iterator order_pos;
     std::multimap<util::Seconds, std::uint64_t>::iterator expiry_pos;
   };
 
   util::Seconds freshness_for(const CacheKey& key) const;
   double gd_credit(const Entry& entry) const;
-  void touch(Entry& entry, util::TimePoint now);
+  double next_priority(const Entry& entry);
+  void touch(Entry& entry);
   void set_expiry(Entry& entry, util::TimePoint expires);
   void erase_entry(std::uint64_t packed);
   void evict_until_fits(std::uint64_t incoming);
-  std::uint64_t pick_victim() const;
 
   CacheConfig config_;
   std::uint64_t used_ = 0;
+  std::uint64_t uses_ = 0;   // LRU clock
   double gd_inflation_ = 0;  // GreedyDual-Size "L"
   util::FlatMap<std::uint64_t, Entry> entries_;
-  std::list<std::uint64_t> lru_;  // front = most recent
-  std::multimap<double, std::uint64_t> gd_queue_;        // ascending H
-  std::multimap<std::uint64_t, std::uint64_t> size_queue_;  // ascending size
+  Order order_;
   std::multimap<util::Seconds, std::uint64_t> expiry_queue_;  // ascending
   util::FlatMap<std::uint64_t, util::Seconds> freshness_overrides_;
   CacheStats stats_;

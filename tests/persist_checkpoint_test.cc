@@ -20,6 +20,7 @@
 #include "server/meta.h"
 #include "sim/parallel_eval.h"
 #include "sim/prediction_eval.h"
+#include "trace/binary.h"
 #include "trace/profiles.h"
 #include "trace/stream.h"
 #include "volume/directory.h"
@@ -100,7 +101,7 @@ EvalSnapshot capture_run(const sim::EvalConfig& config,
         std::vector<const sim::detail::MetricAccumulator*> accs(
             accumulators.begin(), accumulators.end());
         captured = capture_eval_state(dirs, accs, echo, mid, trace.size(),
-                                      trace_fingerprint(trace));
+                                      trace::trace_content_fingerprint(trace));
       };
   sim::ParallelEvalConfig par;
   par.threads = threads;

@@ -5,9 +5,9 @@
 // order) that example-based tests miss.
 #include <algorithm>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -22,88 +22,269 @@
 namespace piggyweb {
 namespace {
 
-// --- LRU cache reference ----------------------------------------------------
+// --- Replacement policy reference -------------------------------------------
 
-class ReferenceLru {
+// Naive model of ProxyCache: a std::map of entries and a linear scan for
+// the victim, with each policy's victim rule and tie rule stated once.
+//   * LRU, LRU-Piggyback: evict the least recently used entry. Insert and
+//     lookup are uses; a piggyback refresh is a use only under
+//     LRU-Piggyback.
+//   * SIZE: evict the largest entry; among equal sizes, the newest
+//     insertion. Nothing but an insert orders it.
+//   * GD-Size, GD-Size-Hint: evict the lowest H = L + credit, credit
+//     1/size (GD-Size-Hint: (1 + 9 hint)/size); among equal H, the entry
+//     whose H was set longest ago. Insert and each use set H at the
+//     current L, a hint sets it only under GD-Size-Hint, and an eviction
+//     raises L to the victim's H.
+class ReferenceCache {
  public:
-  ReferenceLru(std::uint64_t capacity, util::Seconds delta)
-      : capacity_(capacity), delta_(delta) {}
+  ReferenceCache(proxy::ReplacementPolicy policy, std::uint64_t capacity,
+                 util::Seconds delta)
+      : policy_(policy), capacity_(capacity), delta_(delta) {}
 
   proxy::LookupOutcome lookup(std::uint64_t key, util::Seconds now) {
+    ++stats_.lookups;
     const auto it = entries_.find(key);
-    if (it == entries_.end()) return proxy::LookupOutcome::kMiss;
-    touch(key);
-    return now < it->second.expires ? proxy::LookupOutcome::kFreshHit
-                                    : proxy::LookupOutcome::kStaleHit;
+    if (it == entries_.end()) {
+      ++stats_.misses;
+      return proxy::LookupOutcome::kMiss;
+    }
+    use(it->second);
+    if (now < it->second.expires) {
+      ++stats_.fresh_hits;
+      return proxy::LookupOutcome::kFreshHit;
+    }
+    ++stats_.stale_hits;
+    return proxy::LookupOutcome::kStaleHit;
   }
 
-  void insert(std::uint64_t key, std::uint64_t size, util::Seconds now) {
+  void insert(std::uint64_t key, std::uint64_t size,
+              std::int64_t last_modified, util::Seconds now) {
     if (size > capacity_) return;
-    if (entries_.count(key)) erase(key);
-    while (used_ + size > capacity_ && !order_.empty()) {
-      erase(order_.back());
+    entries_.erase(key);
+    while (!entries_.empty() && used() + size > capacity_) {
+      const auto victim = pick_victim();
+      if (gd()) inflation_ = entries_.at(victim).h;
+      entries_.erase(victim);
+      ++stats_.evictions;
     }
-    entries_[key] = {size, now + delta_};
-    order_.push_front(key);
-    used_ += size;
+    Entry& entry = entries_[key];
+    entry.size = size;
+    entry.last_modified = last_modified;
+    entry.expires = now + delta_;
+    entry.inserted = ++clock_;
+    use(entry);
+    ++stats_.insertions;
+  }
+
+  void revalidate(std::uint64_t key, util::Seconds now) {
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) it->second.expires = now + delta_;
+  }
+
+  proxy::ProxyCache::PiggybackEffect apply_piggyback(
+      std::uint64_t key, std::int64_t last_modified, util::Seconds now) {
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      return proxy::ProxyCache::PiggybackEffect::kNotCached;
+    }
+    if (it->second.last_modified < last_modified) {
+      entries_.erase(it);
+      ++stats_.piggyback_invalidations;
+      return proxy::ProxyCache::PiggybackEffect::kInvalidated;
+    }
+    it->second.expires = now + delta_;
+    if (policy_ == proxy::ReplacementPolicy::kLruPiggyback) use(it->second);
+    ++stats_.piggyback_refreshes;
+    return proxy::ProxyCache::PiggybackEffect::kRefreshed;
+  }
+
+  void set_hint(std::uint64_t key, double hint) {
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) return;
+    it->second.hint = hint;
+    if (policy_ == proxy::ReplacementPolicy::kGdSizeHint) {
+      set_h(it->second);
+    }
   }
 
   bool contains(std::uint64_t key) const { return entries_.count(key) > 0; }
-  std::uint64_t used() const { return used_; }
+  std::uint64_t used() const {
+    std::uint64_t total = 0;
+    for (const auto& [key, entry] : entries_) total += entry.size;
+    return total;
+  }
+  const proxy::CacheStats& stats() const { return stats_; }
 
  private:
   struct Entry {
-    std::uint64_t size;
-    util::Seconds expires;
+    std::uint64_t size = 0;
+    std::int64_t last_modified = 0;
+    util::Seconds expires = 0;
+    double hint = 0;
+    double h = 0;                // GD-Size H
+    std::uint64_t last_use = 0;  // clock of the latest use
+    std::uint64_t inserted = 0;  // clock of the insertion
+    std::uint64_t h_set = 0;     // clock of the latest change to H
   };
-  void touch(std::uint64_t key) {
-    order_.remove(key);
-    order_.push_front(key);
+
+  bool gd() const {
+    return policy_ == proxy::ReplacementPolicy::kGdSize ||
+           policy_ == proxy::ReplacementPolicy::kGdSizeHint;
   }
-  void erase(std::uint64_t key) {
-    used_ -= entries_[key].size;
-    entries_.erase(key);
-    order_.remove(key);
+  void use(Entry& entry) {
+    entry.last_use = ++clock_;
+    set_h(entry);
+  }
+  void set_h(Entry& entry) {
+    const auto size =
+        static_cast<double>(std::max<std::uint64_t>(1, entry.size));
+    const double credit =
+        policy_ == proxy::ReplacementPolicy::kGdSizeHint
+            ? (1.0 + 9.0 * entry.hint) / size
+            : 1.0 / size;
+    entry.h = inflation_ + credit;
+    entry.h_set = ++clock_;
+  }
+  // True when `a` is evicted before `b`.
+  bool evicts_first(const Entry& a, const Entry& b) const {
+    switch (policy_) {
+      case proxy::ReplacementPolicy::kLru:
+      case proxy::ReplacementPolicy::kLruPiggyback:
+        return a.last_use < b.last_use;
+      case proxy::ReplacementPolicy::kSize:
+        if (a.size != b.size) return a.size > b.size;
+        return a.inserted > b.inserted;
+      case proxy::ReplacementPolicy::kGdSize:
+      case proxy::ReplacementPolicy::kGdSizeHint:
+        if (a.h != b.h) return a.h < b.h;
+        return a.h_set < b.h_set;
+    }
+    return false;
+  }
+  std::uint64_t pick_victim() const {
+    auto victim = entries_.begin();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (evicts_first(it->second, victim->second)) victim = it;
+    }
+    return victim->first;
   }
 
+  proxy::ReplacementPolicy policy_;
   std::uint64_t capacity_;
   util::Seconds delta_;
   std::map<std::uint64_t, Entry> entries_;
-  std::list<std::uint64_t> order_;
-  std::uint64_t used_ = 0;
+  double inflation_ = 0;  // GD-Size L
+  std::uint64_t clock_ = 0;
+  proxy::CacheStats stats_;
 };
 
-class LruDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+auto stats_tuple(const proxy::CacheStats& s) {
+  return std::tuple(s.lookups, s.fresh_hits, s.stale_hits, s.misses,
+                    s.insertions, s.evictions, s.piggyback_refreshes,
+                    s.piggyback_invalidations);
+}
 
-TEST_P(LruDifferential, MatchesReferenceOverRandomOps) {
-  constexpr std::uint64_t kCapacity = 5000;
+// Drives ProxyCache and ReferenceCache with the same random lookups,
+// inserts, revalidations, piggybacks and hints, and compares every
+// outcome, the byte count, membership over the whole key space and the
+// stats after each one. Sizes come from a small set so that SIZE ties and
+// GD-Size H ties are common.
+void expect_matches_reference(proxy::ReplacementPolicy policy,
+                              std::uint64_t seed) {
+  constexpr std::uint64_t kCapacity = 2000;
   constexpr util::Seconds kDelta = 500;
+  constexpr std::uint64_t kSizes[] = {100, 200, 200, 400, 700};
+  constexpr double kHints[] = {0.0, 0.25, 0.5, 1.0};
+  constexpr util::InternId kServers = 2;
+  constexpr util::InternId kPaths = 30;
   proxy::CacheConfig config;
   config.capacity_bytes = kCapacity;
   config.freshness_interval = kDelta;
-  config.policy = proxy::ReplacementPolicy::kLru;
+  config.policy = policy;
   proxy::ProxyCache cache(config);
-  ReferenceLru reference(kCapacity, kDelta);
+  ReferenceCache reference(policy, kCapacity, kDelta);
 
-  util::Rng rng(GetParam());
+  util::Rng rng(seed);
   util::Seconds now = 0;
   for (int op = 0; op < 4000; ++op) {
     now += static_cast<util::Seconds>(rng.below(40));
-    const auto key = static_cast<util::InternId>(rng.below(60));
-    const proxy::CacheKey cache_key{0, key};
-    const auto real = cache.lookup(cache_key, {now});
-    const auto expected = reference.lookup(key, now);
-    ASSERT_EQ(real, expected) << "op " << op << " key " << key;
-    if (real == proxy::LookupOutcome::kMiss) {
-      const auto size = 50 + rng.below(400);
-      cache.insert(cache_key, size, 0, {now});
-      reference.insert(key, size, now);
+    const proxy::CacheKey key{static_cast<util::InternId>(rng.below(kServers)),
+                              static_cast<util::InternId>(rng.below(kPaths))};
+    const auto packed = key.packed();
+    const auto last_modified = static_cast<std::int64_t>(rng.below(4));
+    const auto kind = rng.below(10);
+    if (kind < 4) {
+      ASSERT_EQ(cache.lookup(key, {now}), reference.lookup(packed, now))
+          << "op " << op;
+    } else if (kind < 7) {
+      // One insert in 50 is larger than the whole cache.
+      const auto size = rng.below(50) == 0 ? kCapacity + 1
+                                           : kSizes[rng.below(5)];
+      cache.insert(key, size, last_modified, {now});
+      reference.insert(packed, size, last_modified, now);
+    } else if (kind < 8) {
+      cache.revalidate(key, {now});
+      reference.revalidate(packed, now);
+    } else if (kind < 9) {
+      ASSERT_EQ(cache.apply_piggyback(key, last_modified, {now}),
+                reference.apply_piggyback(packed, last_modified, now))
+          << "op " << op;
+    } else {
+      const double hint = kHints[rng.below(4)];
+      cache.set_hint(key, hint);
+      reference.set_hint(packed, hint);
     }
     ASSERT_EQ(cache.used_bytes(), reference.used()) << "op " << op;
+    ASSERT_EQ(stats_tuple(cache.stats()), stats_tuple(reference.stats()))
+        << "op " << op;
+    for (util::InternId server = 0; server < kServers; ++server) {
+      for (util::InternId path = 0; path < kPaths; ++path) {
+        const proxy::CacheKey probe{server, path};
+        ASSERT_EQ(cache.contains(probe), reference.contains(probe.packed()))
+            << "op " << op << " server " << server << " path " << path;
+      }
+    }
   }
+  // The random mix must have reached the eviction path.
+  EXPECT_GT(cache.stats().evictions, 100u);
+}
+
+class LruDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+class SizeDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+class GdSizeDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+class LruPiggybackDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+class GdSizeHintDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LruDifferential, MatchesReferenceOverRandomOps) {
+  expect_matches_reference(proxy::ReplacementPolicy::kLru, GetParam());
+}
+TEST_P(SizeDifferential, MatchesReferenceOverRandomOps) {
+  expect_matches_reference(proxy::ReplacementPolicy::kSize, GetParam());
+}
+TEST_P(GdSizeDifferential, MatchesReferenceOverRandomOps) {
+  expect_matches_reference(proxy::ReplacementPolicy::kGdSize, GetParam());
+}
+TEST_P(LruPiggybackDifferential, MatchesReferenceOverRandomOps) {
+  expect_matches_reference(proxy::ReplacementPolicy::kLruPiggyback,
+                           GetParam());
+}
+TEST_P(GdSizeHintDifferential, MatchesReferenceOverRandomOps) {
+  expect_matches_reference(proxy::ReplacementPolicy::kGdSizeHint,
+                           GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LruDifferential,
+                         ::testing::Values(1, 2, 3, 42, 1998));
+INSTANTIATE_TEST_SUITE_P(Seeds, SizeDifferential,
+                         ::testing::Values(1, 2, 3, 42, 1998));
+INSTANTIATE_TEST_SUITE_P(Seeds, GdSizeDifferential,
+                         ::testing::Values(1, 2, 3, 42, 1998));
+INSTANTIATE_TEST_SUITE_P(Seeds, LruPiggybackDifferential,
+                         ::testing::Values(1, 2, 3, 42, 1998));
+INSTANTIATE_TEST_SUITE_P(Seeds, GdSizeHintDifferential,
                          ::testing::Values(1, 2, 3, 42, 1998));
 
 // --- Directory volume reference ---------------------------------------------

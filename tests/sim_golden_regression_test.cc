@@ -21,6 +21,23 @@ const trace::SyntheticWorkload& shared_workload() {
   return workload;
 }
 
+// Probability volumes trained on the workload itself: their piggyback
+// elements carry implication probabilities, which GD-Size-Hint reads.
+const volume::ProbabilityVolumeSet& shared_probability_volumes() {
+  static const volume::ProbabilityVolumeSet set = [] {
+    volume::PairCounterConfig pcc;
+    pcc.window = 300;
+    const auto counts =
+        volume::PairCounterBuilder(pcc).build(shared_workload().trace, 10);
+    volume::ProbabilityVolumeConfig pvc;
+    pvc.probability_threshold = 0.2;
+    pvc.effectiveness_threshold = 0.2;
+    return volume::build_probability_volumes(shared_workload().trace, counts,
+                                             pvc);
+  }();
+  return set;
+}
+
 sim::EndToEndConfig e2e_base() {
   sim::EndToEndConfig config;
   config.cache.capacity_bytes = 16ULL * 1024 * 1024;
@@ -236,17 +253,8 @@ TEST(SimGoldenRegression, EndToEndAllApplications) {
 }
 
 TEST(SimGoldenRegression, EndToEndProbabilityVolumes) {
-  volume::PairCounterConfig pcc;
-  pcc.window = 300;
-  const auto counts =
-      volume::PairCounterBuilder(pcc).build(shared_workload().trace, 10);
-  volume::ProbabilityVolumeConfig pvc;
-  pvc.probability_threshold = 0.2;
-  pvc.effectiveness_threshold = 0.2;
-  const auto set =
-      volume::build_probability_volumes(shared_workload().trace, counts, pvc);
   auto config = e2e_base();
-  config.probability_volumes = &set;
+  config.probability_volumes = &shared_probability_volumes();
   const auto result = sim::EndToEndSimulator(shared_workload(), config).run();
   E2eGolden g{};
   g.server_contacts = 1655;
@@ -276,6 +284,55 @@ TEST(SimGoldenRegression, EndToEndProbabilityVolumes) {
   g.center_elements = 12816;
   g.center_servers = 0;
   expect_e2e(result, g);
+}
+
+// Every golden above runs without an eviction. Here a 256 KB cache (a
+// tenth of the body bytes) evicts under each replacement policy, and the
+// probability volumes' piggybacks carry the hints GD-Size-Hint reads, so
+// each policy's victim choice shows in its own counters.
+TEST(SimGoldenRegression, ReplacementPoliciesUnderPressure) {
+  struct PolicyGolden {
+    proxy::ReplacementPolicy policy;
+    std::uint64_t fresh_hits, stale_hits, misses, insertions, evictions;
+    std::uint64_t piggyback_refreshes, piggyback_invalidations;
+    std::uint64_t coh_piggybacks, coh_elements, coh_refreshed,
+        coh_invalidated, coh_not_cached;
+    double user_latency_sum;
+  };
+  const PolicyGolden goldens[] = {
+      {proxy::ReplacementPolicy::kLru, 6670, 1000, 1365, 1430, 1191, 11491,
+       99, 2088, 14687, 11491, 99, 3097, 508.99395065306402},
+      {proxy::ReplacementPolicy::kSize, 7038, 1327, 670, 738, 461, 12656,
+       126, 1820, 13893, 12656, 126, 1111, 465.97089843749279},
+      {proxy::ReplacementPolicy::kGdSize, 7116, 1264, 655, 723, 455, 12110,
+       118, 1760, 13603, 12110, 118, 1375, 444.480835723871},
+      {proxy::ReplacementPolicy::kLruPiggyback, 6743, 983, 1309, 1368, 1136,
+       11684, 97, 2076, 14533, 11684, 97, 2752, 497.56122512816285},
+      {proxy::ReplacementPolicy::kGdSizeHint, 7215, 1220, 600, 652, 432,
+       12484, 88, 1702, 13552, 12484, 88, 980, 425.55266723632326},
+  };
+  for (const auto& g : goldens) {
+    SCOPED_TRACE(proxy::policy_name(g.policy));
+    auto config = e2e_base();
+    config.cache.capacity_bytes = 256 * 1024;
+    config.cache.policy = g.policy;
+    config.probability_volumes = &shared_probability_volumes();
+    const auto r = sim::EndToEndSimulator(shared_workload(), config).run();
+    EXPECT_EQ(r.cache.lookups, 9035u);
+    EXPECT_EQ(r.cache.fresh_hits, g.fresh_hits);
+    EXPECT_EQ(r.cache.stale_hits, g.stale_hits);
+    EXPECT_EQ(r.cache.misses, g.misses);
+    EXPECT_EQ(r.cache.insertions, g.insertions);
+    EXPECT_EQ(r.cache.evictions, g.evictions);
+    EXPECT_EQ(r.cache.piggyback_refreshes, g.piggyback_refreshes);
+    EXPECT_EQ(r.cache.piggyback_invalidations, g.piggyback_invalidations);
+    EXPECT_EQ(r.coherency.piggybacks_processed, g.coh_piggybacks);
+    EXPECT_EQ(r.coherency.elements_processed, g.coh_elements);
+    EXPECT_EQ(r.coherency.refreshed, g.coh_refreshed);
+    EXPECT_EQ(r.coherency.invalidated, g.coh_invalidated);
+    EXPECT_EQ(r.coherency.not_cached, g.coh_not_cached);
+    EXPECT_EQ(r.user_latency_sum, g.user_latency_sum);  // bit-exact
+  }
 }
 
 TEST(SimGoldenRegression, HierarchyDefault) {

@@ -277,9 +277,11 @@ int main(int argc, char** argv) {
   // [range_begin, range_end): a resume starts where the snapshot stopped,
   // --stop-fraction moves the end short of the trace.
   const auto total = view->request_count();
-  // Checkpointing (the fingerprint's only consumer) is materializing-only.
-  const auto fingerprint =
-      stream ? std::uint64_t{0} : persist::trace_fingerprint(trace);
+  // Only a checkpoint reads the trace fingerprint. Take it before
+  // --volumes interns new paths into the trace, which would change it.
+  const auto fingerprint = save_state.empty() && load_state.empty()
+                               ? std::uint64_t{0}
+                               : view->content_fingerprint();
   std::optional<persist::EvalSnapshot> snapshot;
   std::optional<SnapshotNote> loaded_note;
   if (!load_state.empty()) {
