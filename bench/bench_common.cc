@@ -81,10 +81,8 @@ Observability::Observability(std::string run_name, int argc, char** argv) {
   options.metrics_path = string_arg(argc, argv, "--metrics-out=");
   options.trace_path = string_arg(argc, argv, "--trace-out=");
   options.prom_path = string_arg(argc, argv, "--prom-out=");
-  options.flight_recorder_path =
-      string_arg(argc, argv, "--flight-recorder=");
   if (options.metrics_path.empty() && options.trace_path.empty() &&
-      options.prom_path.empty() && options.flight_recorder_path.empty()) {
+      options.prom_path.empty()) {
     return;
   }
   options.argv.reserve(static_cast<std::size_t>(argc > 1 ? argc - 1 : 0));

@@ -33,9 +33,9 @@ std::size_t threads_arg(int argc, char** argv, std::size_t fallback = 1);
 std::string json_arg(int argc, char** argv);
 
 // Per-run observability: parses --metrics-out=FILE / --trace-out=FILE /
-// --prom-out=FILE / --flight-recorder=FILE and, when any is present,
-// installs the process-global registry/tracer/flight-recorder for the
-// binary's lifetime and writes the artifacts on destruction.
+// --prom-out=FILE and, when any is present, installs the process-global
+// registry/tracer for the binary's lifetime and writes the artifacts on
+// destruction.
 // Declared first in main() so it outlives everything instrumented:
 //
 //   bench::Observability obs("fig3_directory_accuracy", argc, argv);

@@ -339,9 +339,7 @@ class Scanner {
       i_ = toks_.size();
       return;
     }
-    // Skip declarator suffixes after the parameter list, collecting any
-    // PW_* annotation macros along the way.
-    std::vector<AnnotationInfo> annotations;
+    // Skip declarator suffixes after the parameter list.
     std::size_t j = close + 1;
     while (j < toks_.size()) {
       const Token& t = toks_[j];
@@ -351,12 +349,6 @@ class Scanner {
       } else if (t.is_ident("noexcept")) {
         ++j;
         if (peek_punct(j, "(")) j = match(j, "(", ")") + 1;
-      } else if (t.kind == TokKind::kIdent && t.text.starts_with("PW_") &&
-                 peek_punct(j + 1, "(")) {
-        const std::size_t args_close = match(j + 1, "(", ")");
-        annotations.push_back(
-            {t.text, normalize_args(j + 1, args_close)});
-        j = args_close + 1;
       } else if (t.is_punct("->")) {
         // Trailing return type: identifiers, qualifiers, templates.
         ++j;
@@ -399,16 +391,7 @@ class Scanner {
     }
     if (j >= toks_.size() || !toks_[j].is_punct("{")) {
       // Declaration, `= default`, macro invocation, call, variable —
-      // no body to record. An annotated declaration is still worth
-      // remembering: the definition may live in another file.
-      if (!annotations.empty()) {
-        AnnotatedDecl decl;
-        decl.classes = qualified_classes(name_idx);
-        decl.name = toks_[name_idx].text;
-        decl.params = parse_params(name_idx + 1, close);
-        decl.annotations = std::move(annotations);
-        out_.annotated_decls.push_back(std::move(decl));
-      }
+      // no body to record.
       i_ = close + 1;
       return;
     }
@@ -425,7 +408,6 @@ class Scanner {
         !scopes_.empty() && scopes_.back().kind == ScopeKind::kClass;
     def.is_public = true;
     def.classes = qualified_classes(name_idx);
-    def.annotations = std::move(annotations);
     for (const Scope& s : scopes_) {
       if (s.kind == ScopeKind::kClass && !s.public_access) {
         def.is_public = false;

@@ -7,11 +7,10 @@
 // are not recursed into, so lambdas and local classes never produce
 // nested entries.
 //
-// On top of the function list, scan_file() collects the concurrency
-// annotations the lock-guarded-state rule consumes: PW_GUARDED_BY member
-// declarations, PW_REQUIRES on definitions and body-less declarations,
-// PW_RETURNS_LOCK guard factories, and a conservative list of plain data
-// members per class (for the atomic-plain-mix rule).
+// On top of the function list, scan_file() collects the PW_GUARDED_BY
+// member declarations the lock-guarded-state rule consumes and a
+// conservative list of plain data members per class (for the
+// atomic-plain-mix rule).
 //
 // This is a lint heuristic, not a parser: pathological macro tricks can
 // hide functions from it. The fixture suite pins the constructs that
@@ -30,12 +29,6 @@ struct ParamInfo {
   std::string_view name;  // empty for unnamed parameters
 };
 
-// A `PW_<NAME>(args)` annotation in a function's declarator suffix.
-struct AnnotationInfo {
-  std::string_view macro;  // "PW_REQUIRES", "PW_RETURNS_LOCK", ...
-  std::string args;        // normalized argument text ('->' folded to '.')
-};
-
 struct FunctionDef {
   std::string_view name;
   std::uint32_t line = 0;          // line of the name token
@@ -48,7 +41,6 @@ struct FunctionDef {
   // the `Class::` qualifiers of an out-of-line definition. Empty for
   // free functions.
   std::vector<std::string_view> classes;
-  std::vector<AnnotationInfo> annotations;
 };
 
 // A data member annotated `Type name PW_GUARDED_BY(mutex);`.
@@ -57,15 +49,6 @@ struct GuardedMemberDecl {
   std::string_view member;
   std::string mutex;  // normalized annotation argument
   std::uint32_t line = 0;
-};
-
-// A body-less declaration carrying PW_REQUIRES / PW_RETURNS_LOCK (the
-// definition may live in another file, annotated or not).
-struct AnnotatedDecl {
-  std::vector<std::string_view> classes;
-  std::string_view name;
-  std::vector<ParamInfo> params;
-  std::vector<AnnotationInfo> annotations;
 };
 
 // A plain (not type-exempt, not annotated) data member of a class —
@@ -83,7 +66,6 @@ struct MemberDecl {
 struct ScanResult {
   std::vector<FunctionDef> functions;
   std::vector<GuardedMemberDecl> guarded_members;
-  std::vector<AnnotatedDecl> annotated_decls;
   std::vector<MemberDecl> members;
 };
 

@@ -169,7 +169,6 @@ std::vector<Diagnostic> Project::analyze() const {
     check_headers(*this, *file, out);
     check_concurrency(*this, *file, out);
     check_view_invalidation(*this, *file, out);
-    check_serializer_symmetry(*this, *file, out);
   }
   std::sort(out.begin(), out.end(), diagnostic_less);
   return out;

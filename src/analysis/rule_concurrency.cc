@@ -1,7 +1,7 @@
 // Lock discipline (lock-guarded-state, atomic-plain-mix).
 //
 // Classes opt in by annotating members with PW_GUARDED_BY(mutex) — the
-// no-op macros from util/expect.h. Per function body, a flow walk
+// no-op macro from util/expect.h. Per function body, a flow walk
 // tracks which mutexes are held at every token:
 //
 //   * RAII guards: std::lock_guard / scoped_lock / unique_lock /
@@ -9,19 +9,14 @@
 //     rest of the enclosing brace scope (std::defer_lock defers until
 //     an explicit .lock(); try_to_lock/adopt_lock count as held);
 //   * guard.unlock() / guard.release() drop the guard's mutexes early,
-//     plain mutex.lock()/.unlock() acquire/drop the receiver;
-//   * a PW_REQUIRES(m) annotation holds m for the whole body;
-//   * binding the result of a PW_RETURNS_LOCK(expr) guard factory holds
-//     `expr` with the factory's parameter names substituted by the call
-//     arguments (`auto l = lock_stripe(stripes_[i])` holds
-//     `stripes_[i].mutex`).
+//     plain mutex.lock()/.unlock() acquire/drop the receiver.
 //
 // lock-guarded-state then flags any access to an annotated member
 // without its mutex held. Accesses are receiver-sensitive: an
 // unqualified (or this->) access checks against annotations of the
 // function's own innermost class; a `recv.member` access checks
-// annotations of nested/enclosed classes (FlightRecorder methods
-// touching `ring.slots` must hold `ring.mutex`). Constructors and
+// annotations of nested/enclosed classes (Tracer methods touching
+// `buffer.events` must hold `buffer.mutex`). Constructors and
 // destructors are exempt — no concurrent access can exist yet/anymore.
 //
 // atomic-plain-mix piggybacks on the same walk: within a class that
@@ -106,21 +101,6 @@ std::vector<std::string> split_args(const std::vector<Token>& toks,
   return args;
 }
 
-std::vector<std::string> split_on_commas(const std::string& s) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  int depth = 0;
-  for (std::size_t j = 0; j <= s.size(); ++j) {
-    if (j < s.size() && (s[j] == '(' || s[j] == '[' || s[j] == '<')) ++depth;
-    if (j < s.size() && (s[j] == ')' || s[j] == ']' || s[j] == '>')) --depth;
-    if (j == s.size() || (depth == 0 && s[j] == ',')) {
-      if (j > begin) parts.push_back(s.substr(begin, j - begin));
-      begin = j + 1;
-    }
-  }
-  return parts;
-}
-
 // Reconstruct the simple postfix receiver ending just before the '.' or
 // '->' at `dot`: chains of identifiers, '::'/'.'/'->' separators, and
 // balanced subscripts ('stripes_[i]', 'table.rings_[k]'). Returns ""
@@ -170,95 +150,31 @@ struct GuardedFact {
   std::string mutex;
 };
 
-// PW_RETURNS_LOCK factory: binding its result acquires `mutex` with
-// parameter names substituted by call-argument text.
-struct FactoryFact {
-  std::string_view name;
-  std::vector<std::string_view> params;
-  std::string mutex;
-};
-
-struct Facts {
+// Guarded-member annotations across the analyzed file's transitive
+// project includes.
+std::vector<GuardedFact> gather_guarded(const Project& project,
+                                        const SourceFile& file) {
   std::vector<GuardedFact> guarded;
-  std::vector<FactoryFact> factories;
-  // (innermost class or "", function name) -> PW_REQUIRES mutexes from
-  // body-less declarations (the definition may be unannotated).
-  std::map<std::pair<std::string_view, std::string_view>,
-           std::vector<std::string>>
-      requires_by_decl;
-};
-
-void add_factory(Facts& facts, std::string_view name,
-                 const std::vector<ParamInfo>& params,
-                 const std::string& mutex) {
-  FactoryFact f;
-  f.name = name;
-  for (const ParamInfo& p : params) f.params.push_back(p.name);
-  f.mutex = mutex;
-  facts.factories.push_back(std::move(f));
-}
-
-void gather_facts(const Project& project, const SourceFile& file,
-                  Facts& facts) {
   for (const std::string& path : project.include_closure(file)) {
     const SourceFile* f = project.find(path);
     if (f == nullptr) continue;
-    const ScanResult& scan = project.scan_of(*f);
-    for (const GuardedMemberDecl& g : scan.guarded_members) {
-      facts.guarded.push_back({g.classes, g.member, g.mutex});
-    }
-    for (const AnnotatedDecl& d : scan.annotated_decls) {
-      const std::string_view inner =
-          d.classes.empty() ? std::string_view{} : d.classes.back();
-      for (const AnnotationInfo& a : d.annotations) {
-        if (a.macro == "PW_RETURNS_LOCK") {
-          add_factory(facts, d.name, d.params, a.args);
-        } else if (a.macro == "PW_REQUIRES") {
-          auto& list = facts.requires_by_decl[{inner, d.name}];
-          for (const std::string& m : split_on_commas(a.args)) {
-            list.push_back(m);
-          }
-        }
-      }
-    }
-    for (const FunctionDef& fn : scan.functions) {
-      for (const AnnotationInfo& a : fn.annotations) {
-        if (a.macro == "PW_RETURNS_LOCK") {
-          add_factory(facts, fn.name, fn.params, a.args);
-        }
-      }
+    for (const GuardedMemberDecl& g : project.scan_of(*f).guarded_members) {
+      guarded.push_back({g.classes, g.member, g.mutex});
     }
   }
+  return guarded;
 }
 
 // One acquired lock. `guard` is the RAII variable's name (empty for a
-// bare mutex.lock()); `depth` the brace depth of the acquisition, -1
-// for whole-body PW_REQUIRES locks; inactive locks were declared with
-// std::defer_lock and wait for guard.lock().
+// bare mutex.lock()); `depth` the brace depth of the acquisition;
+// inactive locks were declared with std::defer_lock and wait for
+// guard.lock().
 struct HeldLock {
   std::string mutex;
   std::string guard;
   int depth = 0;
   bool active = true;
 };
-
-// Substitute factory parameter names in its mutex expression with the
-// call's argument text: params ["stripe"], mutex "stripe.mutex", args
-// ["stripes_[i]"] -> "stripes_[i].mutex".
-std::string substitute(const FactoryFact& factory,
-                       const std::vector<std::string>& args) {
-  for (std::size_t k = 0; k < factory.params.size() && k < args.size();
-       ++k) {
-    const std::string_view p = factory.params[k];
-    if (p.empty()) continue;
-    if (factory.mutex == p) return args[k];
-    const std::string prefix = std::string(p) + ".";
-    if (factory.mutex.starts_with(prefix)) {
-      return args[k] + factory.mutex.substr(p.size());
-    }
-  }
-  return factory.mutex;
-}
 
 // An access to a plain member of an annotated class, for the
 // atomic-plain-mix aggregation.
@@ -302,9 +218,8 @@ void check_concurrency(const Project& project, const SourceFile& file,
       !file.path.starts_with("bench/")) {
     return;
   }
-  Facts facts;
-  gather_facts(project, file, facts);
-  if (facts.guarded.empty()) return;
+  const std::vector<GuardedFact> guarded = gather_guarded(project, file);
+  if (guarded.empty()) return;
   const auto& toks = file.tokens;
   const ScanResult& scan = project.scan_of(file);
 
@@ -312,7 +227,7 @@ void check_concurrency(const Project& project, const SourceFile& file,
   // their plain members participate in atomic-plain-mix.
   const auto annotating_class = [&](const std::vector<std::string_view>&
                                         classes) {
-    for (const GuardedFact& g : facts.guarded) {
+    for (const GuardedFact& g : guarded) {
       if (g.classes == classes) return true;
     }
     return false;
@@ -320,7 +235,7 @@ void check_concurrency(const Project& project, const SourceFile& file,
   const auto member_annotated = [&](const std::vector<std::string_view>&
                                         classes,
                                     std::string_view name) {
-    for (const GuardedFact& g : facts.guarded) {
+    for (const GuardedFact& g : guarded) {
       if (g.member == name && g.classes == classes) return true;
     }
     return false;
@@ -337,19 +252,6 @@ void check_concurrency(const Project& project, const SourceFile& file,
     const bool ctor_or_dtor = !fn.classes.empty() && fn.name == fn_class;
 
     std::vector<HeldLock> held;
-    for (const AnnotationInfo& a : fn.annotations) {
-      if (a.macro != "PW_REQUIRES") continue;
-      for (const std::string& m : split_on_commas(a.args)) {
-        held.push_back({m, "", -1, true});
-      }
-    }
-    const auto decl_requires =
-        facts.requires_by_decl.find({fn_class, fn.name});
-    if (decl_requires != facts.requires_by_decl.end()) {
-      for (const std::string& m : decl_requires->second) {
-        held.push_back({m, "", -1, true});
-      }
-    }
 
     const auto any_held = [&] {
       for (const HeldLock& l : held) {
@@ -449,43 +351,6 @@ void check_concurrency(const Project& project, const SourceFile& file,
         continue;
       }
 
-      // Binding a PW_RETURNS_LOCK factory result:
-      //   auto l = lock_stripe(stripes_[i]);
-      if (i + 1 < fn.body_end && toks[i + 1].is_punct("(")) {
-        const FactoryFact* factory = nullptr;
-        for (const FactoryFact& f : facts.factories) {
-          if (f.name == t.text) {
-            factory = &f;
-            break;
-          }
-        }
-        if (factory != nullptr) {
-          // Walk back over `Class::` qualifiers to the '=' and the
-          // bound guard's name.
-          std::size_t start = i;
-          while (start >= fn.body_begin + 2 &&
-                 (toks[start - 1].is_punct("::") ||
-                  toks[start - 1].is_punct(".") ||
-                  toks[start - 1].is_punct("->")) &&
-                 toks[start - 2].kind == TokKind::kIdent) {
-            start -= 2;
-          }
-          if (start > fn.body_begin + 1 &&
-              toks[start - 1].is_punct("=") &&
-              toks[start - 2].kind == TokKind::kIdent) {
-            const std::size_t close =
-                match_punct(toks, i + 1, "(", ")", fn.body_end);
-            const std::vector<std::string> args =
-                split_args(toks, i + 1, close);
-            held.push_back({substitute(*factory, args),
-                            std::string(toks[start - 2].text), depth,
-                            true});
-            i = close;
-            continue;
-          }
-        }
-      }
-
       // Guarded-member access?
       std::string receiver;  // empty: unqualified or this->
       bool qualified = false;
@@ -503,7 +368,7 @@ void check_concurrency(const Project& project, const SourceFile& file,
       }
 
       const GuardedFact* fact = nullptr;
-      for (const GuardedFact& g : facts.guarded) {
+      for (const GuardedFact& g : guarded) {
         if (g.member != t.text) continue;
         if (!qualified) {
           if (!fn.classes.empty() && fn_class == g.classes.back()) {
@@ -532,9 +397,7 @@ void check_concurrency(const Project& project, const SourceFile& file,
                  "'" + std::string(t.text) + "' is guarded by '" +
                      required +
                      "' (PW_GUARDED_BY) but accessed without holding it "
-                     "— take a lock_guard/scoped_lock, or mark the "
-                     "function PW_REQUIRES(" +
-                     required + ")"});
+                     "— take a lock_guard/scoped_lock"});
           }
         }
         continue;

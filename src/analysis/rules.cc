@@ -24,16 +24,13 @@ const std::vector<RuleInfo>& rule_catalog() {
        "include whose (transitive) symbols are never referenced"},
       {"lock-guarded-state",
        "access to a PW_GUARDED_BY member without holding the named mutex "
-       "(RAII guard, PW_REQUIRES, or PW_RETURNS_LOCK factory)"},
+       "(RAII guard or explicit lock())"},
       {"atomic-plain-mix",
        "plain member of a lock-annotated class written under a lock but "
        "also accessed with no lock held"},
       {"view-after-advance",
        "TraceView window/read_batch span or InternTable views() used "
        "after an advancing call invalidated it"},
-      {"persist-serializer-symmetry",
-       "serialize_*/deserialize_* codec-op sequences in src/persist that "
-       "do not mirror each other"},
   };
   return kCatalog;
 }

@@ -77,10 +77,4 @@ void check_concurrency(const Project& project, const SourceFile& file,
 void check_view_invalidation(const Project& project, const SourceFile& file,
                              std::vector<Diagnostic>& out);
 
-// persist-serializer-symmetry: serialize_X / deserialize_X codec-op
-// streams in src/persist/ must mirror each other in order and type.
-void check_serializer_symmetry(const Project& project,
-                               const SourceFile& file,
-                               std::vector<Diagnostic>& out);
-
 }  // namespace piggyweb::analysis

@@ -14,7 +14,6 @@ bool parse_headers(std::string_view input, std::size_t& pos,
     const auto crlf = input.find("\r\n", pos);
     if (crlf == std::string_view::npos) {
       error.message = "truncated header block";
-      error.incomplete = true;
       return false;
     }
     const auto line = input.substr(pos, crlf - pos);
@@ -46,7 +45,6 @@ bool parse_body(std::string_view input, std::size_t& pos,
       error.message = status == ChunkedStatus::kIncomplete
                           ? "truncated chunked body"
                           : "malformed chunked body";
-      error.incomplete = status == ChunkedStatus::kIncomplete;
       return false;
     }
     body = std::move(decoded.body);
@@ -63,7 +61,6 @@ bool parse_body(std::string_view input, std::size_t& pos,
   }
   if (pos + length > input.size()) {
     error.message = "truncated body";
-    error.incomplete = true;
     return false;
   }
   body = std::string(input.substr(pos, length));
@@ -130,7 +127,6 @@ std::optional<RequestParse> parse_request(std::string_view input,
   const auto crlf = input.find("\r\n");
   if (crlf == std::string_view::npos) {
     error.message = "missing request line";
-    error.incomplete = true;
     return std::nullopt;
   }
   const auto line = input.substr(0, crlf);
@@ -165,7 +161,6 @@ std::optional<ResponseParse> parse_response(std::string_view input,
   const auto crlf = input.find("\r\n");
   if (crlf == std::string_view::npos) {
     error.message = "missing status line";
-    error.incomplete = true;
     return std::nullopt;
   }
   const auto line = input.substr(0, crlf);

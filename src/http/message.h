@@ -40,15 +40,12 @@ struct Response {
   std::string serialize() const;
 };
 
-// Parse results carry how many input bytes were consumed so a connection
-// buffer can hold pipelined messages. `incomplete` distinguishes "feed me
-// more bytes" (a valid prefix) from "never going to parse" — connection
-// buffers block on the former and fail on the latter.
 struct ParseError {
   std::string message;
-  bool incomplete = false;
 };
 
+// Parse results carry how many input bytes were consumed, so pipelined
+// messages can be parsed one after another from a single buffer.
 struct RequestParse {
   Request request;
   std::size_t consumed = 0;
@@ -59,7 +56,7 @@ struct ResponseParse {
 };
 
 // Parse one complete message from `input`. Returns nullopt with `error`
-// filled if the bytes are malformed; PW-incomplete inputs are also errors
+// filled if the bytes are malformed; a truncated message is an error too
 // (this is an in-process library, callers always hand over whole messages).
 std::optional<RequestParse> parse_request(std::string_view input,
                                           ParseError& error);

@@ -27,12 +27,6 @@ std::optional<Attribute> parse_attribute(std::string_view piece) {
   return Attribute{util::trim(piece.substr(0, eq)), value};
 }
 
-std::string format_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
 }  // namespace
 
 std::string serialize_filter(const core::ProxyFilter& filter) {
@@ -52,7 +46,7 @@ std::string serialize_filter(const core::ProxyFilter& filter) {
   }
   if (filter.probability_threshold) {
     if (!out.empty()) out += "; ";
-    out += "pt=" + format_double(*filter.probability_threshold);
+    out += "pt=" + util::format_double(*filter.probability_threshold);
   }
   if (filter.max_size) {
     if (!out.empty()) out += "; ";

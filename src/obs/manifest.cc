@@ -99,8 +99,8 @@ void check_snapshots_section(const Json& manifest,
   }
 }
 
-// Optional buffer-health sections ("tracer", "flight_recorder"):
-// objects of non-negative numbers.
+// Optional buffer-health section ("tracer"): an object of non-negative
+// numbers.
 void check_buffer_section(const Json& manifest, const char* key,
                           std::vector<std::string>& problems) {
   const auto* section = manifest.find(key);
@@ -156,17 +156,12 @@ bool validate_run_manifest(const Json& manifest,
   }
   check_snapshots_section(manifest, problems);
   check_buffer_section(manifest, "tracer", problems);
-  check_buffer_section(manifest, "flight_recorder", problems);
   return problems.size() == before;
 }
 
 RunScope::RunScope(Options options) : options_(std::move(options)) {
   if (metrics_enabled()) set_global_metrics(&registry_);
   if (trace_enabled()) set_global_tracer(&tracer_);
-  if (flight_recorder_enabled()) {
-    set_global_flight_recorder(&flight_recorder_);
-    install_crash_handler(options_.flight_recorder_path);
-  }
 }
 
 RunScope::~RunScope() { finish(); }
@@ -180,19 +175,10 @@ bool RunScope::finish() {
   finished_ = true;
   if (global_metrics() == &registry_) set_global_metrics(nullptr);
   if (global_tracer() == &tracer_) set_global_tracer(nullptr);
-  if (global_flight_recorder() == &flight_recorder_) {
-    set_global_flight_recorder(nullptr);
-    install_crash_handler("");  // disarm the crash dump
-  }
 
   bool ok = true;
   if (trace_enabled()) {
     ok = tracer_.write_chrome_trace(options_.trace_path) && ok;
-  }
-  if (flight_recorder_enabled()) {
-    ok = flight_recorder_.write_chrome_trace(
-             options_.flight_recorder_path) &&
-         ok;
   }
   if (!options_.prom_path.empty()) {
     std::ofstream out(options_.prom_path);
@@ -206,9 +192,9 @@ bool RunScope::finish() {
     }
   }
   if (!options_.metrics_path.empty()) {
-    // Buffer-health sections: how close tracing came to its memory cap
-    // and how much the flight recorder overwrote. Written even when
-    // tracing is off (all-zero) so downstream readers need no probing.
+    // Buffer-health section: how close tracing came to its memory cap.
+    // Written even when tracing is off (all-zero) so downstream readers
+    // need no probing.
     auto tracer_section = Json::object();
     tracer_section.set("events", tracer_.event_count());
     tracer_section.set("dropped", tracer_.dropped());
@@ -216,17 +202,6 @@ bool RunScope::finish() {
     tracer_section.set("max_events_per_thread",
                        tracer_.max_events_per_thread());
     extra_.set("tracer", std::move(tracer_section));
-    if (flight_recorder_enabled()) {
-      auto recorder_section = Json::object();
-      recorder_section.set("capacity_per_thread",
-                           flight_recorder_.capacity_per_thread());
-      recorder_section.set("recorded", flight_recorder_.recorded());
-      recorder_section.set("dropped", flight_recorder_.dropped());
-      recorder_section.set("retained", flight_recorder_.retained());
-      recorder_section.set("thread_rings",
-                           flight_recorder_.thread_count());
-      extra_.set("flight_recorder", std::move(recorder_section));
-    }
     const auto manifest = build_run_manifest(
         options_.run_name, options_.argv, timer_.wall_seconds(),
         timer_.cpu_seconds(), registry_, extra_);

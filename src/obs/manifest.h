@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
@@ -77,10 +76,6 @@ class RunScope {
     // Prometheus text exposition of the metrics registry; empty = off.
     // Enables the registry even when metrics_path is empty.
     std::string prom_path;
-    // Flight-recorder ring dump (Chrome-trace JSON): written here on
-    // finish() and, via the fatal-signal handler, on a crash or
-    // PW_EXPECT failure mid-run. Empty = recorder disabled.
-    std::string flight_recorder_path;
     std::vector<std::string> argv;
   };
 
@@ -93,13 +88,9 @@ class RunScope {
     return !options_.metrics_path.empty() || !options_.prom_path.empty();
   }
   bool trace_enabled() const { return !options_.trace_path.empty(); }
-  bool flight_recorder_enabled() const {
-    return !options_.flight_recorder_path.empty();
-  }
 
   Registry& registry() { return registry_; }
   Tracer& tracer() { return tracer_; }
-  FlightRecorder& flight_recorder() { return flight_recorder_; }
 
   // Attach an extra top-level manifest entry (e.g. a result section).
   void note(std::string key, Json value);
@@ -113,7 +104,6 @@ class RunScope {
   Options options_;
   Registry registry_;
   Tracer tracer_;
-  FlightRecorder flight_recorder_;
   RunTimer timer_;
   Json extra_ = Json::object();
   bool finished_ = false;

@@ -39,10 +39,10 @@ class Json;
 class Tracer {
  public:
   // Per-thread buffers stop growing at `max_events_per_thread`; events
-  // beyond the cap are dropped (newest-lost — the flight recorder is
-  // the keep-newest structure) and counted, so a long replay can leave
-  // tracing on without unbounded memory. The default caps a buffer at
-  // ~48 MB of events.
+  // beyond the cap are dropped (the newest are lost, so a trace keeps a
+  // run's beginning) and counted, so a long replay can leave tracing on
+  // without unbounded memory. The default caps a buffer at ~48 MB of
+  // events.
   static constexpr std::size_t kDefaultMaxEventsPerThread =
       std::size_t{1} << 20;
 
@@ -101,54 +101,26 @@ class Tracer {
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_ PW_GUARDED_BY(mutex_);
 };
 
-// The flight recorder (obs/flight_recorder.h) also taps OBS_SPAN; the
-// Span below reaches it through these forwarders so this header stays
-// free of the flight-recorder definition.
-class FlightRecorder;
-FlightRecorder* global_flight_recorder();
-void set_global_flight_recorder(FlightRecorder* recorder);
-std::uint64_t flight_now_us(const FlightRecorder& recorder);
-void flight_record(FlightRecorder& recorder, const char* name,
-                   std::uint64_t start_us, std::uint64_t dur_us);
-
 // RAII span: records [construction, destruction) on `tracer`'s calling
-// thread, and on the global flight recorder's ring when one is
-// installed; with neither active it is a no-op. When both are active
-// timestamps use the tracer's epoch (the two are constructed together
-// by RunScope, so the bases agree to within microseconds).
+// thread; with a null tracer it is a no-op.
 class Span {
  public:
-  Span(Tracer* tracer, const char* name)
-      : tracer_(tracer), recorder_(global_flight_recorder()), name_(name) {
-    if (tracer_ != nullptr) {
-      start_us_ = tracer_->now_us();
-    } else if (recorder_ != nullptr) {
-      start_us_ = flight_now_us(*recorder_);
-    }
+  Span(Tracer* tracer, const char* name) : tracer_(tracer), name_(name) {
+    if (tracer_ != nullptr) start_us_ = tracer_->now_us();
   }
   ~Span() { end(); }
   // Close the span before scope exit; later end()s and the destructor
   // become no-ops.
   void end() {
-    if (tracer_ != nullptr) {
-      const auto dur_us = tracer_->now_us() - start_us_;
-      tracer_->complete(name_, start_us_, dur_us);
-      if (recorder_ != nullptr) {
-        flight_record(*recorder_, name_, start_us_, dur_us);
-      }
-    } else if (recorder_ != nullptr) {
-      flight_record(*recorder_, name_, start_us_,
-                    flight_now_us(*recorder_) - start_us_);
-    }
+    if (tracer_ == nullptr) return;
+    tracer_->complete(name_, start_us_, tracer_->now_us() - start_us_);
     tracer_ = nullptr;
-    recorder_ = nullptr;
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
   Tracer* tracer_;
-  FlightRecorder* recorder_;
   const char* name_;
   std::uint64_t start_us_ = 0;
 };

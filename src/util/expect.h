@@ -63,28 +63,17 @@ inline void expect_bounds(unsigned long long index, unsigned long long bound,
   ::piggyweb::util::contract_failure("unreachable", "PW_UNREACHABLE()",   \
                                      __FILE__, __LINE__)
 
-// --- concurrency annotations (checked by staticcheck, not the compiler) --
+// --- concurrency annotation (checked by staticcheck, not the compiler) ---
 //
-// These expand to nothing: they are machine-readable documentation that
-// the in-tree analyzer (lock-guarded-state, atomic-plain-mix; DESIGN.md
-// §14) enforces. Unlike clang's -Wthread-safety attributes they need no
-// compiler support and apply to the raw source, so they work under every
-// toolchain the project builds with.
+// It expands to nothing: it is machine-readable documentation that the
+// in-tree analyzer (lock-guarded-state, atomic-plain-mix; DESIGN.md §14)
+// enforces. Unlike clang's -Wthread-safety attributes it needs no
+// compiler support and applies to the raw source, so it works under
+// every toolchain the project builds with.
 
 // On a data member: every access must happen while `mutex` is held (a
 // lock_guard/scoped_lock/unique_lock/shared_lock of it in an enclosing
-// scope, a PW_RETURNS_LOCK guard, or an enclosing PW_REQUIRES function).
+// scope, or an explicit lock()/unlock() pair around the access).
 // Constructors and destructors are exempt (no concurrent access can
 // exist yet / anymore).
 #define PW_GUARDED_BY(mutex)
-
-// On a function declaration or definition: callers must hold `mutex`
-// for the duration of the call. The analyzer treats the mutex as held
-// throughout the function body.
-#define PW_REQUIRES(mutex)
-
-// On a function returning a std::unique_lock: the returned guard holds
-// `mutex` (parameter names may appear in the expression). Binding the
-// result (`auto lock = lock_stripe(stripe);`) counts as holding the
-// substituted mutex until the guard's scope ends.
-#define PW_RETURNS_LOCK(mutex)

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cstdint>
 
+#include "util/expect.h"
+
 namespace piggyweb::util {
 
 std::string to_lower(std::string_view s) {
@@ -75,6 +77,15 @@ bool parse_double(std::string_view s, double& out) {
   if (s.empty()) return false;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
   return ec == std::errc{} && ptr == s.data() + s.size();
+}
+
+std::string format_double(double v) {
+  // The longest shortest form, "-2.2250738585072014e-308", is 24 chars.
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                       std::chars_format::general);
+  PW_ENSURE(ec == std::errc{});
+  return std::string(buf, ptr);
 }
 
 std::string normalize_path(std::string_view path) {

@@ -39,6 +39,10 @@ bool parse_u64(std::string_view s, std::uint64_t& out);
 bool parse_i64(std::string_view s, std::int64_t& out);
 bool parse_double(std::string_view s, double& out);
 
+// Shortest text that parse_double reads back to the same double, in
+// printf's %g style: 0.2 -> "0.2", 1.0 / 3 -> "0.3333333333333333".
+std::string format_double(double v);
+
 // URL path helpers ---------------------------------------------------------
 
 // Normalize a resource path the way the paper's log cleanup does (§A):

@@ -1,7 +1,6 @@
 #include "volume/serialize.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <vector>
@@ -13,12 +12,6 @@ namespace {
 
 constexpr std::string_view kMagic = "piggyweb-volumes";
 constexpr int kVersion = 1;
-
-std::string format_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -40,8 +33,8 @@ void save_volume_set(std::ostream& out, const ProbabilityVolumeSet& set,
     out << "volume " << paths.str(r) << ' ' << entries->size() << '\n';
     for (const auto& entry : *entries) {
       out << paths.str(entry.resource) << ' '
-          << format_double(entry.probability) << ' '
-          << format_double(entry.effectiveness) << '\n';
+          << util::format_double(entry.probability) << ' '
+          << util::format_double(entry.effectiveness) << '\n';
     }
   }
 }

@@ -182,28 +182,6 @@ TEST(AnalysisFunctions, GuardedByAnnotationsCollected) {
   EXPECT_EQ(scan.guarded_members[1].member, "items");
 }
 
-TEST(AnalysisFunctions, FunctionAnnotationsInDeclaratorSuffix) {
-  const auto file = make_file(
-      "struct Counter {\n"
-      "  std::mutex mutex;\n"
-      "  void bump() PW_REQUIRES(mutex) { touch(); }\n"
-      "  static std::unique_lock<std::mutex> take(Counter& c)\n"
-      "      PW_RETURNS_LOCK(c.mutex);\n"
-      "};\n");
-  const auto scan = scan_file(file);
-  ASSERT_EQ(scan.functions.size(), 1u);
-  ASSERT_EQ(scan.functions[0].annotations.size(), 1u);
-  EXPECT_EQ(scan.functions[0].annotations[0].macro, "PW_REQUIRES");
-  EXPECT_EQ(scan.functions[0].annotations[0].args, "mutex");
-  // The body-less factory declaration still surfaces its annotation.
-  ASSERT_EQ(scan.annotated_decls.size(), 1u);
-  EXPECT_EQ(scan.annotated_decls[0].name, "take");
-  ASSERT_EQ(scan.annotated_decls[0].annotations.size(), 1u);
-  EXPECT_EQ(scan.annotated_decls[0].annotations[0].macro,
-            "PW_RETURNS_LOCK");
-  EXPECT_EQ(scan.annotated_decls[0].annotations[0].args, "c.mutex");
-}
-
 TEST(AnalysisFunctions, MemberDeclsSeparateExemptTypes) {
   const auto file = make_file(
       "struct Stats {\n"

@@ -52,7 +52,6 @@ constexpr FixtureMap kFixtures[] = {
     {"helper.h", "src/util/helper.h"},
     {"missing_pragma.h", "src/core/missing_pragma.h"},
     {"os_call.cc", "src/trace/os_call.cc"},
-    {"serializer_asym.cc", "src/persist/serializer_asym.cc"},
     {"unused_include.cc", "tools/unused_include.cc"},
     {"view_after_advance.cc", "src/trace/view_after_advance.cc"},
 };

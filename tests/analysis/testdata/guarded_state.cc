@@ -1,7 +1,7 @@
 // Fixture: lock-guarded-state. Analyzed as src/util/guarded_state.cc.
 // One class with PW_GUARDED_BY members, exercised by clean accessors
-// (RAII guards, PW_REQUIRES, a PW_RETURNS_LOCK factory, ctor/dtor) and
-// two violations: a bare read and a use after an explicit unlock.
+// (RAII guards on the member and on a receiver, ctor/dtor) and two
+// violations: a bare read and a use after an explicit unlock.
 #include <mutex>
 #include <vector>
 
@@ -17,9 +17,6 @@ class GuardedCounter {
     value_ += delta;
     history_.push_back(delta);
   }
-
-  // Whole-body precondition: the caller holds mutex_.
-  void add_locked(long delta) PW_REQUIRES(mutex_) { value_ += delta; }
 
   long snapshot() const {
     std::scoped_lock lock(mutex_);
@@ -37,12 +34,9 @@ class GuardedCounter {
     history_.shrink_to_fit();  // BAD: guard released above
   }
 
-  static std::unique_lock<std::mutex> take(GuardedCounter& counter)
-      PW_RETURNS_LOCK(counter.mutex_);
-
-  static long drain_via_factory(GuardedCounter& counter) {
-    auto lock = take(counter);
-    counter.history_.clear();  // fine: factory returns the lock
+  static long drain_other(GuardedCounter& counter) {
+    std::lock_guard<std::mutex> lock(counter.mutex_);
+    counter.history_.clear();  // fine: the receiver's mutex is held
     return counter.value_;
   }
 
@@ -51,10 +45,5 @@ class GuardedCounter {
   long value_ PW_GUARDED_BY(mutex_) = 0;
   std::vector<long> history_ PW_GUARDED_BY(mutex_);
 };
-
-std::unique_lock<std::mutex> GuardedCounter::take(GuardedCounter& counter)
-    PW_RETURNS_LOCK(counter.mutex_) {
-  return std::unique_lock<std::mutex>(counter.mutex_);
-}
 
 }  // namespace piggyweb::util

@@ -1,10 +1,11 @@
 // Randomized round-trip and robustness tests for every wire codec:
 // chunked transfer-coding, HTTP messages, Piggy-filter / P-volume /
-// Piggy-hits grammars, and CLF lines. Deterministic seeds; two properties
+// Piggy-hits / Piggy-validate / P-validate grammars, and CLF lines. Deterministic seeds; two properties
 // per codec: (1) serialize -> parse is the identity, (2) parsing mutated
 // bytes never crashes and either fails cleanly or yields a well-formed
 // value.
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -108,6 +109,8 @@ TEST_P(CodecFuzz, ParsersRejectGarbageWithoutCrashing) {
     util::InternTable paths;
     http::parse_pvolume(garbage, paths);
     http::parse_hits(garbage);
+    http::parse_validate(garbage, paths);
+    http::parse_validate_reply(garbage, paths);
     trace::parse_clf_line(garbage);
   }
 }
@@ -139,8 +142,8 @@ TEST_P(CodecFuzz, FilterRoundTripRandomFields) {
     EXPECT_EQ(parsed->probability_threshold.has_value(),
               filter.probability_threshold.has_value());
     if (filter.probability_threshold) {
-      EXPECT_NEAR(*parsed->probability_threshold,
-                  *filter.probability_threshold, 1e-4);
+      EXPECT_EQ(*parsed->probability_threshold,
+                *filter.probability_threshold);
     }
     EXPECT_EQ(parsed->max_size, filter.max_size);
     EXPECT_EQ(parsed->allow_image, filter.allow_image);
@@ -173,6 +176,84 @@ TEST_P(CodecFuzz, PVolumeRoundTripRandomMessages) {
       EXPECT_EQ(parsed->elements[e].size, message.elements[e].size);
       EXPECT_EQ(parsed->elements[e].last_modified,
                 message.elements[e].last_modified);
+    }
+  }
+}
+
+TEST_P(CodecFuzz, HitsRoundTripRandomCounts) {
+  for (int i = 0; i < 100; ++i) {
+    std::vector<core::VolumeHitCount> counts;
+    const auto n = rng_.below(20);
+    for (std::uint64_t c = 0; c < n; ++c) {
+      counts.push_back(
+          {static_cast<core::VolumeId>(rng_.below(core::kMaxWireVolumeId + 1)),
+           static_cast<std::uint32_t>(rng_.below(std::uint64_t{1} << 32))});
+    }
+    const auto parsed = http::parse_hits(http::serialize_hits(counts));
+    ASSERT_TRUE(parsed.has_value());
+    ASSERT_EQ(parsed->size(), counts.size());
+    for (std::size_t c = 0; c < counts.size(); ++c) {
+      EXPECT_EQ((*parsed)[c].volume, counts[c].volume);
+      EXPECT_EQ((*parsed)[c].hits, counts[c].hits);
+    }
+  }
+}
+
+// A Last-Modified value as PCV carries it: -1 (unknown) or a time.
+std::int64_t random_last_modified(util::Rng& rng) {
+  return rng.chance(0.2) ? -1
+                         : static_cast<std::int64_t>(rng.below(2'000'000'000));
+}
+
+TEST_P(CodecFuzz, ValidateRoundTripRandomItems) {
+  for (int i = 0; i < 100; ++i) {
+    util::InternTable paths;
+    std::vector<core::ValidationItem> items;
+    const auto n = rng_.below(20);
+    for (std::uint64_t e = 0; e < n; ++e) {
+      items.push_back(
+          {paths.intern(random_path(rng_)), random_last_modified(rng_)});
+    }
+    util::InternTable other;
+    const auto parsed =
+        http::parse_validate(http::serialize_validate(items, paths), other);
+    ASSERT_TRUE(parsed.has_value());
+    ASSERT_EQ(parsed->size(), items.size());
+    for (std::size_t e = 0; e < items.size(); ++e) {
+      EXPECT_EQ(other.str((*parsed)[e].resource),
+                paths.str(items[e].resource));
+      EXPECT_EQ((*parsed)[e].last_modified, items[e].last_modified);
+    }
+  }
+}
+
+TEST_P(CodecFuzz, ValidateReplyRoundTripRandomVerdicts) {
+  for (int i = 0; i < 100; ++i) {
+    util::InternTable paths;
+    core::ValidationReply reply;
+    const auto n_fresh = rng_.below(10);
+    for (std::uint64_t e = 0; e < n_fresh; ++e) {
+      reply.fresh.push_back(paths.intern(random_path(rng_)));
+    }
+    const auto n_stale = rng_.below(10);
+    for (std::uint64_t e = 0; e < n_stale; ++e) {
+      reply.stale.push_back(
+          {paths.intern(random_path(rng_)), random_last_modified(rng_)});
+    }
+    util::InternTable other;
+    const auto parsed = http::parse_validate_reply(
+        http::serialize_validate_reply(reply, paths), other);
+    ASSERT_TRUE(parsed.has_value());
+    ASSERT_EQ(parsed->fresh.size(), reply.fresh.size());
+    for (std::size_t e = 0; e < reply.fresh.size(); ++e) {
+      EXPECT_EQ(other.str(parsed->fresh[e]), paths.str(reply.fresh[e]));
+    }
+    ASSERT_EQ(parsed->stale.size(), reply.stale.size());
+    for (std::size_t e = 0; e < reply.stale.size(); ++e) {
+      EXPECT_EQ(other.str(parsed->stale[e].resource),
+                paths.str(reply.stale[e].resource));
+      EXPECT_EQ(parsed->stale[e].last_modified,
+                reply.stale[e].last_modified);
     }
   }
 }

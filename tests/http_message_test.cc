@@ -144,6 +144,43 @@ TEST(ResponseParse, PipelinedConsumed) {
   EXPECT_EQ(second->response.status, 304);
 }
 
+// A message cut anywhere before its last byte is rejected, with a
+// message, and never mistaken for a shorter complete one.
+TEST(ParseTruncated, EveryProperPrefixIsRejected) {
+  Request request;
+  request.method = trace::Method::kPost;
+  request.target = "/submit";
+  request.headers.add("Content-Length", "5");
+  request.body = "hello";
+  Response response;
+  response.headers.add("Transfer-Encoding", "chunked");
+  response.chunked = true;
+  response.body = "chunked body content";
+  response.trailers.add("P-volume", "vid=9; e=\"/x 1 2\"");
+  const auto request_wire = request.serialize();
+  const auto response_wire = response.serialize();
+  ParseError error;
+  for (std::size_t n = 0; n < request_wire.size(); ++n) {
+    error.message.clear();
+    EXPECT_FALSE(
+        parse_request(std::string_view(request_wire).substr(0, n), error)
+            .has_value())
+        << "request prefix of " << n << " bytes";
+    EXPECT_FALSE(error.message.empty());
+  }
+  for (std::size_t n = 0; n < response_wire.size(); ++n) {
+    error.message.clear();
+    EXPECT_FALSE(
+        parse_response(std::string_view(response_wire).substr(0, n), error)
+            .has_value())
+        << "response prefix of " << n << " bytes";
+    EXPECT_FALSE(error.message.empty());
+  }
+  EXPECT_TRUE(parse_request(request_wire, error).has_value()) << error.message;
+  EXPECT_TRUE(parse_response(response_wire, error).has_value())
+      << error.message;
+}
+
 TEST(ReasonForStatus, KnownCodes) {
   EXPECT_EQ(reason_for_status(200), "OK");
   EXPECT_EQ(reason_for_status(304), "Not Modified");

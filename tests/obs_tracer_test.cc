@@ -98,8 +98,8 @@ TEST(Tracer, PerThreadCapDropsNewestAndCounts) {
   Tracer tracer(/*max_events_per_thread=*/5);
   EXPECT_EQ(tracer.max_events_per_thread(), 5u);
   for (int i = 0; i < 12; ++i) tracer.instant("event");
-  // The first five survive (drop-newest: the full post-run export keeps
-  // the run's beginning; the flight recorder covers the end).
+  // The first five survive (drop-newest: the post-run export keeps the
+  // run's beginning).
   EXPECT_EQ(tracer.event_count(), 5u);
   EXPECT_EQ(tracer.dropped(), 7u);
 }

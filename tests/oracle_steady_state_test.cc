@@ -8,7 +8,7 @@
 // ratio to land within a small tolerance of the prediction. A simulator
 // bug that skews replacement order (a misplaced touch, a wrong victim)
 // moves the measured ratio well outside the tolerance.
-#include "sim/steady_state.h"
+#include "steady_state.h"
 
 #include <gtest/gtest.h>
 

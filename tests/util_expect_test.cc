@@ -56,22 +56,15 @@ TEST(ExpectDeathTest, UnreachableAlwaysAborts) {
   EXPECT_DEATH(PW_UNREACHABLE(), "piggyweb: unreachable failed");
 }
 
-// The lock annotations are assertions for the static checker, not the
-// runtime: they must expand to nothing, cost nothing, and never
-// evaluate their argument. A class using all three compiles and runs
-// exactly like its unannotated twin.
+// The lock annotation is an assertion for the static checker, not the
+// runtime: it must expand to nothing, cost nothing, and never evaluate
+// its argument. An annotated class compiles and runs exactly like its
+// unannotated twin.
 namespace lock_annotations {
 
 struct Annotated {
   std::mutex mutex;
   int value PW_GUARDED_BY(mutex) = 7;
-
-  void bump() PW_REQUIRES(mutex) { ++value; }
-
-  static std::unique_lock<std::mutex> take(Annotated& a)
-      PW_RETURNS_LOCK(a.mutex) {
-    return std::unique_lock<std::mutex>(a.mutex);
-  }
 };
 
 }  // namespace lock_annotations
@@ -80,9 +73,8 @@ TEST(ExpectTest, LockAnnotationsAreRuntimeNoOps) {
   lock_annotations::Annotated annotated;
   EXPECT_EQ(annotated.value, 7);
   {
-    auto lock = lock_annotations::Annotated::take(annotated);
-    EXPECT_TRUE(lock.owns_lock());
-    annotated.bump();
+    std::lock_guard<std::mutex> lock(annotated.mutex);
+    ++annotated.value;
   }
   EXPECT_EQ(annotated.value, 8);
   // An annotated member is layout-identical to a plain one: the macro

@@ -1,6 +1,12 @@
 #include "util/strings.h"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace piggyweb::util {
 namespace {
@@ -106,6 +112,28 @@ TEST(ParseDouble, Basics) {
   EXPECT_DOUBLE_EQ(v, 1000.0);
   EXPECT_FALSE(parse_double("", v));
   EXPECT_FALSE(parse_double("x", v));
+}
+
+TEST(FormatDouble, ShortFormsStayShort) {
+  EXPECT_EQ(format_double(0.2), "0.2");
+  EXPECT_EQ(format_double(0.875), "0.875");
+  EXPECT_EQ(format_double(1.0), "1");
+  EXPECT_EQ(format_double(0.0), "0");
+  EXPECT_EQ(format_double(1.0 / 3), "0.3333333333333333");
+}
+
+// Every finite double, random bit patterns included (subnormals, huge
+// exponents, negatives), reads back to the same bits.
+TEST(FormatDouble, RoundTripsEveryBitPattern) {
+  Rng rng(7);
+  for (int i = 0; i < 100000; ++i) {
+    const auto bits = rng();
+    const double v = std::bit_cast<double>(bits);
+    if (!std::isfinite(v)) continue;
+    double back = 0;
+    ASSERT_TRUE(parse_double(format_double(v), back)) << format_double(v);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back), bits) << format_double(v);
+  }
 }
 
 TEST(NormalizePath, StripsSchemeAndHost) {

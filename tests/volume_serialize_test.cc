@@ -66,20 +66,26 @@ TEST(VolumeSerialize, DeterministicOutput) {
 
 TEST(VolumeSerialize, RoundTripOfBuiltVolumes) {
   // Build from a real trace, round-trip, and compare per-resource
-  // entries (ids may be renumbered; contents must survive).
+  // entries (ids may be renumbered; contents must survive bit for bit).
+  // Seven rounds plus two page repeats within T give nine page requests,
+  // so probabilities such as 5/9 and an effectiveness of 7/9: neither
+  // has a short decimal form.
   trace::Trace t;
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 7; ++i) {
     const auto base = static_cast<util::Seconds>(i * 10000);
     t.add({base}, "c1", "server", "/page.html");
-    t.add({base + 5}, "c1", "server", "/img.gif");
+    if (i % 3 != 2) t.add({base + 5}, "c1", "server", "/img.gif");
     if (i % 2 == 0) t.add({base + 8}, "c1", "server", "/other.html");
+    if (i % 3 == 1) t.add({base + 100}, "c1", "server", "/page.html");
   }
   t.sort_by_time();
   PairCounterConfig pcc;
   const auto counts = PairCounterBuilder(pcc).build(t);
   ProbabilityVolumeConfig pvc;
   pvc.probability_threshold = 0.2;
+  pvc.effectiveness_threshold = 0.1;
   auto built = build_probability_volumes(t, counts, pvc);
+  ASSERT_GT(built.volume_count(), 0u);
 
   std::ostringstream out;
   save_volume_set(out, built, t.paths());
@@ -98,8 +104,9 @@ TEST(VolumeSerialize, RoundTripOfBuiltVolumes) {
     for (std::size_t i = 0; i < entries.size(); ++i) {
       EXPECT_EQ(loaded_paths.str((*loaded_entries)[i].resource),
                 t.paths().str(entries[i].resource));
-      EXPECT_NEAR((*loaded_entries)[i].probability,
-                  entries[i].probability, 1e-9);
+      EXPECT_EQ((*loaded_entries)[i].probability, entries[i].probability);
+      EXPECT_EQ((*loaded_entries)[i].effectiveness,
+                entries[i].effectiveness);
     }
   }
 }

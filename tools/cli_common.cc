@@ -143,10 +143,6 @@ void add_observability_flags(FlagSet& flags) {
                    "write a Prometheus text exposition of the metrics "
                    "registry (histogram buckets + p50/p90/p99/p99.9 "
                    "gauges) to this file");
-  flags.add_string("flight-recorder", "",
-                   "keep a bounded ring of recent trace spans and dump it "
-                   "(Chrome trace JSON) to this file on exit, fatal "
-                   "signal, or contract failure");
 }
 
 std::unique_ptr<obs::RunScope> make_run_scope(const FlagSet& flags,
@@ -157,9 +153,8 @@ std::unique_ptr<obs::RunScope> make_run_scope(const FlagSet& flags,
   options.metrics_path = flags.get_string("metrics-out");
   options.trace_path = flags.get_string("trace-out");
   options.prom_path = flags.get_string("prom-out");
-  options.flight_recorder_path = flags.get_string("flight-recorder");
   if (options.metrics_path.empty() && options.trace_path.empty() &&
-      options.prom_path.empty() && options.flight_recorder_path.empty()) {
+      options.prom_path.empty()) {
     return nullptr;
   }
   options.argv.reserve(static_cast<std::size_t>(argc > 1 ? argc - 1 : 0));
