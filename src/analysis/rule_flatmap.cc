@@ -20,7 +20,8 @@ namespace {
 
 bool mutating_method(std::string_view m) {
   return m == "insert" || m == "emplace" || m == "try_emplace" ||
-         m == "erase" || m == "clear" || m == "reserve" || m == "rehash";
+         m == "erase" || m == "erase_if" || m == "clear" ||
+         m == "reserve" || m == "rehash";
 }
 
 bool accessor_method(std::string_view m) {

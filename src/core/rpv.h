@@ -48,6 +48,13 @@ class RpvList {
 
   std::size_t size() const { return entries_.size(); }
 
+  // True when live(now) would find nothing: the list is empty or its
+  // newest entry is past the timeout. A list that is empty at `now` stays
+  // empty at every later time until the next note().
+  bool empty_at(util::TimePoint now) const {
+    return entries_.empty() || now - entries_.back().when > config_.timeout;
+  }
+
   // Persistence support: the FIFO contents oldest-first, with no expiry
   // applied — a later run restores exactly what was saved and expires
   // entries itself. restore_entries replaces the current contents.

@@ -123,9 +123,17 @@ EvalSnapshot capture_eval_state(
     image.saved_id = canonical;
   }
 
+  // Capture time: the stopped run's last request time. Export keeps only
+  // the state live then, and a sweep drops only state dead at an earlier
+  // time, so the union is the same however each shard swept: the bytes
+  // stay the same at every thread count.
+  util::Seconds now = sim::detail::kNever;
   for (const auto* accumulator : accumulators) {
     PW_EXPECT(accumulator != nullptr);
-    accumulator->export_state(snapshot.metrics);
+    now = std::max(now, accumulator->latest_time());
+  }
+  for (const auto* accumulator : accumulators) {
+    accumulator->export_state(snapshot.metrics, now);
   }
   if (directory) {
     // Rewrite RPV state from the run's volume numbering to canonical
@@ -344,6 +352,13 @@ std::optional<EvalSnapshot> parse_eval_snapshot(std::string_view file,
   }
 
   {
+    // The accumulator subtracts every loaded timestamp from request times
+    // (its sweep reads them all), so a far-off one would overflow.
+    // Within 2^61 seconds of the epoch no difference can.
+    const auto in_range = [](util::Seconds t) {
+      constexpr util::Seconds kLimit = util::Seconds{1} << 61;
+      return t >= -kLimit && t <= kLimit;
+    };
     ByteReader in(metrics_section->payload);
     auto& m = snapshot.metrics;
     m.counters.requests = in.u64();
@@ -374,6 +389,11 @@ std::optional<EvalSnapshot> parse_eval_snapshot(std::string_view file,
         return std::nullopt;
       }
       state.fulfilled = fulfilled == 1;
+      if (!in_range(state.last_access) || !in_range(state.last_mention) ||
+          !in_range(state.interval_open)) {
+        error = "metric state timestamp out of range";
+        return std::nullopt;
+      }
       if (!m.resource_state.empty() && key <= m.resource_state.back().first) {
         error = "metric state keys not strictly ascending";
         return std::nullopt;
@@ -390,6 +410,10 @@ std::optional<EvalSnapshot> parse_eval_snapshot(std::string_view file,
     for (std::uint64_t i = 0; i < piggy_count; ++i) {
       const auto key = in.u64();
       const auto when = in.i64();
+      if (!in_range(when)) {
+        error = "frequency state timestamp out of range";
+        return std::nullopt;
+      }
       if (!m.last_piggy.empty() && key <= m.last_piggy.back().first) {
         error = "frequency state keys not strictly ascending";
         return std::nullopt;
@@ -411,12 +435,14 @@ std::optional<EvalSnapshot> parse_eval_snapshot(std::string_view file,
       }
       std::vector<core::RpvEntry> entries;
       if (!deserialize_rpv_entries(in, entries, error)) return std::nullopt;
-      if (directory) {
-        for (const auto& entry : entries) {
-          if (entry.volume >= snapshot.volumes.size()) {
-            error = "rpv entry references unknown volume";
-            return std::nullopt;
-          }
+      for (const auto& entry : entries) {
+        if (directory && entry.volume >= snapshot.volumes.size()) {
+          error = "rpv entry references unknown volume";
+          return std::nullopt;
+        }
+        if (!in_range(entry.when.value)) {
+          error = "rpv entry timestamp out of range";
+          return std::nullopt;
         }
       }
       m.rpv.emplace_back(key, std::move(entries));

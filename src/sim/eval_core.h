@@ -65,6 +65,8 @@ struct ResourceState {
   util::Seconds last_mention = kNever;   // any piggyback mention
   util::Seconds interval_open = kNever;  // start of current prediction
   bool fulfilled = false;
+
+  bool operator==(const ResourceState&) const = default;
 };
 
 // Packs two dense 32-bit ids into one map key.
@@ -89,6 +91,15 @@ struct EvalStateImage {
 // control and RPV suppression are per-source and applied here). Only the
 // element resource ids matter for the metrics, so that is all observe()
 // takes.
+//
+// §3.1 looks back only T (predictions) and C (updates), frequency control
+// only min_piggyback_interval, and an RPV list only its timeout. An entry
+// whose every timestamp is past the window that reads it is *dead*:
+// observe() cannot tell it from an absent one, at its time or any later
+// one. observe() drops the dead entries of all three tables once per C of
+// trace time, so the tables hold the pairs active within C instead of
+// every pair the trace ever touched. The cadence changes memory only,
+// never a result.
 class MetricAccumulator {
  public:
   explicit MetricAccumulator(const EvalConfig& config) : config_(&config) {}
@@ -98,24 +109,47 @@ class MetricAccumulator {
 
   const EvalResult& result() const { return result_; }
 
-  // Appends this accumulator's state to `image`; counters are summed.
+  // The latest request time observed, or imported with a snapshot (kNever
+  // before either). The latest over all accumulators of a stopped run is
+  // the time of its last request: the run's capture time.
+  util::Seconds latest_time() const { return latest_; }
+
+  // Appends the state live at `now` (a capture time, at or after
+  // latest_time()) to `image`; counters are summed. Dead entries are left
+  // out and stale fields of live ones reset, the same rule the sweep
+  // applies, so the image is the same whenever this accumulator swept.
   // Accumulators from disjoint source shards hold disjoint keys, so
   // exporting them all into one image is an exact union.
-  void export_state(EvalStateImage& image) const;
+  void export_state(EvalStateImage& image, util::Seconds now) const;
 
   // Installs the image entries whose source (high 32 bits of the key)
   // passes `owns`. Exactly one accumulator per restore takes the summed
-  // counters, or the merged total double-counts.
+  // counters, or the merged total double-counts. Dead entries (an image
+  // written before export filtered them) load too and go at the first
+  // sweep.
   void import_state(const EvalStateImage& image,
                     const std::function<bool(util::InternId source)>& owns,
                     bool take_counters);
 
  private:
+  // What observe() can still read of `state` at `now` and later: each
+  // timestamp past the window that reads it becomes kNever, and
+  // `fulfilled` false once its interval has closed. The entry is dead
+  // when this is ResourceState{}.
+  ResourceState live_part(ResourceState state, util::Seconds now) const;
+  bool piggy_dead(util::Seconds last, util::Seconds now) const;
+
+  // Drops every entry dead at `now`.
+  void sweep(util::Seconds now);
+
   const EvalConfig* config_;
   EvalResult result_;
+  util::Seconds latest_ = kNever;
+  util::Seconds last_sweep_ = kNever;
   // (source, resource) -> state. Sources and resources are dense ids.
   util::FlatMap<std::uint64_t, ResourceState> state_;
-  // (source, server) -> last piggyback time (frequency control).
+  // (source, server) -> last piggyback time (frequency control; written
+  // only when min_piggyback_interval > 0).
   util::FlatMap<std::uint64_t, util::Seconds> last_piggy_;
   // (source, server) -> RPV list.
   util::FlatMap<std::uint64_t, core::RpvList> rpv_;

@@ -128,9 +128,11 @@ class ParallelEvaluator {
                  ParallelEvalStats* stats = nullptr);
 
   // Replays straight off a TraceView (a streaming PIGGYTRC cursor or a
-  // wrapped in-memory trace): memory stays bounded by the window size
-  // regardless of trace length. The view's windows must be time-sorted
-  // (checked incrementally, window by window).
+  // wrapped in-memory trace): no request is held beyond the current
+  // window, and the accumulators' state is bounded by the pairs active
+  // within the cache horizon, not by the trace's length. The view's
+  // windows must be time-sorted (checked incrementally, window by
+  // window).
   EvalResult run(trace::TraceView& view, const ShardedProviderSpec& provider,
                  const core::MetaOracle& meta,
                  ParallelEvalStats* stats = nullptr);

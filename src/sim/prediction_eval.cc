@@ -18,6 +18,16 @@ void MetricAccumulator::observe(const trace::Request& req,
   const auto t = req.time.value;
   const auto C = config_->cache_horizon;
 
+  // Sweep at the first request at least C after the previous sweep (and
+  // never twice in one second). The test is a difference, not t + C: C
+  // may be as large as 2^63 - 1.
+  latest_ = t;
+  if (last_sweep_ == kNever) {
+    last_sweep_ = t;
+  } else if (t - last_sweep_ >= std::max<util::Seconds>(C, 1)) {
+    sweep(t);
+  }
+
   ++result_.requests;
   auto& rs = state_[pair_key(req.source, req.path)];
 
@@ -71,7 +81,7 @@ void MetricAccumulator::observe(const trace::Request& req,
 
   ++result_.piggyback_messages;
   result_.piggyback_elements += resources.size();
-  last_piggy_[pair] = t;
+  if (config_->min_piggyback_interval > 0) last_piggy_[pair] = t;
   if (rpv_list != nullptr) rpv_list->note(volume, req.time);
 
   for (const auto resource : resources) {
@@ -87,20 +97,59 @@ void MetricAccumulator::observe(const trace::Request& req,
   }
 }
 
-void MetricAccumulator::export_state(EvalStateImage& image) const {
+ResourceState MetricAccumulator::live_part(ResourceState state,
+                                           util::Seconds now) const {
+  const auto T = config_->prediction_window;
+  const auto C = config_->cache_horizon;
+  const auto past = [now](util::Seconds when, util::Seconds window) {
+    return when != kNever && now - when > window;
+  };
+  // last_access is read within C (update fraction) and within T (already
+  // fresh); the CLI keeps T < C, library callers need not.
+  if (past(state.last_access, std::max(C, T))) state.last_access = kNever;
+  if (past(state.last_mention, T)) state.last_mention = kNever;
+  // `fulfilled` is read only while its interval is open, and reset when
+  // the next one opens.
+  if (state.interval_open == kNever || past(state.interval_open, T)) {
+    state.interval_open = kNever;
+    state.fulfilled = false;
+  }
+  return state;
+}
+
+bool MetricAccumulator::piggy_dead(util::Seconds last,
+                                   util::Seconds now) const {
+  // Read only while it can still suppress: t - last < interval.
+  return now - last >= config_->min_piggyback_interval;
+}
+
+void MetricAccumulator::sweep(util::Seconds now) {
+  last_sweep_ = now;
+  state_.erase_if([this, now](const auto& kv) {
+    return live_part(kv.second, now) == ResourceState{};
+  });
+  last_piggy_.erase_if(
+      [this, now](const auto& kv) { return piggy_dead(kv.second, now); });
+  rpv_.erase_if([now](const auto& kv) {
+    return kv.second.empty_at(util::TimePoint{now});
+  });
+}
+
+void MetricAccumulator::export_state(EvalStateImage& image,
+                                     util::Seconds now) const {
   const EvalResult partials[] = {image.counters, result_};
   image.counters = merge_results(partials);
-  image.resource_state.reserve(image.resource_state.size() + state_.size());
   for (const auto& [key, value] : state_) {
-    image.resource_state.emplace_back(key, value);
+    const auto live = live_part(value, now);
+    if (live != ResourceState{}) image.resource_state.emplace_back(key, live);
   }
-  image.last_piggy.reserve(image.last_piggy.size() + last_piggy_.size());
   for (const auto& [key, value] : last_piggy_) {
-    image.last_piggy.emplace_back(key, value);
+    if (!piggy_dead(value, now)) image.last_piggy.emplace_back(key, value);
   }
-  image.rpv.reserve(image.rpv.size() + rpv_.size());
   for (const auto& [key, list] : rpv_) {
-    image.rpv.emplace_back(key, list.entries());
+    if (!list.empty_at(util::TimePoint{now})) {
+      image.rpv.emplace_back(key, list.entries());
+    }
   }
 }
 
@@ -112,8 +161,13 @@ void MetricAccumulator::import_state(
   const auto owned = [&owns](std::uint64_t key) {
     return owns(static_cast<util::InternId>(key >> 32));
   };
+  // The entry of the image's last request holds its time as last_access,
+  // and no timestamp in the image is later: the shard that owns that
+  // entry recovers the capture time.
   for (const auto& [key, value] : image.resource_state) {
-    if (owned(key)) state_[key] = value;
+    if (!owned(key)) continue;
+    state_[key] = value;
+    latest_ = std::max(latest_, value.last_access);
   }
   for (const auto& [key, value] : image.last_piggy) {
     if (owned(key)) last_piggy_[key] = value;

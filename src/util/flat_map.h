@@ -15,7 +15,8 @@
 //
 // Semantics match std::unordered_map where the call sites use it:
 // find/end, operator[], try_emplace/emplace/insert, erase by key or
-// iterator, contains/count/at, clear (capacity kept), reserve, and
+// iterator, erase_if (as std::erase_if; it also shrinks the allocation),
+// contains/count/at, clear (capacity kept), reserve, and
 // forward iteration with structured bindings. Iteration order is
 // unspecified and differs from std::unordered_map; every consumer in this
 // codebase is order-independent (sums, point lookups, or sorts-after).
@@ -219,6 +220,33 @@ class FlatMap {
     erase_at(pos.idx_);
   }
 
+  // Erases every element for which `pred(element)` is true; returns the
+  // number removed. When any is removed, the survivors move into a fresh
+  // allocation sized for them as reserve(size()) would size it, so a sweep
+  // that drops most of a table also returns its memory. Moving the few
+  // survivors is cheaper than backward-shifting out the many dead.
+  template <typename Pred>
+  std::size_t erase_if(Pred pred) {
+    const std::size_t before = size_;
+    for (std::size_t i = 0; i < capacity_; ++i) {
+      if (full_[i] && pred(std::as_const(slots_[i]))) {
+        slots_[i].~value_type();
+        full_[i] = 0;
+        --size_;
+      }
+    }
+    const std::size_t removed = before - size_;
+    if (removed == 0) return 0;
+    if (size_ == 0) {
+      release();
+      return removed;
+    }
+    // The holes broke probe chains, so the survivors must be re-placed
+    // even when the capacity stays.
+    rehash(capacity_for(size_));
+    return removed;
+  }
+
   // Destroys all elements but keeps the allocation, so a clear/refill
   // cycle (per-source scratch tables) does not reallocate.
   void clear() {
@@ -241,14 +269,20 @@ class FlatMap {
 
   // Ensure capacity for `expected_size` elements without further rehash.
   void reserve(std::size_t expected_size) {
-    std::size_t needed = kMinCapacity;
-    // smallest power of two with expected_size <= 3/4 * needed
-    while (needed * 3 < expected_size * 4) needed <<= 1;
+    const std::size_t needed = capacity_for(expected_size);
     if (needed > capacity_) rehash(needed);
   }
 
  private:
   static constexpr std::size_t kMinCapacity = 16;
+
+  // Smallest power of two, at least kMinCapacity, that holds
+  // `expected_size` elements at load factor 3/4.
+  static std::size_t capacity_for(std::size_t expected_size) {
+    std::size_t needed = kMinCapacity;
+    while (needed * 3 < expected_size * 4) needed <<= 1;
+    return needed;
+  }
 
   std::size_t home(K key) const {
     return static_cast<std::size_t>(mix64(static_cast<std::uint64_t>(key))) &

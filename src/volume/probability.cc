@@ -106,11 +106,17 @@ ProbabilityVolumeSet build_probability_volumes(
   // for that source (no volume mentioned s within the last T seconds).
   if (config.effectiveness_threshold > 0 && !candidates.empty()) {
     util::FlatMap<std::uint64_t, std::uint64_t> effective;  // pair key
-    // (source, resource) -> last time any volume predicted the resource
+    // (source, resource) -> last time any volume predicted the resource.
+    // An entry more than the window old reads as absent from then on, so
+    // the pass drops those once per window of trace time and the table
+    // holds the pairs predicted within about two windows.
     util::FlatMap<std::uint64_t, util::Seconds> last_predicted;
     const auto state_key = [](util::InternId source, util::InternId res) {
       return (static_cast<std::uint64_t>(source) << 32) | res;
     };
+    const auto sweep_interval = std::max<util::Seconds>(config.window, 1);
+    bool started = false;
+    util::Seconds last_sweep = 0;
     // Replay one bounded window at a time — the pass only needs (time,
     // source, path) in time order, so streaming views train in O(window)
     // request memory.
@@ -119,18 +125,30 @@ ProbabilityVolumeSet build_probability_volumes(
     for (std::size_t base = 0; base < total; base += kEffectivenessWindow) {
       const auto n = std::min(kEffectivenessWindow, total - base);
       for (const auto& req : view.window(base, n)) {
+        const auto t = req.time.value;
+        if (!started) {
+          started = true;
+          last_sweep = t;
+        }
+        // Dropping is exact only if no later request comes earlier.
+        PW_EXPECT(t >= last_sweep);
+        // A difference, not last_sweep + window: the window may be as
+        // large as 2^63 - 2.
+        if (t - last_sweep >= sweep_interval) {
+          last_sweep = t;
+          last_predicted.erase_if([&config, t](const auto& kv) {
+            return t - kv.second > config.window;
+          });
+        }
         const auto it = candidates.find(req.path);
         if (it == candidates.end()) continue;
         for (const auto& entry : it->second) {
           const auto sk = state_key(req.source, entry.resource);
-          const auto lp = last_predicted.find(sk);
-          const bool is_new =
-              lp == last_predicted.end() ||
-              req.time.value - lp->second > config.window;
-          if (is_new) {
+          const auto [lp, inserted] = last_predicted.try_emplace(sk, t);
+          if (inserted || t - lp->second > config.window) {
             ++effective[PairCounts::key(req.path, entry.resource)];
           }
-          last_predicted[sk] = req.time.value;
+          lp->second = t;
         }
       }
     }

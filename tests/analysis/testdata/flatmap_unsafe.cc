@@ -40,4 +40,10 @@ unsigned safe_patterns(util::FlatMap<unsigned, unsigned>& table) {
   return total;
 }
 
+unsigned reference_after_erase_if(util::FlatMap<unsigned, unsigned>& table) {
+  auto& slot = table.at(7);
+  table.erase_if([](const auto& kv) { return kv.second == 0; });
+  return slot;  // finding: erase_if moves the survivors to a new allocation
+}
+
 }  // namespace piggyweb::volume

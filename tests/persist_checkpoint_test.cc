@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -78,16 +80,20 @@ sim::EvalResult serial_baseline(const sim::EvalConfig& config) {
   return sim::PredictionEvaluator(config).run(workload().trace, volumes, meta);
 }
 
-// Runs requests [0, mid) on `threads` shards and snapshots the stopped
-// run under `echo`. Only the directory scheme saves volumes.
+// Runs requests [0, mid) on `threads` shards, or [next_request, mid)
+// resumed from `resume`, and snapshots the stopped run under `echo`. Only
+// the directory scheme saves volumes.
 EvalSnapshot capture_run(const sim::EvalConfig& config,
                          const sim::ShardedProviderSpec& spec,
                          const EvalConfigEcho& echo, std::size_t mid,
-                         std::size_t threads) {
+                         std::size_t threads,
+                         const EvalSnapshot* resume = nullptr) {
   const auto& trace = workload().trace;
   server::TraceMetaOracle meta(trace);
   std::optional<EvalSnapshot> captured;
+  std::optional<EvalRestore> restore;
   sim::EvalResumeHooks hooks;
+  if (resume != nullptr) hooks = restore.emplace(*resume).hooks();
   hooks.capture =
       [&](std::span<core::VolumeProvider* const> providers,
           std::span<sim::detail::MetricAccumulator* const> accumulators) {
@@ -106,17 +112,20 @@ EvalSnapshot capture_run(const sim::EvalConfig& config,
   sim::ParallelEvalConfig par;
   par.threads = threads;
   trace::MaterializedTraceView view(trace);
+  const std::size_t begin = restore ? restore->next_request() : 0;
   sim::ParallelEvaluator(config, par)
-      .run_range(view, spec, meta, 0, mid, /*publish=*/false, &hooks);
+      .run_range(view, spec, meta, begin, mid, /*publish=*/false, &hooks);
   return std::move(captured).value();  // throws if capture never ran
 }
 
 EvalSnapshot capture_directory(const sim::EvalConfig& config, std::size_t mid,
-                               std::size_t threads) {
+                               std::size_t threads,
+                               const EvalSnapshot* resume = nullptr) {
   const auto dvc = directory_config();
   return capture_run(config,
                      sim::shard_directory_volumes(dvc, workload().trace),
-                     make_eval_config_echo(config, dvc), mid, threads);
+                     make_eval_config_echo(config, dvc), mid, threads,
+                     resume);
 }
 
 // Warm-starts `snapshot` through EvalRestore::hooks() on `threads` shards
@@ -186,6 +195,100 @@ TEST(CheckpointResume, CrossThreadCountResumeMatchesUninterrupted) {
   }
 }
 
+// A snapshot keeps only the state live at its capture time. One written
+// before that rule also holds dead entries, and stale fields in live ones;
+// it must still resume to the uninterrupted result, and a later capture
+// of the resumed run must not show them.
+TEST(CheckpointResume, SnapshotWithDeadStateResumesExactly) {
+  const auto config = eval_config();
+  const auto& trace = workload().trace;
+  const auto T = config.prediction_window;
+  const auto C = config.cache_horizon;
+  const auto baseline = serial_baseline(config);
+  const auto mid = trace.size() / 2;
+  const auto current = capture_directory(config, mid, 1);
+  const auto now = trace.requests()[mid - 1].time.value;
+  ASSERT_FALSE(current.volumes.empty());
+
+  // Dead entries keyed by pairs the rest of the trace touches, so the
+  // resumed run reads them, with the timestamps an older run kept.
+  std::set<std::uint64_t> resource_keys;
+  std::set<std::uint64_t> server_keys;
+  for (std::size_t i = mid; i < std::min(trace.size(), mid + 3000); ++i) {
+    const auto& req = trace.requests()[i];
+    resource_keys.insert(sim::detail::pair_key(req.source, req.path));
+    server_keys.insert(sim::detail::pair_key(req.source, req.server));
+  }
+  const auto has_key = [](const auto& pairs, std::uint64_t key) {
+    const auto it = std::lower_bound(
+        pairs.begin(), pairs.end(), key,
+        [](const auto& pair, std::uint64_t k) { return pair.first < k; });
+    return it != pairs.end() && it->first == key;
+  };
+  auto older = current;
+  auto& m = older.metrics;
+  // Stale fields in live entries: a mention and an interval past T.
+  std::size_t stale = 0;
+  for (auto& [key, state] : m.resource_state) {
+    if (state.last_mention == sim::detail::kNever) {
+      state.last_mention = now - T - 3;
+      state.interval_open = now - T - 3;
+      state.fulfilled = true;
+      ++stale;
+    }
+  }
+  ASSERT_GT(stale, 0u);
+  sim::detail::ResourceState dead;
+  dead.last_access = now - C - 1;
+  dead.last_mention = now - T - 1;
+  dead.interval_open = now - T - 1;
+  dead.fulfilled = true;
+  for (const auto key : resource_keys) {
+    if (!has_key(current.metrics.resource_state, key)) {
+      m.resource_state.emplace_back(key, dead);
+    }
+  }
+  const std::vector<core::RpvEntry> expired{
+      {0, util::TimePoint{now - config.rpv.timeout - 5}},
+      {1, util::TimePoint{now - config.rpv.timeout - 1}}};
+  for (const auto key : server_keys) {
+    if (!has_key(current.metrics.last_piggy, key)) {
+      m.last_piggy.emplace_back(key, now - config.min_piggyback_interval);
+    }
+    if (!has_key(current.metrics.rpv, key)) m.rpv.emplace_back(key, expired);
+  }
+  const auto by_key = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  std::sort(m.resource_state.begin(), m.resource_state.end(), by_key);
+  std::sort(m.last_piggy.begin(), m.last_piggy.end(), by_key);
+  std::sort(m.rpv.begin(), m.rpv.end(), by_key);
+  ASSERT_GT(m.resource_state.size(), current.metrics.resource_state.size());
+  ASSERT_GT(m.last_piggy.size(), current.metrics.last_piggy.size());
+  ASSERT_GT(m.rpv.size(), current.metrics.rpv.size());
+
+  std::string error;
+  const auto parsed = parse_eval_snapshot(serialize_eval_snapshot(older), error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  const auto spec = sim::shard_directory_volumes(directory_config(), trace);
+  const auto later = mid + (trace.size() - mid) / 3;
+  const auto uninterrupted =
+      serialize_eval_snapshot(capture_directory(config, later, 1));
+  const auto at_mid = serialize_eval_snapshot(current);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    expect_identical(baseline, resume_run(config, spec, *parsed, threads));
+    EXPECT_EQ(serialize_eval_snapshot(
+                  capture_directory(config, later, threads, &*parsed)),
+              uninterrupted);
+    // Captured again before any request: the capture time comes back
+    // from the loaded state.
+    EXPECT_EQ(serialize_eval_snapshot(
+                  capture_directory(config, mid, threads, &*parsed)),
+              at_mid);
+  }
+}
+
 TEST(CheckpointResume, ProbabilitySchemeRoundTrip) {
   sim::EvalConfig config;
   config.filter.max_elements = 10;
@@ -245,6 +348,28 @@ TEST(CheckpointResume, StructurallyInvalidSnapshotsAreRejected) {
     std::swap(broken.volumes.front(), broken.volumes.back());
     EXPECT_FALSE(parse_eval_snapshot(serialize_eval_snapshot(broken), error)
                      .has_value());
+  }
+
+  // So is a timestamp no trace reaches: the accumulator would overflow
+  // subtracting it from a request time.
+  const util::Seconds far = -(util::Seconds{1} << 62);
+  ASSERT_FALSE(snapshot.metrics.resource_state.empty());
+  ASSERT_FALSE(snapshot.metrics.last_piggy.empty());
+  ASSERT_FALSE(snapshot.metrics.rpv.empty());
+  for (int field = 0; field < 5; ++field) {
+    broken = snapshot;
+    auto& m = broken.metrics;
+    auto& state = m.resource_state.front().second;
+    if (field == 0) state.last_access = far;
+    if (field == 1) state.last_mention = far;
+    if (field == 2) state.interval_open = far;
+    if (field == 3) m.last_piggy.front().second = far;
+    if (field == 4) m.rpv.front().second.front().when = util::TimePoint{far};
+    EXPECT_FALSE(parse_eval_snapshot(serialize_eval_snapshot(broken), error)
+                     .has_value())
+        << field;
+    EXPECT_NE(error.find("timestamp out of range"), std::string::npos)
+        << error;
   }
 }
 

@@ -5,7 +5,10 @@
 // order) that example-based tests miss.
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -14,10 +17,22 @@
 #include <gtest/gtest.h>
 
 #include "proxy/cache.h"
+#include "sim/eval_core.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "volume/directory.h"
 #include "volume/pair_counter.h"
+
+namespace piggyweb::sim::detail {
+
+// Readable failures for the accumulator differential below.
+void PrintTo(const ResourceState& state, std::ostream* os) {
+  *os << "{access " << state.last_access << ", mention "
+      << state.last_mention << ", open " << state.interval_open
+      << (state.fulfilled ? ", fulfilled}" : "}");
+}
+
+}  // namespace piggyweb::sim::detail
 
 namespace piggyweb {
 namespace {
@@ -586,6 +601,268 @@ TEST_P(PairCounterDifferential, SampledMatchesNaiveModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PairCounterDifferential,
                          ::testing::Values(7, 1234, 987654321));
+
+// --- Metric accumulator vs a model that never forgets ------------------------
+
+// Naive model of §3.1's per-source accounting (MetricAccumulator): std::map
+// tables that keep every entry forever, each rule stated once.
+//   * A request is predicted when a piggyback mentioned it within T; it
+//     has a previous occurrence within C and within T; it is updated by
+//     piggyback when predicted with a previous occurrence within C but not
+//     within T.
+//   * A mention opens a prediction interval unless one opened within T;
+//     the interval's first request within T makes it true.
+//   * Frequency control suppresses a message when the source's last
+//     message from that server came less than min_interval ago; RPV drops
+//     a message whose volume is on the (source, server) list, which keeps
+//     the volumes noted within the timeout, newest last, at most
+//     max_entries. RPV is consulted only when frequency control lets the
+//     message through.
+// image_at(now) is what a later request can still read: each timestamp
+// past every window that reads it is dropped, and an entry with nothing
+// left is left out.
+class ReferenceAccumulator {
+ public:
+  explicit ReferenceAccumulator(const sim::EvalConfig& config)
+      : config_(config) {}
+
+  void observe(const trace::Request& req, core::VolumeId volume,
+               const std::vector<util::InternId>& resources) {
+    const auto T = config_.prediction_window;
+    const auto C = config_.cache_horizon;
+    const auto t = req.time.value;
+    ++result_.requests;
+    auto& rs = state_[{req.source, req.path}];
+    const bool predicted = within(rs.last_mention, t, T);
+    const bool prev_c = within(rs.last_access, t, C);
+    const bool prev_t = within(rs.last_access, t, T);
+    if (predicted) ++result_.predicted_requests;
+    if (prev_c) ++result_.prev_occurrence_within_horizon;
+    if (prev_t) ++result_.prev_occurrence_within_window;
+    if (predicted && prev_c && !prev_t) ++result_.updated_by_piggyback;
+    if (!rs.fulfilled && within(rs.interval_open, t, T)) {
+      ++result_.predictions_true;
+      rs.fulfilled = true;
+    }
+    rs.last_access = t;
+
+    const std::pair<util::InternId, util::InternId> pair{req.source,
+                                                         req.server};
+    const auto piggy = last_piggy_.find(pair);
+    const bool enabled =
+        config_.filter.enabled &&
+        !(config_.min_piggyback_interval > 0 && piggy != last_piggy_.end() &&
+          t - piggy->second < config_.min_piggyback_interval);
+    bool suppressed = volume == core::kNoVolume || resources.empty();
+    std::vector<core::RpvEntry>* list = nullptr;
+    if (config_.use_rpv && enabled) {
+      list = &rpv_[pair];
+      expire(*list, t);
+      for (const auto& entry : *list) {
+        if (entry.volume == volume) suppressed = true;
+      }
+    }
+    if (!enabled || suppressed) return;
+
+    ++result_.piggyback_messages;
+    result_.piggyback_elements += resources.size();
+    last_piggy_[pair] = t;
+    if (list != nullptr) {
+      std::erase_if(*list, [volume](const core::RpvEntry& entry) {
+        return entry.volume == volume;
+      });
+      list->push_back({volume, req.time});
+      while (list->size() > config_.rpv.max_entries) list->erase(list->begin());
+    }
+    for (const auto resource : resources) {
+      auto& es = state_[{req.source, resource}];
+      es.last_mention = t;
+      if (!within(es.interval_open, t, T)) {
+        es.interval_open = t;
+        es.fulfilled = false;
+        ++result_.predictions_made;
+      }
+    }
+  }
+
+  const sim::EvalResult& result() const { return result_; }
+
+  sim::detail::EvalStateImage image_at(util::Seconds now) const {
+    const auto T = config_.prediction_window;
+    const auto C = config_.cache_horizon;
+    const auto key = [](const std::pair<util::InternId, util::InternId>& p) {
+      return sim::detail::pair_key(p.first, p.second);
+    };
+    sim::detail::EvalStateImage image;
+    image.counters = result_;
+    for (const auto& [pair, full] : state_) {
+      sim::detail::ResourceState rs;
+      if (within(full.last_access, now, C) ||
+          within(full.last_access, now, T)) {
+        rs.last_access = full.last_access;
+      }
+      if (within(full.last_mention, now, T)) {
+        rs.last_mention = full.last_mention;
+      }
+      if (within(full.interval_open, now, T)) {
+        rs.interval_open = full.interval_open;
+        rs.fulfilled = full.fulfilled;
+      }
+      if (rs != sim::detail::ResourceState{}) {
+        image.resource_state.emplace_back(key(pair), rs);
+      }
+    }
+    for (const auto& [pair, last] : last_piggy_) {
+      if (now - last < config_.min_piggyback_interval) {
+        image.last_piggy.emplace_back(key(pair), last);
+      }
+    }
+    for (const auto& [pair, list] : rpv_) {
+      const bool live = std::any_of(
+          list.begin(), list.end(), [&](const core::RpvEntry& entry) {
+            return now - entry.when.value <= config_.rpv.timeout;
+          });
+      if (live) image.rpv.emplace_back(key(pair), list);
+    }
+    return image;
+  }
+
+ private:
+  static bool within(util::Seconds when, util::Seconds now,
+                     util::Seconds window) {
+    return when != sim::detail::kNever && now - when <= window;
+  }
+
+  void expire(std::vector<core::RpvEntry>& list, util::Seconds now) const {
+    std::erase_if(list, [&](const core::RpvEntry& entry) {
+      return now - entry.when.value > config_.rpv.timeout;
+    });
+  }
+
+  sim::EvalConfig config_;
+  sim::EvalResult result_;
+  std::map<std::pair<util::InternId, util::InternId>,
+           sim::detail::ResourceState>
+      state_;
+  std::map<std::pair<util::InternId, util::InternId>, util::Seconds>
+      last_piggy_;
+  std::map<std::pair<util::InternId, util::InternId>,
+           std::vector<core::RpvEntry>>
+      rpv_;
+};
+
+void expect_same_counters(const sim::EvalResult& a, const sim::EvalResult& b) {
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.predicted_requests, b.predicted_requests);
+  EXPECT_EQ(a.piggyback_messages, b.piggyback_messages);
+  EXPECT_EQ(a.piggyback_elements, b.piggyback_elements);
+  EXPECT_EQ(a.predictions_made, b.predictions_made);
+  EXPECT_EQ(a.predictions_true, b.predictions_true);
+  EXPECT_EQ(a.prev_occurrence_within_horizon,
+            b.prev_occurrence_within_horizon);
+  EXPECT_EQ(a.prev_occurrence_within_window, b.prev_occurrence_within_window);
+  EXPECT_EQ(a.updated_by_piggyback, b.updated_by_piggyback);
+}
+
+template <typename Pairs>
+Pairs sorted_by_key(Pairs pairs) {
+  std::sort(pairs.begin(), pairs.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return pairs;
+}
+
+// Random requests over few sources, servers and paths, most in the same
+// second as the one before and the rest after a gap of exactly T, T + 1,
+// C or C + 1 (or a random one), fed to MetricAccumulator and the model.
+// The accumulator sweeps once per C; every result and every capture must
+// match the model that never forgets. Some captures also restart the
+// accumulator from its own image, as a resume does.
+void expect_accumulator_matches_model(std::uint64_t seed,
+                                      const sim::EvalConfig& config,
+                                      std::size_t requests) {
+  util::Rng rng(seed);
+  const auto T = config.prediction_window;
+  const auto C = config.cache_horizon;
+  const util::Seconds gaps[] = {1, T, T + 1, C, C + 1};
+  std::optional<sim::detail::MetricAccumulator> acc(std::in_place, config);
+  ReferenceAccumulator model(config);
+  util::Seconds now = 1000;
+  std::vector<util::InternId> resources;
+  for (std::size_t i = 0; i < requests; ++i) {
+    if (!rng.chance(0.55)) {
+      now += rng.chance(0.9) ? gaps[rng.below(std::size(gaps))]
+                             : rng.between(2, 2 * C);
+    }
+    trace::Request req;
+    req.time = util::TimePoint{now};
+    req.source = static_cast<util::InternId>(rng.below(3));
+    req.server = static_cast<util::InternId>(rng.below(2));
+    req.path = static_cast<util::InternId>(rng.below(8));
+    const auto volume = rng.chance(0.15)
+                            ? core::kNoVolume
+                            : static_cast<core::VolumeId>(rng.below(4));
+    resources.clear();
+    for (util::InternId r = 0; r < 8; ++r) {
+      if (rng.chance(0.2)) resources.push_back(r);
+    }
+    acc->observe(req, volume, resources);
+    model.observe(req, volume, resources);
+
+    if (rng.chance(0.03) || i + 1 == requests) {
+      SCOPED_TRACE(::testing::Message() << "request " << i << " at " << now);
+      expect_same_counters(acc->result(), model.result());
+      ASSERT_EQ(acc->latest_time(), now);
+      sim::detail::EvalStateImage image;
+      acc->export_state(image, now);
+      const auto expected = model.image_at(now);
+      ASSERT_EQ(sorted_by_key(image.resource_state), expected.resource_state);
+      ASSERT_EQ(sorted_by_key(image.last_piggy), expected.last_piggy);
+      ASSERT_EQ(sorted_by_key(image.rpv), expected.rpv);
+      if (rng.chance(0.3)) {
+        acc.emplace(config);
+        acc->import_state(
+            image, [](util::InternId) { return true; },
+            /*take_counters=*/true);
+        ASSERT_EQ(acc->latest_time(), now);
+      }
+    }
+  }
+}
+
+class AccumulatorDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AccumulatorDifferential, SweepIsExactAtTheWindowEdges) {
+  for (const auto& [T, C] :
+       {std::pair<util::Seconds, util::Seconds>{3, 10}, {10, 3}}) {
+    for (const util::Seconds timeout : {C - 2, C, C + 5}) {
+      for (const util::Seconds min_interval :
+           {util::Seconds{0}, util::Seconds{2}, C, C + 4}) {
+        for (const bool use_rpv : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "T " << T << " C " << C << " rpv timeout "
+                       << timeout << " min interval " << min_interval
+                       << (use_rpv ? " rpv" : ""));
+          sim::EvalConfig config;
+          config.prediction_window = T;
+          config.cache_horizon = C;
+          config.use_rpv = use_rpv;
+          config.rpv.timeout = timeout;
+          config.rpv.max_entries = 2;
+          config.min_piggyback_interval = min_interval;
+          const auto seed = GetParam() ^
+                            (static_cast<std::uint64_t>(timeout) << 8) ^
+                            (static_cast<std::uint64_t>(min_interval) << 16);
+          expect_accumulator_matches_model(seed, config, 1500);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AccumulatorDifferential,
+                         ::testing::Values(3, 4242, 0xACC0ULL));
 
 }  // namespace
 }  // namespace piggyweb
