@@ -11,6 +11,7 @@
 
 #include "core/frequency.h"
 #include "core/rpv.h"
+#include "server/meta.h"
 #include "server/volume_center.h"
 #include "sim/report.h"
 #include "trace/profiles.h"
@@ -31,6 +32,9 @@ int main(int argc, char** argv) {
   volume::DirectoryVolumeConfig dvc;
   dvc.level = 1;
   server::VolumeCenter center(dvc, trace.paths());
+  // A router cannot stat the servers' file systems: the center fills
+  // piggyback elements from metadata learned off the traffic it sees.
+  server::TraceMetaOracle learned;
 
   // Per-(source, server) RPV lists, exactly what a proxy would keep.
   core::RpvConfig rpv_config;
@@ -64,9 +68,15 @@ int main(int argc, char** argv) {
       mentioned_at.erase(it);
     }
 
-    const auto message =
-        center.observe(req.server, req.source, req.path, req.time, req.size,
-                       req.last_modified, filter);
+    learned.observe_window({&req, 1}, trace.paths());
+    core::VolumeRequest exchange;
+    exchange.server = req.server;
+    exchange.source = req.source;
+    exchange.path = req.path;
+    exchange.time = req.time;
+    exchange.size = req.size;
+    exchange.type = trace::classify_path(trace.paths().str(req.path));
+    const auto message = center.observe(exchange, filter, learned);
     if (message.empty()) continue;
     frequency.on_piggyback(req.server, req.time);
     rpv.try_emplace(pair_key, rpv_config)

@@ -37,7 +37,8 @@ const std::vector<RuleInfo>& rule_catalog() {
 
 bool flatmap_required(std::string_view module) {
   return module == "src/sim" || module == "src/volume" ||
-         module == "src/proxy" || module == "src/core";
+         module == "src/proxy" || module == "src/core" ||
+         module == "src/server";
 }
 
 bool contracts_required(std::string_view module) {

@@ -25,8 +25,8 @@ const std::vector<RuleInfo>& rule_catalog();
 // --- scope policy -----------------------------------------------------
 
 // Hot modules where util::FlatMap is mandated and std::unordered_*
-// is a finding. Cold modules (trace, server, net, http, analysis, ...)
-// are allowlisted by module.
+// is a finding. Cold modules (trace, net, http, analysis, ...) are
+// allowlisted by module.
 bool flatmap_required(std::string_view module);
 
 // Hot modules where public functions with index-like parameters must

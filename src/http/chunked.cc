@@ -66,9 +66,10 @@ ChunkedStatus chunk_decode_status(std::string_view input,
       return ChunkedStatus::kMalformed;
     }
     if (chunk_len == 0) break;
-    if (pos + chunk_len + 2 > input.size()) {
-      return ChunkedStatus::kIncomplete;
-    }
+    // The chunk and its CRLF must fit in what is left; compared without
+    // adding, so a huge size cannot wrap around.
+    const auto left = input.size() - pos;
+    if (left < 2 || chunk_len > left - 2) return ChunkedStatus::kIncomplete;
     out.body.append(input.substr(pos, chunk_len));
     pos += chunk_len;
     if (input.substr(pos, 2) != "\r\n") return ChunkedStatus::kMalformed;

@@ -59,7 +59,8 @@ bool parse_body(std::string_view input, std::size_t& pos,
       return false;
     }
   }
-  if (pos + length > input.size()) {
+  // Compared without adding, so a huge length cannot wrap around.
+  if (length > input.size() - pos) {
     error.message = "truncated body";
     return false;
   }

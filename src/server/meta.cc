@@ -2,18 +2,25 @@
 
 namespace piggyweb::server {
 
+SiteMetaOracle::Entry& SiteMetaOracle::entry(util::InternId path) {
+  const auto [it, inserted] = entries_.try_emplace(path);
+  if (inserted) it->second.index = site_.index_of(paths_.str(path));
+  return it->second;
+}
+
 core::ResourceMeta SiteMetaOracle::lookup(util::InternId /*server*/,
                                           util::InternId resource) const {
   core::ResourceMeta meta;
-  const auto path = paths_.str(resource);
-  const auto idx = site_.index_of(path);
+  const auto it = entries_.find(resource);
+  const bool resolved = it != entries_.end();
+  const auto idx =
+      resolved ? it->second.index : site_.index_of(paths_.str(resource));
   if (idx >= site_.size()) return meta;
   const auto& res = site_.resource(idx);
   meta.size = res.size;
   meta.type = res.type;
   meta.last_modified = site_.last_modified(idx, now_).value;
-  const auto it = access_counts_.find(resource);
-  meta.access_count = it == access_counts_.end() ? 0 : it->second;
+  meta.access_count = resolved ? it->second.accesses : 0;
   return meta;
 }
 

@@ -93,7 +93,7 @@ http::Response OriginServer::handle(const http::Request& request,
   if (const auto items = http::extract_validate(request, paths_)) {
     core::ValidationReply reply;
     for (const auto& item : items.value()) {
-      const auto item_idx = site_.index_of(paths_.str(item.resource));
+      const auto item_idx = meta_.resolve(item.resource);
       if (item_idx >= site_.size()) continue;  // unknown: no verdict
       const auto current =
           site_.last_modified(item_idx, now).value + kWireEpoch;

@@ -41,7 +41,6 @@ class OriginServer {
                         util::InternId source);
 
   const OriginStats& stats() const { return stats_; }
-  SiteMetaOracle& meta() { return meta_; }
 
   // Aggregated §5 proxy feedback (`Piggy-hits` headers): how many cache
   // hits each volume's piggybacks produced, across all proxies.

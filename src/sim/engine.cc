@@ -67,7 +67,7 @@ SimulationEngine::SimulationEngine(const trace::SyntheticWorkload& workload,
       topology_(topology),
       config_(config),
       center_(config.volumes, workload.trace.paths()),
-      truth_meta_(workload, site_by_server_) {
+      sites_(workload.trace.servers().size()) {
   validate_topology(topology_);
 
   nodes_.reserve(topology_.nodes.size());
@@ -87,11 +87,11 @@ SimulationEngine::SimulationEngine(const trace::SyntheticWorkload& workload,
 
   // Resolve each trace server id to its site model once.
   const auto& servers = workload.trace.servers();
-  site_by_server_.assign(servers.size(), nullptr);
   for (std::uint32_t id = 0; id < servers.size(); ++id) {
-    site_by_server_[id] = workload.site_for(servers.str(id));
+    if (const auto* site = workload.site_for(servers.str(id))) {
+      sites_[id].emplace(*site, workload.trace.paths());
+    }
   }
-  center_.set_meta_override(&truth_meta_);
   if (config_.probability_volumes != nullptr) {
     probability_provider_.emplace(config_.probability_volumes,
                                   config_.probability_max_candidates);
@@ -206,25 +206,21 @@ EngineResult SimulationEngine::run() {
     ++result_.client_requests;
     const auto now = req.time;
     const proxy::CacheKey key{req.server, req.path};
-    const auto* site = site_by_server_[req.server];
-    if (site == nullptr) {  // unknown host: pass-through not modeled
+    auto& truth = sites_[req.server];
+    if (!truth) {  // unknown host: pass-through not modeled
       ++result_.unresolved;
       continue;
     }
 
     // Resolve ground truth for this resource.
-    const auto rkey = key.packed();
-    auto [res_it, res_inserted] = resource_index_.try_emplace(rkey, 0);
-    if (res_inserted) {
-      res_it->second = site->index_of(trace.paths().str(req.path));
-    }
-    const auto res_idx = res_it->second;
-    if (res_idx >= site->size()) {  // not a site resource
+    const auto& site = truth->site();
+    const auto res_idx = truth->resolve(req.path);
+    if (res_idx >= site.size()) {  // not a site resource
       ++result_.unresolved;
       continue;
     }
-    const auto& resource = site->resource(res_idx);
-    const auto true_lm = site->last_modified(res_idx, now);
+    const auto& resource = site.resource(res_idx);
+    const auto true_lm = site.last_modified(res_idx, now);
 
     const auto& path = path_for_source(req.source);
 
@@ -333,10 +329,9 @@ EngineResult SimulationEngine::run() {
       if (!items.empty()) {
         core::ValidationReply reply;
         for (const auto& item : items) {
-          const auto item_idx =
-              site->index_of(trace.paths().str(item.resource));
-          if (item_idx >= site->size()) continue;
-          const auto current = site->last_modified(item_idx, now).value;
+          const auto item_idx = truth->resolve(item.resource);
+          if (item_idx >= site.size()) continue;
+          const auto current = site.last_modified(item_idx, now).value;
           if (item.last_modified >= current) {
             reply.fresh.push_back(item.resource);
           } else {
@@ -351,11 +346,16 @@ EngineResult SimulationEngine::run() {
 
     // The volume center on the path injects the piggyback (filling
     // elements from authoritative metadata).
-    truth_meta_.set_now(now);
-    truth_meta_.note_access(req.server, req.path);
-    const auto message = center_.observe(
-        req.server, root.upstream_source_for(req.source), req.path, now,
-        resource.size, true_lm.value, filter);
+    truth->set_now(now);
+    truth->note_access(req.path);
+    core::VolumeRequest exchange;
+    exchange.server = req.server;
+    exchange.source = root.upstream_source_for(req.source);
+    exchange.path = req.path;
+    exchange.time = now;
+    exchange.size = resource.size;
+    exchange.type = resource.type;
+    const auto message = center_.observe(exchange, filter, *truth);
 
     const auto piggy_bytes = core::piggyback_bytes(message, trace.paths());
     result_.piggyback_bytes += pcv_bytes;

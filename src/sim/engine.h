@@ -17,14 +17,14 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "server/meta.h"
 #include "server/volume_center.h"
-#include "sim/ground_truth.h"
 #include "sim/node.h"
 #include "sim/topology.h"
 #include "trace/synthetic.h"
-#include "util/flat_map.h"
 #include "volume/probability.h"
 
 namespace piggyweb::sim {
@@ -117,12 +117,11 @@ class SimulationEngine {
 
   server::VolumeCenter center_;
   std::optional<volume::ProbabilityVolumes> probability_provider_;
-  GroundTruthMeta truth_meta_;
 
-  // Site index per trace server id (resolved once up front).
-  std::vector<const trace::SiteModel*> site_by_server_;
-  // Resource index per (server, path) — memoized lookups.
-  util::FlatMap<std::uint64_t, std::uint32_t> resource_index_;
+  // Ground truth per trace server id, filled up front; nullopt for a host
+  // with no site model. The volume center fills piggyback elements from
+  // the contacted server's oracle (what a cooperating origin knows).
+  std::vector<std::optional<server::SiteMetaOracle>> sites_;
 
   util::TimePoint trace_start_{};
   EngineResult result_;

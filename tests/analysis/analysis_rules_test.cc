@@ -109,6 +109,8 @@ TEST(AnalysisRules, UnorderedContainerOnlyFlaggedWhereFlatMapMandated) {
       "std::unordered_map<unsigned, int> table;\n";
   EXPECT_EQ(rules_fired(analyze_one("src/sim/a.cc", decl)),
             (std::vector<std::string>{"det-unordered-container"}));
+  EXPECT_EQ(rules_fired(analyze_one("src/server/a.cc", decl)),
+            (std::vector<std::string>{"det-unordered-container"}));
   // trace is a cold module: allowlisted as a module, not per-site.
   EXPECT_TRUE(analyze_one("src/trace/a.cc", decl).empty());
   EXPECT_TRUE(analyze_one("tests/a_test.cc", decl).empty());

@@ -1,10 +1,11 @@
 // Randomized round-trip and robustness tests for every wire codec:
-// chunked transfer-coding, HTTP messages, Piggy-filter / P-volume /
-// Piggy-hits / Piggy-validate / P-validate grammars, and CLF lines. Deterministic seeds; two properties
-// per codec: (1) serialize -> parse is the identity, (2) parsing mutated
-// bytes never crashes and either fails cleanly or yields a well-formed
-// value.
+// chunked transfer-coding, HTTP requests and responses, Piggy-filter /
+// P-volume / Piggy-hits / Piggy-validate / P-validate grammars, and CLF
+// lines. Deterministic seeds; two properties per codec: (1) serialize ->
+// parse is the identity, (2) parsing mutated bytes never crashes and
+// either fails cleanly or yields a well-formed value.
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -254,6 +255,82 @@ TEST_P(CodecFuzz, ValidateReplyRoundTripRandomVerdicts) {
                 paths.str(reply.stale[e].resource));
       EXPECT_EQ(parsed->stale[e].last_modified,
                 reply.stale[e].last_modified);
+    }
+  }
+}
+
+// A header value as the grammar reads it back: printable ASCII with no
+// CR or LF, and no blank at either end (the parser trims those).
+std::string random_header_value(util::Rng& rng) {
+  std::string value;
+  const auto len = rng.below(40);
+  for (std::uint64_t i = 0; i < len; ++i) {
+    value.push_back(static_cast<char>(' ' + rng.below('~' - ' ' + 1)));
+  }
+  if (!value.empty() && value.front() == ' ') value.front() = 'a';
+  if (!value.empty() && value.back() == ' ') value.back() = 'z';
+  return value;
+}
+
+TEST_P(CodecFuzz, RequestRoundTripRandomMessages) {
+  static constexpr trace::Method kMethods[] = {
+      trace::Method::kGet, trace::Method::kPost, trace::Method::kHead};
+  for (int i = 0; i < 100; ++i) {
+    http::Request request;
+    request.method = kMethods[rng_.below(3)];
+    request.target = random_path(rng_);
+    if (rng_.chance(0.3)) {
+      request.target += "?q=" + std::to_string(rng_.below(1000));
+    }
+    request.version = rng_.chance(0.8) ? "HTTP/1.1" : "HTTP/1.0";
+    if (rng_.chance(0.5)) request.body = random_bytes(rng_, 500);
+
+    std::vector<std::pair<std::string, std::string>> fields;
+    const auto n_plain = rng_.below(5);
+    for (std::uint64_t h = 0; h < n_plain; ++h) {
+      fields.emplace_back("X-h" + std::to_string(rng_.below(100)),
+                          random_header_value(rng_));
+    }
+    if (rng_.chance(0.7)) {
+      core::ProxyFilter filter;
+      filter.max_elements = static_cast<std::uint32_t>(rng_.below(100));
+      filter.rpv.push_back(static_cast<core::VolumeId>(rng_.below(32768)));
+      if (rng_.chance(0.5)) filter.probability_threshold = rng_.uniform();
+      fields.emplace_back(http::kPiggyFilterHeader,
+                          http::serialize_filter(filter));
+    }
+    util::InternTable paths;
+    if (rng_.chance(0.5)) {
+      std::vector<core::ValidationItem> items;
+      const auto n = 1 + rng_.below(5);
+      for (std::uint64_t e = 0; e < n; ++e) {
+        items.push_back(
+            {paths.intern(random_path(rng_)), random_last_modified(rng_)});
+      }
+      fields.emplace_back(http::kPiggyValidateHeader,
+                          http::serialize_validate(items, paths));
+    }
+    if (!request.body.empty() || rng_.chance(0.3)) {
+      const auto at = rng_.below(fields.size() + 1);
+      fields.emplace(fields.begin() + static_cast<std::ptrdiff_t>(at),
+                     "Content-Length", std::to_string(request.body.size()));
+    }
+    for (const auto& [name, value] : fields) request.headers.add(name, value);
+
+    const auto wire = request.serialize();
+    http::ParseError error;
+    const auto parsed = http::parse_request(wire, error);
+    ASSERT_TRUE(parsed.has_value()) << error.message << "\n" << wire;
+    EXPECT_EQ(parsed->consumed, wire.size());
+    EXPECT_EQ(parsed->request.method, request.method);
+    EXPECT_EQ(parsed->request.target, request.target);
+    EXPECT_EQ(parsed->request.version, request.version);
+    EXPECT_EQ(parsed->request.body, request.body);
+    const auto& got = parsed->request.headers.fields();
+    ASSERT_EQ(got.size(), fields.size());
+    for (std::size_t h = 0; h < fields.size(); ++h) {
+      EXPECT_EQ(got[h].name, fields[h].first);
+      EXPECT_EQ(got[h].value, fields[h].second);
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "http/message.h"
+
 namespace piggyweb::http {
 namespace {
 
@@ -123,6 +125,25 @@ TEST(ChunkedStatus, DistinguishesIncompleteFromMalformed) {
   // Complete.
   EXPECT_EQ(chunk_decode_status("2\r\nhi\r\n0\r\n\r\n", decoded),
             ChunkedStatus::kComplete);
+}
+
+// A chunk size so large that adding it to the position wraps around is a
+// chunk that runs past the end, like any other.
+TEST(ChunkedStatus, HugeChunkSizeIsIncomplete) {
+  ChunkedDecode decoded;
+  for (const auto* size : {"fffffffffffffffe", "ffffffffffffffff",
+                           "fffffffffffffff0"}) {
+    const std::string wire = std::string(size) + "\r\n0\r\n\r\n";
+    EXPECT_EQ(chunk_decode_status(wire, decoded), ChunkedStatus::kIncomplete)
+        << size;
+    Response response;
+    response.headers.add("Transfer-Encoding", "chunked");
+    ParseError error;
+    EXPECT_FALSE(parse_response(response.serialize() + wire, error)
+                     .has_value())
+        << size;
+    EXPECT_EQ(error.message, "truncated chunked body") << size;
+  }
 }
 
 TEST(Chunked, DecodeBodyWithCrlfInside) {

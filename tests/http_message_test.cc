@@ -1,5 +1,7 @@
 #include "http/message.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace piggyweb::http {
@@ -179,6 +181,26 @@ TEST(ParseTruncated, EveryProperPrefixIsRejected) {
   EXPECT_TRUE(parse_request(request_wire, error).has_value()) << error.message;
   EXPECT_TRUE(parse_response(response_wire, error).has_value())
       << error.message;
+}
+
+// A Content-Length so large that adding it to the header length wraps
+// around is a body that runs past the end, like any other. The body
+// starts at byte 57, so these lengths wrap to 56, 41 and 0.
+TEST(ParseTruncated, HugeContentLengthIsRejected) {
+  for (const auto* length : {"18446744073709551615", "18446744073709551600",
+                             "18446744073709551559"}) {
+    const std::string headers =
+        std::string("Content-Length: ") + length + "\r\n\r\nabc";
+    ParseError error;
+    EXPECT_FALSE(
+        parse_request("GET /a HTTP/1.1\r\n" + headers, error).has_value())
+        << length;
+    EXPECT_EQ(error.message, "truncated body") << length;
+    EXPECT_FALSE(
+        parse_response("HTTP/1.1 200 OK\r\n" + headers, error).has_value())
+        << length;
+    EXPECT_EQ(error.message, "truncated body") << length;
+  }
 }
 
 TEST(ReasonForStatus, KnownCodes) {

@@ -1,5 +1,8 @@
 #include "server/meta.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
@@ -97,6 +100,57 @@ TEST(SiteMetaOracle, UnknownPathIsEmptyMeta) {
   SiteMetaOracle meta(site, paths);
   const auto id = paths.intern("/not/on/site.html");
   EXPECT_EQ(meta.lookup(0, id).size, 0u);
+}
+
+TEST(SiteMetaOracle, LastModifiedTracksNow) {
+  util::Rng rng(8);
+  trace::SiteShape shape;
+  shape.pages = 5;
+  shape.hot_change_frac = 1.0;  // every resource changes within the day
+  const trace::SiteModel site(shape, util::kDay, rng);
+  ASSERT_FALSE(site.resource(0).changes.empty());
+  const auto change = site.resource(0).changes.front();
+  util::InternTable paths;
+  SiteMetaOracle meta(site, paths);
+  const auto id = paths.intern(site.resource(0).path);
+
+  meta.set_now({change.value - 1});
+  const auto before = meta.lookup(0, id).last_modified;
+  meta.set_now(change);
+  const auto after = meta.lookup(0, id).last_modified;
+  EXPECT_LT(before, after);
+  EXPECT_EQ(after, change.value);
+}
+
+TEST(SiteMetaOracle, ResolveMatchesSiteIndex) {
+  util::Rng rng(9);
+  trace::SiteShape shape;
+  shape.pages = 20;
+  const trace::SiteModel site(shape, util::kDay, rng);
+  util::InternTable paths;
+  SiteMetaOracle meta(site, paths);
+  SiteMetaOracle never_resolved(site, paths);
+  meta.set_now({5000});
+  never_resolved.set_now({5000});
+
+  std::vector<std::string> probes;
+  for (const auto& res : site.resources()) probes.push_back(res.path);
+  probes.push_back("/not/on/site.html");
+  probes.push_back("/images/none.gif");
+  for (const auto& path : probes) {
+    const auto id = paths.intern(path);
+    const auto idx = site.index_of(path);
+    EXPECT_EQ(meta.resolve(id), idx) << path;
+    EXPECT_EQ(meta.resolve(id), idx) << path;  // the stored answer
+    meta.note_access(id);
+    const auto resolved = meta.lookup(0, id);
+    const auto probed = never_resolved.lookup(0, id);
+    EXPECT_EQ(resolved.size, probed.size) << path;
+    EXPECT_EQ(resolved.type, probed.type) << path;
+    EXPECT_EQ(resolved.last_modified, probed.last_modified) << path;
+    EXPECT_EQ(resolved.access_count, idx < site.size() ? 1u : 0u) << path;
+    EXPECT_EQ(probed.access_count, 0u) << path;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "sim/end_to_end.h"
 #include "sim/engine.h"
@@ -110,6 +111,30 @@ TEST(SimulationEngine, DeeperTreesServeMoreLocally) {
           .run();
   EXPECT_LE(deep.server_contacts,
             flat.server_contacts + flat.server_contacts / 10);
+}
+
+TEST(SimulationEngine, UnknownHostsAndNonSitePathsAreUnresolved) {
+  // A host without a site model and a path its site does not serve pass
+  // through unmodeled: counted, never cached, never seen by the center.
+  auto workload = client_workload();
+  const auto& last = workload.trace.requests().back();
+  const std::string known_host(workload.trace.servers().str(last.server));
+  const auto t = last.time.value;
+  workload.trace.add({t + 1}, "client", "unknown.example", "/index.html");
+  workload.trace.add({t + 2}, "client", known_host, "/not/on/the/site.html");
+  const auto topology = sim::uniform_tree_topology(tree_spec(1, 2));
+  const auto base =
+      sim::SimulationEngine(client_workload(), topology, engine_config())
+          .run();
+  const auto result =
+      sim::SimulationEngine(workload, topology, engine_config()).run();
+
+  EXPECT_EQ(result.client_requests, base.client_requests + 2);
+  EXPECT_EQ(result.unresolved, base.unresolved + 2);
+  EXPECT_EQ(result.server_contacts, base.server_contacts);
+  EXPECT_EQ(result.center.exchanges_observed,
+            base.center.exchanges_observed);
+  EXPECT_EQ(result.center.elements_injected, base.center.elements_injected);
 }
 
 TEST(SimulationEngine, EndToEndPresetShape) {
