@@ -52,12 +52,22 @@ bool parse_body(std::string_view input, std::size_t& pos,
     pos += decoded.consumed;
     return true;
   }
+  // Repeated Content-Length fields must agree (RFC 7230 §3.3.2): reading
+  // only one of two differing values would leave the message's end, and
+  // with it where the next pipelined message starts, up to the reader.
   std::uint64_t length = 0;
-  if (const auto cl = headers.get("Content-Length")) {
-    if (!util::parse_u64(util::trim(*cl), length)) {
+  const auto lengths = headers.get_all("Content-Length");
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    std::uint64_t value = 0;
+    if (!util::parse_u64(util::trim(lengths[i]), value)) {
       error.message = "bad Content-Length";
       return false;
     }
+    if (i > 0 && value != length) {
+      error.message = "conflicting Content-Length";
+      return false;
+    }
+    length = value;
   }
   // Compared without adding, so a huge length cannot wrap around.
   if (length > input.size() - pos) {

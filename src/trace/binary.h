@@ -47,7 +47,7 @@ inline constexpr std::string_view kBinaryTraceMagic = "PIGGYTRC";
 inline constexpr std::uint32_t kBinaryTraceVersion = 1;
 
 // True when `prefix` (the first bytes of a file) starts with the binary
-// trace magic — the TraceSource auto-sniff.
+// trace magic — the trace loader's format sniff (trace/source.h).
 bool looks_like_binary_trace(std::string_view prefix);
 
 // Canonical serialization of a trace (see format comment above).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <istream>
 #include <ostream>
 #include <vector>
 
@@ -230,46 +229,6 @@ std::string format_clf_line(const ClfEntry& entry) {
   out += ' ';
   out += std::to_string(entry.size);
   return out;
-}
-
-ClfLoadResult load_clf(std::istream& in, Trace& trace,
-                       const ClfLoadOptions& options) {
-  ClfLoadResult result;
-
-  // When the stream is seekable the remaining byte count is knowable;
-  // CLF lines run ~60-120 bytes, so bytes/64 over-estimates the request
-  // count slightly and one reserve absorbs all vector growth up front.
-  if (const auto here = in.tellg(); here != std::istream::pos_type(-1)) {
-    in.seekg(0, std::ios::end);
-    const auto end = in.tellg();
-    in.seekg(here);
-    if (end != std::istream::pos_type(-1) && end > here) {
-      const auto bytes = static_cast<std::uint64_t>(end - here);
-      trace.reserve(trace.size() + static_cast<std::size_t>(bytes / 64));
-    }
-  }
-
-  std::string line;
-  ClfFields fields;  // line/path buffers reused across all lines
-  while (std::getline(in, line)) {
-    if (util::trim(line).empty()) continue;
-    if (!parse_clf_fields(line, fields)) {
-      ++result.skipped_malformed;
-      continue;
-    }
-    if (options.drop_uncachable && is_uncachable_url(fields.path)) {
-      ++result.skipped_filtered;
-      continue;
-    }
-    if (options.drop_post && fields.method != Method::kGet) {
-      ++result.skipped_filtered;
-      continue;
-    }
-    trace.add(fields.time, fields.host, options.server_name, fields.path,
-              fields.method, fields.status, fields.size);
-    ++result.parsed;
-  }
-  return result;
 }
 
 ClfLoadResult load_clf_text(std::string_view text, Trace& trace,

@@ -73,14 +73,10 @@ struct ClfLoadResult {
   std::size_t skipped_filtered = 0;
 };
 
-// Append all lines from `in` to `trace`. Does not sort; call sort_by_time().
-ClfLoadResult load_clf(std::istream& in, Trace& trace,
-                       const ClfLoadOptions& options = {});
-
-// As load_clf, but over an in-memory buffer (typically an mmap'd log
-// file): lines are split with the wide byte scanner and parsed without
-// any istream or per-line copy. Behaves exactly like load_clf over the
-// same bytes, including blank-line and final-unterminated-line handling.
+// Append every line of `text` (typically an mmap'd log file) to `trace`.
+// Lines are split with the wide byte scanner and parsed without any
+// per-line copy; blank lines are skipped and a final line without '\n'
+// still counts. Does not sort; call sort_by_time().
 ClfLoadResult load_clf_text(std::string_view text, Trace& trace,
                             const ClfLoadOptions& options = {});
 

@@ -1,10 +1,13 @@
 #include "trace/source.h"
 
 #include <cstdlib>
-#include <fstream>
+#include <memory>
+#include <optional>
 
 #include "trace/binary.h"
 #include "trace/profiles.h"
+#include "trace/stream.h"
+#include "util/expect.h"
 #include "util/mmap_file.h"
 
 namespace piggyweb::trace {
@@ -12,96 +15,9 @@ namespace {
 
 constexpr std::string_view kSyntheticPrefix = "synthetic:";
 
-class ClfTraceSource final : public TraceSource {
- public:
-  ClfTraceSource(std::string path, ClfLoadOptions options)
-      : path_(std::move(path)), options_(std::move(options)) {}
-
-  bool load(Trace& out, TraceLoadStats& stats, std::string& error) override {
-    ClfLoadResult result;
-    // Prefer parsing straight out of an mmap'd buffer (wide-scanner line
-    // splitting, no per-line copy); fall back to the ifstream path when
-    // the file cannot be mapped (e.g. process substitution pipes).
-    std::string mmap_error;
-    if (auto mapping = util::MmapFile::open(path_, mmap_error)) {
-      mapping->advise_sequential();
-      result = load_clf_text(mapping->bytes(), out, options_);
-      stats.backing = TraceBacking::kMmap;
-    } else {
-      std::ifstream in(path_, std::ios::binary);
-      if (!in) {
-        error = path_ + ": cannot open";
-        return false;
-      }
-      result = load_clf(in, out, options_);
-      stats.backing = TraceBacking::kReadCopy;
-    }
-    out.sort_by_time();
-    stats.format = TraceFormat::kClf;
-    stats.requests = result.parsed;
-    stats.skipped_malformed = result.skipped_malformed;
-    stats.skipped_filtered = result.skipped_filtered;
-    return true;
-  }
-
-  TraceFormat format() const override { return TraceFormat::kClf; }
-
- private:
-  std::string path_;
-  ClfLoadOptions options_;
-};
-
-class BinaryTraceSource final : public TraceSource {
- public:
-  explicit BinaryTraceSource(std::string path) : path_(std::move(path)) {}
-
-  bool load(Trace& out, TraceLoadStats& stats, std::string& error) override {
-    auto mapping = util::MmapFile::open(path_, error);
-    if (!mapping) return false;
-    mapping->advise_sequential();
-    // Binary containers preserve the order they were written in, and
-    // open() rejects one whose time column decreases, so no re-sort here.
-    if (!load_binary_trace(mapping->bytes(), out, error)) {
-      error = path_ + ": " + error;
-      return false;
-    }
-    stats.format = TraceFormat::kBinary;
-    stats.backing = TraceBacking::kMmap;
-    stats.requests = out.size();
-    return true;
-  }
-
-  TraceFormat format() const override { return TraceFormat::kBinary; }
-
- private:
-  std::string path_;
-};
-
-class SyntheticTraceSource final : public TraceSource {
- public:
-  explicit SyntheticTraceSource(LogProfile profile)
-      : profile_(std::move(profile)) {}
-
-  bool load(Trace& out, TraceLoadStats& stats, std::string& error) override {
-    (void)error;
-    SyntheticWorkload workload = generate(profile_);
-    out = std::move(workload.trace);
-    out.sort_by_time();
-    stats.format = TraceFormat::kSynthetic;
-    stats.backing = TraceBacking::kGenerated;
-    stats.requests = out.size();
-    return true;
-  }
-
-  TraceFormat format() const override { return TraceFormat::kSynthetic; }
-
- private:
-  LogProfile profile_;
-};
-
 // Parse "synthetic:<profile>[:<scale>]" into a profile.
-std::unique_ptr<TraceSource> open_synthetic(std::string_view spec,
-                                            std::string& error) {
+std::optional<LogProfile> parse_synthetic(std::string_view spec,
+                                          std::string& error) {
   std::string_view rest = spec.substr(kSyntheticPrefix.size());
   std::string_view name = rest;
   std::string_view scale_text;
@@ -119,29 +35,81 @@ std::unique_ptr<TraceSource> open_synthetic(std::string_view spec,
     const double scale = std::strtod(text.c_str(), &end);
     if (end == text.c_str() || *end != '\0' || !(scale > 0.0)) {
       error = "bad synthetic trace scale '" + text + "'";
-      return nullptr;
+      return std::nullopt;
     }
     profile = profile_by_name(name, scale);
   }
   if (!profile) {
     error = "unknown synthetic profile '" + std::string(name) +
             "' (aiusa|marimba|apache|sun|att_client|digital_client)";
-    return nullptr;
   }
-  return std::make_unique<SyntheticTraceSource>(std::move(*profile));
+  return profile;
 }
 
-// Read up to the magic's worth of leading bytes; false if unreadable.
-bool read_prefix(const std::string& path, std::string& prefix,
-                 std::string& error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    error = path + ": cannot open";
-    return false;
+// A spec resolved to its format: a file mapped once (its first bytes
+// sniffed when the format is kAuto), or a synthetic profile.
+struct ResolvedTrace {
+  TraceFormat format = TraceFormat::kAuto;
+  util::MmapFile file;                // kClf and kBinary
+  std::optional<LogProfile> profile;  // kSynthetic
+};
+
+bool resolve(const std::string& spec, TraceFormat format,
+             ResolvedTrace& out, std::string& error) {
+  if (format == TraceFormat::kAuto && spec.starts_with(kSyntheticPrefix)) {
+    format = TraceFormat::kSynthetic;
   }
-  char buffer[8] = {};
-  in.read(buffer, sizeof(buffer));
-  prefix.assign(buffer, static_cast<std::size_t>(in.gcount()));
+  out.format = format;
+  if (format == TraceFormat::kSynthetic) {
+    if (!spec.starts_with(kSyntheticPrefix)) {
+      error = "synthetic trace specs look like synthetic:<profile>[:scale]";
+      return false;
+    }
+    out.profile = parse_synthetic(spec, error);
+    return out.profile.has_value();
+  }
+  auto file = util::MmapFile::open(spec, error);
+  if (!file) return false;
+  file->advise_sequential();
+  out.file = std::move(*file);
+  if (format == TraceFormat::kAuto) {
+    out.format = looks_like_binary_trace(out.file.bytes())
+                     ? TraceFormat::kBinary
+                     : TraceFormat::kClf;
+  }
+  return true;
+}
+
+bool materialize(const std::string& spec, const ResolvedTrace& input,
+                 const ClfLoadOptions& clf, Trace& out,
+                 TraceLoadStats& stats, std::string& error) {
+  stats = {};
+  stats.format = input.format;
+  switch (input.format) {
+    case TraceFormat::kClf: {
+      const auto result = load_clf_text(input.file.bytes(), out, clf);
+      out.sort_by_time();
+      stats.skipped_malformed = result.skipped_malformed;
+      stats.skipped_filtered = result.skipped_filtered;
+      break;
+    }
+    case TraceFormat::kBinary:
+      // Binary containers preserve the order they were written in, and
+      // open() rejects one whose time column decreases, so no re-sort.
+      if (!load_binary_trace(input.file.bytes(), out, error)) {
+        error = spec + ": " + error;
+        return false;
+      }
+      break;
+    case TraceFormat::kSynthetic:
+      out = generate(*input.profile).trace;
+      out.sort_by_time();
+      stats.backing = TraceBacking::kGenerated;
+      break;
+    case TraceFormat::kAuto:
+      PW_UNREACHABLE();  // resolve() never leaves the format unresolved
+  }
+  stats.requests = out.size();
   return true;
 }
 
@@ -168,51 +136,40 @@ std::string_view trace_format_name(TraceFormat format) {
 
 std::string_view trace_backing_name(TraceBacking backing) {
   switch (backing) {
-    case TraceBacking::kReadCopy: return "read-copy";
     case TraceBacking::kMmap: return "mmap";
     case TraceBacking::kStream: return "stream";
     case TraceBacking::kGenerated: return "generated";
   }
-  return "read-copy";
-}
-
-std::unique_ptr<TraceSource> open_trace_source(
-    const std::string& spec, const TraceSourceOptions& options,
-    std::string& error) {
-  TraceFormat format = options.format;
-  if (format == TraceFormat::kAuto) {
-    if (spec.starts_with(kSyntheticPrefix)) {
-      format = TraceFormat::kSynthetic;
-    } else {
-      std::string prefix;
-      if (!read_prefix(spec, prefix, error)) return nullptr;
-      format = looks_like_binary_trace(prefix) ? TraceFormat::kBinary
-                                               : TraceFormat::kClf;
-    }
-  }
-  switch (format) {
-    case TraceFormat::kSynthetic: {
-      if (!spec.starts_with(kSyntheticPrefix)) {
-        error = "synthetic trace specs look like synthetic:<profile>[:scale]";
-        return nullptr;
-      }
-      return open_synthetic(spec, error);
-    }
-    case TraceFormat::kBinary:
-      return std::make_unique<BinaryTraceSource>(spec);
-    case TraceFormat::kClf:
-      return std::make_unique<ClfTraceSource>(spec, options.clf);
-    case TraceFormat::kAuto: break;  // resolved above
-  }
-  error = "unresolved trace format";
-  return nullptr;
+  return "mmap";
 }
 
 bool load_trace(const std::string& spec, const TraceSourceOptions& options,
                 Trace& out, TraceLoadStats& stats, std::string& error) {
-  auto source = open_trace_source(spec, options, error);
-  if (!source) return false;
-  return source->load(out, stats, error);
+  ResolvedTrace input;
+  return resolve(spec, options.format, input, error) &&
+         materialize(spec, input, options.clf, out, stats, error);
+}
+
+std::unique_ptr<TraceView> open_trace_view(const std::string& spec,
+                                           const TraceSourceOptions& options,
+                                           TraceLoadStats& stats,
+                                           std::string& error) {
+  ResolvedTrace input;
+  if (!resolve(spec, options.format, input, error)) return nullptr;
+  if (input.format == TraceFormat::kBinary) {
+    auto view = StreamingTraceSource::open(std::move(input.file), spec, error);
+    if (view == nullptr) return nullptr;
+    stats = {};
+    stats.format = TraceFormat::kBinary;
+    stats.backing = TraceBacking::kStream;
+    stats.requests = view->request_count();
+    return view;
+  }
+  Trace trace;
+  if (!materialize(spec, input, options.clf, trace, stats, error)) {
+    return nullptr;
+  }
+  return std::make_unique<MaterializedTraceView>(std::move(trace));
 }
 
 }  // namespace piggyweb::trace

@@ -1,7 +1,13 @@
-// Unified trace ingestion. Every consumer of a trace file — the evaluate
-// and analyze tools, the convert tool, the benches — goes through a
-// TraceSource instead of open-coding ifstream + load_clf. A source knows
-// how to materialize a Trace from one backing representation:
+// Trace ingestion. Every consumer of a trace — the evaluate, analyze and
+// convert tools, the benches — reads it through one of two entry points
+// that resolve a spec the same way:
+//
+//   * load_trace materializes a Trace;
+//   * open_trace_view (trace/stream.h) returns a TraceView, which streams
+//     a binary container window by window off its mapping and holds any
+//     other input as a materialized Trace.
+//
+// A spec names one of three inputs:
 //
 //   * CLF text logs (trace/clf.h),
 //   * "PIGGYTRC" columnar binary containers, memory-mapped and decoded
@@ -9,14 +15,15 @@
 //   * synthetic profiles, via the spec "synthetic:<profile>[:<scale>]"
 //     (e.g. "synthetic:aiusa:0.1") instead of a file path.
 //
-// The format is sniffed from the path/spec by default: a "synthetic:"
-// prefix selects generation, files starting with the 8-byte "PIGGYTRC"
-// magic are binary, everything else parses as CLF. Callers can pin the
-// format explicitly (the tools' --trace-format flag).
+// The format is sniffed from the spec by default: a "synthetic:" prefix
+// selects generation, files starting with the 8-byte "PIGGYTRC" magic are
+// binary, everything else parses as CLF. Callers can pin the format
+// explicitly (the tools' --trace-format flag). Files are mapped once, and
+// the mapping serves both the sniff and the load; anything that is not a
+// regular file (a directory, a pipe) is refused.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -32,52 +39,30 @@ bool parse_trace_format(std::string_view name, TraceFormat& out);
 std::string_view trace_format_name(TraceFormat format);
 
 // Which backing path actually served a load — distinct from the format:
-// CLF text parses out of an mmap'd buffer when the file maps (read-copy
-// through an ifstream otherwise), binary containers decode out of a
-// mapping either into a materialized Trace (kMmap) or batch-by-batch
+// CLF text parses and binary containers decode out of a mapping into a
+// materialized Trace (kMmap), a binary TraceView decodes batch by batch
 // without materializing (kStream), and synthetic traces are generated.
-enum class TraceBacking : std::uint8_t { kReadCopy, kMmap, kStream, kGenerated };
+enum class TraceBacking : std::uint8_t { kMmap, kStream, kGenerated };
 std::string_view trace_backing_name(TraceBacking backing);
 
 struct TraceSourceOptions {
   TraceFormat format = TraceFormat::kAuto;
-  ClfLoadOptions clf;  // applied only when the source parses CLF text
+  ClfLoadOptions clf;  // applied only when the input parses as CLF text
 };
 
 // What a load actually did, for the tools' "parsed N requests" line.
 struct TraceLoadStats {
   TraceFormat format = TraceFormat::kClf;  // resolved, never kAuto
-  TraceBacking backing = TraceBacking::kReadCopy;  // path that served it
+  TraceBacking backing = TraceBacking::kMmap;  // path that served it
   std::size_t requests = 0;
   std::size_t skipped_malformed = 0;  // CLF only
   std::size_t skipped_filtered = 0;   // CLF only
 };
 
-// One openable trace. load() appends nothing on failure paths it can
-// detect up front and leaves `out` unspecified once decoding has begun;
-// callers treat a false return as fatal. The loaded trace is time-sorted.
-class TraceSource {
- public:
-  virtual ~TraceSource() = default;
-
-  // Materialize the trace into the empty `out`. Returns false with a
-  // message in `error` on malformed input.
-  virtual bool load(Trace& out, TraceLoadStats& stats,
-                    std::string& error) = 0;
-
-  // The resolved format ("clf", "binary", "synthetic").
-  virtual TraceFormat format() const = 0;
-};
-
-// Open `spec` as a trace source, resolving TraceFormat::kAuto by sniffing
-// (see file comment). Opening validates cheaply — existence, magic,
-// synthetic-spec syntax; binary containers are fully checksummed at
-// load(). Returns nullptr with a message in `error` on failure.
-std::unique_ptr<TraceSource> open_trace_source(
-    const std::string& spec, const TraceSourceOptions& options,
-    std::string& error);
-
-// Convenience: open + load + sort in one call.
+// Materialize `spec` into the empty `out`, time-sorted. Returns false with
+// a message in `error` when the spec cannot be resolved (missing file,
+// not a regular file, bad synthetic spec) or a binary container is
+// malformed; `out` is unspecified then.
 bool load_trace(const std::string& spec, const TraceSourceOptions& options,
                 Trace& out, TraceLoadStats& stats, std::string& error);
 

@@ -25,14 +25,19 @@ std::unique_ptr<StreamingTraceSource> StreamingTraceSource::open(
   auto mapping = util::MmapFile::open(path, error);
   if (!mapping) return nullptr;
   mapping->advise_sequential();
-  auto reader = BinaryTraceReader::open(mapping->bytes(), error);
+  return open(std::move(*mapping), path, error);
+}
+
+std::unique_ptr<StreamingTraceSource> StreamingTraceSource::open(
+    util::MmapFile file, const std::string& path, std::string& error) {
+  auto reader = BinaryTraceReader::open(file.bytes(), error);
   if (!reader) {
     error = path + ": " + error;
     return nullptr;
   }
   // make_unique needs a public constructor; the factory is the only maker.
   std::unique_ptr<StreamingTraceSource> source(new StreamingTraceSource());
-  source->file_ = std::move(*mapping);
+  source->file_ = std::move(file);
   source->reader_ = *reader;
   for (std::size_t t = 0; t < 3; ++t) {
     source->reader_.decode_string_views(t, source->tables_[t]);
@@ -57,38 +62,6 @@ std::span<const Request> LimitedTraceView::window(std::size_t begin,
                                                   std::size_t count) {
   PW_EXPECT(begin + count <= count_);
   return inner_->window(begin, count);
-}
-
-namespace {
-
-// Fully materializing TraceSource formats, wrapped for the view API.
-std::unique_ptr<TraceView> open_materialized_view(
-    const std::string& spec, const TraceSourceOptions& options,
-    TraceLoadStats& stats, std::string& error) {
-  Trace trace;
-  if (!load_trace(spec, options, trace, stats, error)) return nullptr;
-  return std::make_unique<MaterializedTraceView>(std::move(trace));
-}
-
-}  // namespace
-
-std::unique_ptr<TraceView> open_trace_view(const std::string& spec,
-                                           const TraceSourceOptions& options,
-                                           TraceLoadStats& stats,
-                                           std::string& error) {
-  auto source = open_trace_source(spec, options, error);
-  if (source == nullptr) return nullptr;
-  if (source->format() != TraceFormat::kBinary) {
-    return open_materialized_view(spec, options, stats, error);
-  }
-  auto streaming = StreamingTraceSource::open(spec, error);
-  if (streaming == nullptr) return nullptr;
-  stats.format = TraceFormat::kBinary;
-  stats.backing = TraceBacking::kStream;
-  stats.requests = streaming->request_count();
-  stats.skipped_malformed = 0;
-  stats.skipped_filtered = 0;
-  return streaming;
 }
 
 }  // namespace piggyweb::trace

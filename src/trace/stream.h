@@ -95,6 +95,10 @@ class StreamingTraceSource final : public TraceView {
   // a message in `error` on any failure.
   static std::unique_ptr<StreamingTraceSource> open(const std::string& path,
                                                     std::string& error);
+  // The same over a container already mapped from `path`.
+  static std::unique_ptr<StreamingTraceSource> open(util::MmapFile file,
+                                                    const std::string& path,
+                                                    std::string& error);
 
   std::size_t request_count() const override {
     return reader_.request_count();
@@ -150,11 +154,13 @@ class LimitedTraceView final : public TraceView {
   std::size_t count_;
 };
 
-// Open `spec` as a TraceView. Binary containers stream (backing kStream,
-// memory bounded by the window size); CLF text and synthetic specs have
-// no random-access on-disk representation, so they materialize internally
-// — exactly as load_trace would — and are wrapped in an owning
-// MaterializedTraceView. `stats` reports what happened, like load_trace.
+// Open `spec` as a TraceView, resolving it as load_trace does (the two
+// share one resolver in trace/source.cc). Binary containers stream
+// (backing kStream, memory bounded by the window size); CLF text and
+// synthetic specs have no random-access on-disk representation, so they
+// materialize internally — exactly as load_trace would — and are wrapped
+// in an owning MaterializedTraceView. `stats` reports what happened, like
+// load_trace.
 std::unique_ptr<TraceView> open_trace_view(const std::string& spec,
                                            const TraceSourceOptions& options,
                                            TraceLoadStats& stats,

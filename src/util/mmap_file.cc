@@ -13,7 +13,10 @@ namespace piggyweb::util {
 
 std::optional<MmapFile> MmapFile::open(const std::string& path,
                                        std::string& error) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  // O_NONBLOCK so that a FIFO without a writer opens at once, to be
+  // refused below, instead of blocking; it changes nothing for a regular
+  // file.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
   if (fd < 0) {
     error = path + ": " + std::strerror(errno);
     return std::nullopt;
@@ -21,6 +24,11 @@ std::optional<MmapFile> MmapFile::open(const std::string& path,
   struct stat st {};
   if (::fstat(fd, &st) != 0) {
     error = path + ": fstat: " + std::strerror(errno);
+    ::close(fd);
+    return std::nullopt;
+  }
+  if (!S_ISREG(st.st_mode)) {
+    error = path + ": not a regular file";
     ::close(fd);
     return std::nullopt;
   }

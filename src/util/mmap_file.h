@@ -18,8 +18,9 @@ namespace piggyweb::util {
 class MmapFile {
  public:
   // Maps `path` read-only. Returns nullopt (with a message in `error`)
-  // when the file cannot be opened, stat'ed, or mapped. Empty files map
-  // successfully to an empty region.
+  // when the file cannot be opened, stat'ed, or mapped, or is not a
+  // regular file: a directory, pipe or device has no size that says what
+  // a read would return. Empty files map successfully to an empty region.
   static std::optional<MmapFile> open(const std::string& path,
                                       std::string& error);
 

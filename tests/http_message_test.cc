@@ -203,6 +203,32 @@ TEST(ParseTruncated, HugeContentLengthIsRejected) {
   }
 }
 
+// Two Content-Length fields that disagree leave the message's end
+// ambiguous; reading the first would leave "de" as the start of the next
+// pipelined message. Identical repeats stay accepted.
+TEST(ParseContentLength, ConflictingValuesAreRejected) {
+  const std::string headers =
+      "Content-Length: 3\r\nContent-Length: 5\r\n\r\nabcde";
+  ParseError error;
+  EXPECT_FALSE(
+      parse_request("POST /a HTTP/1.1\r\n" + headers, error).has_value());
+  EXPECT_EQ(error.message, "conflicting Content-Length");
+  EXPECT_FALSE(
+      parse_response("HTTP/1.1 200 OK\r\n" + headers, error).has_value());
+  EXPECT_EQ(error.message, "conflicting Content-Length");
+}
+
+TEST(ParseContentLength, IdenticalRepeatsAreAccepted) {
+  const std::string message =
+      "POST /a HTTP/1.1\r\nContent-Length: 3\r\nContent-Length:  3 \r\n\r\n"
+      "abcGET";
+  ParseError error;
+  const auto parsed = parse_request(message, error);
+  ASSERT_TRUE(parsed.has_value()) << error.message;
+  EXPECT_EQ(parsed->request.body, "abc");
+  EXPECT_EQ(parsed->consumed, message.size() - 3);
+}
+
 TEST(ReasonForStatus, KnownCodes) {
   EXPECT_EQ(reason_for_status(200), "OK");
   EXPECT_EQ(reason_for_status(304), "Not Modified");

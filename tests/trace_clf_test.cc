@@ -106,7 +106,7 @@ TEST(Uncachable, MatchesPaperRules) {
 }
 
 TEST(LoadClf, FiltersAndCounts) {
-  std::istringstream in(
+  const std::string_view text(
       "h1 - - [10/Oct/1998:13:55:36 +0000] \"GET /a.html HTTP/1.0\" 200 10\n"
       "h2 - - [10/Oct/1998:13:55:40 +0000] \"GET /cgi-bin/x HTTP/1.0\" 200 "
       "5\n"
@@ -115,7 +115,7 @@ TEST(LoadClf, FiltersAndCounts) {
   Trace trace;
   ClfLoadOptions options;
   options.server_name = "svr";
-  const auto result = load_clf(in, trace, options);
+  const auto result = load_clf_text(text, trace, options);
   EXPECT_EQ(result.parsed, 2u);
   EXPECT_EQ(result.skipped_filtered, 1u);  // the cgi line
   EXPECT_EQ(result.skipped_malformed, 1u);
@@ -124,12 +124,12 @@ TEST(LoadClf, FiltersAndCounts) {
 }
 
 TEST(LoadClf, DropPostOption) {
-  std::istringstream in(
+  const std::string_view text(
       "h1 - - [10/Oct/1998:13:55:36 +0000] \"POST /b HTTP/1.0\" 200 7\n");
   Trace trace;
   ClfLoadOptions options;
   options.drop_post = true;
-  const auto result = load_clf(in, trace, options);
+  const auto result = load_clf_text(text, trace, options);
   EXPECT_EQ(result.parsed, 0u);
   EXPECT_EQ(result.skipped_filtered, 1u);
 }
@@ -143,11 +143,10 @@ TEST(WriteClf, RoundTripsThroughLoad) {
   EXPECT_EQ(loss.servers, 0u);  // one server: the reader names it again
   EXPECT_EQ(loss.last_modified, 0u);
 
-  std::istringstream in(out.str());
   Trace loaded;
   ClfLoadOptions options;
   options.server_name = "svr";
-  const auto result = load_clf(in, loaded, options);
+  const auto result = load_clf_text(out.str(), loaded, options);
   EXPECT_EQ(result.parsed, 2u);
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded.requests()[0].time.value, 875000000);

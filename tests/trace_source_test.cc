@@ -1,8 +1,8 @@
-// TraceSource: format-name parsing, auto-sniffing (synthetic: prefix,
-// PIGGYTRC magic, CLF fallback), synthetic-spec validation, pinned
-// formats, and the property the whole ingestion layer exists for — the
-// same requests loaded from CLF text and from the binary container are
-// field-identical with equal content fingerprints.
+// Trace ingestion (trace/source.h): format-name parsing, auto-sniffing
+// (synthetic: prefix, PIGGYTRC magic, CLF fallback), synthetic-spec
+// validation, pinned formats, and the property the whole ingestion layer
+// exists for — the same requests loaded from CLF text and from the binary
+// container are field-identical with equal content fingerprints.
 #include "trace/source.h"
 
 #include <cstdio>
@@ -81,18 +81,16 @@ TEST(TraceSourceNames, MissingFileIsAnError) {
 TEST(TraceSourceNames, SyntheticSpecValidation) {
   std::string error;
   trace::TraceSourceOptions options;
-  // Unknown profile and malformed scales are open-time errors.
-  EXPECT_EQ(trace::open_trace_source("synthetic:nope:1.0", options, error),
-            nullptr);
-  EXPECT_EQ(trace::open_trace_source("synthetic:aiusa:-1", options, error),
-            nullptr);
-  EXPECT_EQ(trace::open_trace_source("synthetic:aiusa:0", options, error),
-            nullptr);
-  EXPECT_EQ(trace::open_trace_source("synthetic:aiusa:abc", options, error),
-            nullptr);
-  // A good spec loads a deterministic, time-sorted workload.
   trace::Trace out;
   trace::TraceLoadStats stats;
+  // Unknown profile and malformed scales are refused before generating.
+  for (const auto* spec : {"synthetic:nope:1.0", "synthetic:aiusa:-1",
+                           "synthetic:aiusa:0", "synthetic:aiusa:abc"}) {
+    error.clear();
+    EXPECT_FALSE(trace::load_trace(spec, options, out, stats, error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+  // A good spec loads a deterministic, time-sorted workload.
   ASSERT_TRUE(
       trace::load_trace("synthetic:aiusa:0.01", options, out, stats, error))
       << error;

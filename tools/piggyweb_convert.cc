@@ -1,7 +1,8 @@
 // piggyweb_convert — convert traces between formats. The usual direction
 // is CLF text (or a synthetic spec) to the "PIGGYTRC" columnar binary
 // container, which piggyweb_evaluate then replays zero-copy via mmap;
-// binary back to CLF recovers a text log for external tools.
+// binary back to CLF recovers a text log for external tools, written
+// window by window straight off the mapped container.
 //
 //   piggyweb_convert --in=access.log --out=access.trc
 //   piggyweb_convert --in=access.trc --out=access.log --to=clf
@@ -65,10 +66,6 @@ int main(int argc, char** argv) {
   flags.add_bool("verify", false,
                  "binary output: map the written file back and require a "
                  "bit-exact round trip");
-  flags.add_bool("stream", false,
-                 "binary -> clf only: convert window by window straight "
-                 "off the mmap'd container without materializing the "
-                 "trace (bounded memory; identical output bytes)");
   tools::add_observability_flags(flags);
   if (!flags.parse(argc, argv)) return 2;
   const auto run_scope =
@@ -92,14 +89,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const bool stream = flags.get_bool("stream");
-  if (stream && to != "clf") {
-    // Binary -> binary would be a file copy; CLF input materializes while
-    // parsing anyway. The windowed path only pays off for binary -> clf.
-    std::fprintf(stderr, "--stream requires --to=clf\n");
-    return 2;
-  }
-  if (stream) {
+  if (to == "clf") {
     std::unique_ptr<trace::TraceView> view;
     trace::TraceLoadStats load_stats;
     if (const int rc = tools::load_view_from_flags(flags, stdout, view, "in",
@@ -116,7 +106,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const auto loss = trace::write_clf(out, *view);
-    std::printf("wrote %s (clf, %zu requests, streamed)\n", out_path.c_str(),
+    std::printf("wrote %s (clf, %zu requests)\n", out_path.c_str(),
                 view->request_count());
     tools::warn_clf_loss(out_path, loss);
     return 0;
@@ -131,19 +121,6 @@ int main(int argc, char** argv) {
   }
   if (run_scope != nullptr) {
     run_scope->note("trace", tools::trace_stats_note(load_stats));
-  }
-
-  if (to == "clf") {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-      return 1;
-    }
-    const auto loss = trace::write_clf(out, trace);
-    std::printf("wrote %s (clf, %zu requests)\n", out_path.c_str(),
-                trace.size());
-    tools::warn_clf_loss(out_path, loss);
-    return 0;
   }
 
   const auto bytes = trace::serialize_binary_trace(trace);

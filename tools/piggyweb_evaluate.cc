@@ -1,8 +1,9 @@
 // piggyweb_evaluate — replay a web log through the piggybacking protocol
 // and report the paper's §3.1 metrics for a chosen volume scheme/filter.
 // The input may be a CLF text log, a "PIGGYTRC" binary container (replayed
-// zero-copy via mmap; see piggyweb_convert), or a synthetic profile spec —
-// the format is sniffed unless pinned with --trace-format.
+// window by window straight off its mapping, never materialized; see
+// piggyweb_convert), or a synthetic profile spec — the format is sniffed
+// unless pinned with --trace-format.
 //
 //   piggyweb_evaluate --log=site.log --scheme=directory --level=1
 //       --minfreq=10 --rpv-timeout=30
@@ -37,6 +38,7 @@
 #include "trace/stream.h"
 #include "trace_load.h"
 #include "util/expect.h"
+#include "util/intern.h"
 #include "volume/directory.h"
 #include "volume/pair_counter.h"
 #include "volume/probability.h"
@@ -90,12 +92,6 @@ int main(int argc, char** argv) {
                 "evaluator threads, one shard each (1 = no worker pool, "
                 "0 = hardware concurrency); metrics are identical for "
                 "any value");
-  flags.add_bool("stream", false,
-                 "replay without materializing the trace: binary "
-                 "containers are decoded window by window straight off "
-                 "the mmap (bounded memory); metrics are identical to the "
-                 "materializing path. Incompatible with --save-state, "
-                 "--load-state, and --volumes");
   flags.add_int("limit", 0,
                 "replay only the first N requests, as if the log ended "
                 "there (0 = all); incompatible with --save-state and "
@@ -174,61 +170,38 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--stop-fraction must be in (0, 1]\n");
     return 2;
   }
-  const bool stream = flags.get_bool("stream");
   const auto limit_flag = flags.get_int("limit");
   if (limit_flag < 0) {
     std::fprintf(stderr, "--limit must be >= 0\n");
     return 2;
   }
   const auto limit = static_cast<std::size_t>(limit_flag);
-  if ((stream || limit > 0) &&
-      (!save_state.empty() || !load_state.empty())) {
+  // A limited view's fingerprint still names the whole trace, so a
+  // checkpoint could not tell where the replayed log ended.
+  if (limit > 0 && (!save_state.empty() || !load_state.empty())) {
     std::fprintf(stderr,
-                 "--stream and --limit cannot be combined with "
+                 "--limit cannot be combined with "
                  "--save-state/--load-state\n");
     return 2;
   }
-  if (stream && !flags.get_string("volumes").empty()) {
-    std::fprintf(stderr,
-                 "--stream cannot load pretrained --volumes (the file "
-                 "references the materialized path table)\n");
-    return 2;
-  }
 
-  // Streaming mode drives everything through the batch-cursor TraceView;
-  // materializing mode loads a Trace and replays it through a view over
-  // it. Both paths produce bit-identical metrics for the same log and
-  // flags.
-  trace::Trace trace;
+  // Everything reads the trace through one TraceView: a binary container
+  // decodes window by window off its mapping, CLF text and synthetic specs
+  // materialize inside the view.
   std::unique_ptr<trace::TraceView> view_owner;
-  std::optional<trace::LimitedTraceView> limited;
-  trace::TraceView* view = nullptr;
   trace::TraceLoadStats load_stats;
-  if (stream) {
-    if (const int rc = tools::load_view_from_flags(flags, info, view_owner,
-                                                   "log", &load_stats);
-        rc != 0) {
-      return rc;
-    }
-    view = view_owner.get();
-    if (limit > 0 && limit < view->request_count()) {
-      limited.emplace(*view, limit);
-      view = &*limited;
-    }
-  } else {
-    if (const int rc = tools::load_trace_from_flags(flags, info, trace,
-                                                    "log", &load_stats);
-        rc != 0) {
-      return rc;
-    }
-    // --limit truncates the loaded trace outright, so training, the meta
-    // oracle, and the replay all see exactly the first N requests.
-    if (limit > 0 && limit < trace.requests().size()) {
-      trace.requests().resize(limit);
-    }
-    // The replay reads a materialized trace through the same view.
-    view_owner = std::make_unique<trace::MaterializedTraceView>(trace);
-    view = view_owner.get();
+  if (const int rc = tools::load_view_from_flags(flags, info, view_owner,
+                                                 "log", &load_stats);
+      rc != 0) {
+    return rc;
+  }
+  trace::TraceView* view = view_owner.get();
+  // --limit ends the log after N requests, so training, the meta oracle,
+  // and the replay all see exactly the first N.
+  std::optional<trace::LimitedTraceView> limited;
+  if (limit > 0 && limit < view->request_count()) {
+    limited.emplace(*view, limit);
+    view = &*limited;
   }
   if (run_scope != nullptr) {
     run_scope->note("trace", tools::trace_stats_note(load_stats));
@@ -277,8 +250,7 @@ int main(int argc, char** argv) {
   // [range_begin, range_end): a resume starts where the snapshot stopped,
   // --stop-fraction moves the end short of the trace.
   const auto total = view->request_count();
-  // Only a checkpoint reads the trace fingerprint. Take it before
-  // --volumes interns new paths into the trace, which would change it.
+  // Only a checkpoint reads the trace fingerprint.
   const auto fingerprint = save_state.empty() && load_state.empty()
                                ? std::uint64_t{0}
                                : view->content_fingerprint();
@@ -314,8 +286,8 @@ int main(int argc, char** argv) {
   }
   const bool publish = range_end == total;
 
-  // One bounded pass per training consumer in streaming mode; each pass
-  // re-decodes windows off the mapping instead of holding the trace.
+  // One bounded pass per training consumer; over a binary container each
+  // pass re-decodes windows off the mapping instead of holding the trace.
   constexpr std::size_t kScanWindow = std::size_t{1} << 16;
   const auto for_each_window = [&](auto&& fn) {
     for (std::size_t base = 0; base < total; base += kScanWindow) {
@@ -325,13 +297,9 @@ int main(int argc, char** argv) {
   };
 
   server::TraceMetaOracle meta;
-  if (stream) {
-    for_each_window([&](std::span<const trace::Request> window) {
-      meta.observe_window(window, view->paths());
-    });
-  } else {
-    meta.observe_window(trace.requests(), trace.paths());
-  }
+  for_each_window([&](std::span<const trace::Request> window) {
+    meta.observe_window(window, view->paths());
+  });
   sim::EvalResult result;
   std::optional<persist::EvalSnapshot> captured;
   const auto scheme = flags.get_string("scheme");
@@ -406,9 +374,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "cannot open %s\n", volumes_path.c_str());
         return 1;
       }
+      // Seeded in id order, the table gives every trace path its trace id;
+      // paths only the file names get the ids after them.
+      util::InternTable paths;
+      for (const auto path : view->paths().views()) paths.intern(path);
       std::string error;
-      auto loaded =
-          volume::load_volume_set(volumes_in, trace.paths(), error);
+      auto loaded = volume::load_volume_set(volumes_in, paths, error);
       if (!loaded) {
         std::fprintf(stderr, "bad volume file: %s\n", error.c_str());
         return 1;
@@ -419,20 +390,15 @@ int main(int argc, char** argv) {
       pcc.window = config.prediction_window;
       const auto min_count =
           static_cast<std::uint64_t>(flags.get_int("min-count"));
-      volume::PairCounts counts;
-      if (stream) {
-        // Training never materializes the trace either: one windowed pass
-        // builds the compact per-source observation log, the builder
-        // counts from it, and the effectiveness pass replays windows.
-        volume::PairObservations observations;
-        for_each_window([&](std::span<const trace::Request> window) {
-          observations.observe_window(window);
-        });
-        counts = volume::PairCounterBuilder(pcc).build(
-            observations, view->paths(), min_count);
-      } else {
-        counts = volume::PairCounterBuilder(pcc).build(trace, min_count);
-      }
+      // One windowed pass builds the compact per-source observation log,
+      // the builder counts from it, and the effectiveness pass replays
+      // windows.
+      volume::PairObservations observations;
+      for_each_window([&](std::span<const trace::Request> window) {
+        observations.observe_window(window);
+      });
+      const auto counts = volume::PairCounterBuilder(pcc).build(
+          observations, view->paths(), min_count);
       volume::ProbabilityVolumeConfig pvc;
       pvc.probability_threshold = flags.get_double("pt");
       pvc.effectiveness_threshold = flags.get_double("eff");

@@ -1,6 +1,6 @@
 // Shared trace-input plumbing for the CLI tools. Every tool that replays a
-// trace registers the same flags and loads through the same TraceSource
-// entry point, so CLF logs, "PIGGYTRC" binary containers, and
+// trace registers the same flags and reads it through trace/source.h, so
+// CLF logs, "PIGGYTRC" binary containers, and
 // "synthetic:<profile>[:scale]" specs work uniformly everywhere:
 //
 //   --log=<path|spec>      the trace to load
@@ -29,9 +29,9 @@ void add_trace_flags(FlagSet& flags, const char* primary = "log");
 bool trace_options_from_flags(const FlagSet& flags,
                               trace::TraceSourceOptions& out);
 
-// Load the --log trace: open the source, load, sort, and print the
+// Load the --log trace: resolve the spec, load, sort, and print the
 // "parsed N requests" progress line to `info` (including which backing
-// path served the load: mmap, read-copy, stream, or generated). Returns 0
+// path served the load: mmap, stream, or generated). Returns 0
 // on success or the process exit code to propagate (2 for flag errors, 1
 // for load failures and empty traces), after printing the error to
 // stderr. When `stats_out` is non-null the load stats are copied there so
@@ -40,9 +40,9 @@ int load_trace_from_flags(const FlagSet& flags, std::FILE* info,
                           trace::Trace& out, const char* primary = "log",
                           trace::TraceLoadStats* stats_out = nullptr);
 
-// Streaming variant: opens the --log trace as a TraceView (binary
-// containers stream off the mapping, other formats materialize inside the
-// view) and prints the same progress line. Same return convention.
+// The same for a TraceView: binary containers stream off the mapping,
+// other formats materialize inside the view. Same progress line and
+// return convention.
 int load_view_from_flags(const FlagSet& flags, std::FILE* info,
                          std::unique_ptr<trace::TraceView>& out,
                          const char* primary = "log",
