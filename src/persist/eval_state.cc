@@ -335,10 +335,15 @@ std::optional<EvalSnapshot> parse_eval_snapshot(std::string_view file,
       util::FlatMap<util::InternId, std::uint8_t> seen;
       std::size_t elements = 0;
       for (const auto& part : image.parts) {
-        for (const auto& element : part) {
+        for (std::size_t j = 0; j < part.size(); ++j) {
           ++elements;
-          if (!seen.try_emplace(element.resource).second) {
+          if (!seen.try_emplace(part[j].resource).second) {
             error = "duplicate resource in directory volume";
+            return std::nullopt;
+          }
+          // Import merges the partitions into one list by last access.
+          if (j > 0 && part[j].last_access > part[j - 1].last_access) {
+            error = "directory partition not in last-access order";
             return std::nullopt;
           }
         }

@@ -1,6 +1,6 @@
 // Private-state bridge for the snapshot layer.
 //
-// DirectoryVolumes keeps its partitions and index behind private members;
+// DirectoryVolumes keeps its lists and index behind private members;
 // rather than widen its public API with persistence-only accessors, it
 // befriends this single struct. StateAccess member functions (defined in
 // tables.cc) are the only code outside the provider's own translation unit

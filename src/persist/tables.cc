@@ -1,6 +1,7 @@
 #include "persist/tables.h"
 
-#include <iterator>
+#include <array>
+#include <cstdint>
 #include <utility>
 
 #include "persist/state_access.h"
@@ -105,12 +106,12 @@ std::vector<DirectoryVolumeImage> StateAccess::export_directory_volumes(
         provider.prefixes_.str(static_cast<util::InternId>(key & 0xffffffffu)));
     image.saved_id =
         provider.config_.id_offset + provider.config_.id_stride * local;
+    // Each image list is the volume's one list split by partition.
     const auto& volume = provider.volumes_[local];
-    for (std::size_t p = 0; p < kDirectoryPartitions; ++p) {
-      image.parts[p].reserve(volume.parts[p].size());
-      for (const auto& element : volume.parts[p]) {
-        image.parts[p].push_back({element.resource, element.last_access});
-      }
+    for (auto n = volume.head; n != DirectoryVolumes::kNil;
+         n = volume.nodes[n].next) {
+      const auto& node = volume.nodes[n];
+      image.parts[node.part].push_back({node.resource, node.last_access});
     }
   }
   return images;
@@ -136,16 +137,36 @@ bool StateAccess::import_directory_volumes(
     }
     provider.volumes_.emplace_back();
     auto& volume = provider.volumes_.back();
-    for (std::size_t p = 0; p < kDirectoryPartitions; ++p) {
-      for (const auto& element : image.parts[p]) {
-        volume.parts[p].push_back({element.resource, element.last_access});
-        const auto node = std::prev(volume.parts[p].end());
-        if (!volume.index.emplace(element.resource, std::make_pair(p, node))
-                 .second) {
-          error = "duplicate resource in directory volume";
-          return false;
+    // Merge the six lists into the volume's one list: last access
+    // descending, and on equal times the lower partition first.
+    const auto& parts = image.parts;
+    std::array<std::size_t, kDirectoryPartitions> cursor{};
+    for (;;) {
+      std::size_t best = kDirectoryPartitions;
+      for (std::size_t p = 0; p < kDirectoryPartitions; ++p) {
+        if (cursor[p] == parts[p].size()) continue;
+        if (best == kDirectoryPartitions ||
+            parts[p][cursor[p]].last_access >
+                parts[best][cursor[best]].last_access) {
+          best = p;
         }
       }
+      if (best == kDirectoryPartitions) break;
+      const auto& element = parts[best][cursor[best]++];
+      if (cursor[best] < parts[best].size() &&
+          parts[best][cursor[best]].last_access > element.last_access) {
+        error = "directory partition not in last-access order";
+        return false;
+      }
+      const auto node = static_cast<std::uint32_t>(volume.nodes.size());
+      if (!volume.index.emplace(element.resource, node).second) {
+        error = "duplicate resource in directory volume";
+        return false;
+      }
+      volume.nodes.push_back({element.last_access, element.resource,
+                              DirectoryVolumes::kNil, DirectoryVolumes::kNil,
+                              static_cast<std::uint32_t>(best)});
+      DirectoryVolumes::link_before(volume, node, DirectoryVolumes::kNil);
     }
     assigned_ids.push_back(provider.config_.id_offset +
                            provider.config_.id_stride * local);

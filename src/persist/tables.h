@@ -5,7 +5,7 @@
 // Canonical bytes make "restore then re-serialize" a bit-exact identity,
 // which the round-trip property suites rely on.
 //
-// DirectoryVolumes keeps its partitions behind private members, so its
+// DirectoryVolumes keeps its lists behind private members, so its
 // export/import goes through persist::StateAccess (state_access.h).
 //
 // Every deserializer is defensive: counts are bounds-checked against the
@@ -42,9 +42,12 @@ bool deserialize_rpv_entries(ByteReader& in,
 // Structural image of one directory volume: its identity (server id +
 // prefix string — prefix intern ids are instance-local and do not
 // persist), the volume id the saved run had assigned, and the six
-// partition lists in MRU-first order. Volume ids are opaque (RPV
-// suppression compares them only for equality), so a restore may renumber;
-// EvalRestore (eval_state.h) translates saved ids in RPV state.
+// partition lists in MRU-first order: the volume's one list split by
+// partition, so each is in non-increasing last-access order and import
+// merges them back by last access, the lower partition first on a tie.
+// Volume ids are opaque (RPV suppression compares them only for
+// equality), so a restore may renumber; EvalRestore (eval_state.h)
+// translates saved ids in RPV state.
 
 inline constexpr std::size_t kDirectoryPartitions = 6;
 

@@ -12,6 +12,9 @@ DirectoryVolumes::DirectoryVolumes(const DirectoryVolumeConfig& config)
     : config_(config) {
   PW_EXPECT(config.level >= 0);
   PW_EXPECT(config.max_volume_elements > 0);
+  // Node indices are u32 and a volume holds at most one node over its
+  // bound.
+  PW_EXPECT(config.max_volume_elements < kNil);
   PW_EXPECT(config.id_stride >= 1);
   PW_EXPECT(config.id_offset < config.id_stride);
 }
@@ -80,76 +83,82 @@ void DirectoryVolumes::on_request_batch(
 
 void DirectoryVolumes::touch(Volume& volume,
                              const core::VolumeRequest& request) {
-  const auto part = partition_of(request.type, request.size,
-                                 config_.large_size_threshold);
-  const auto idx_it = volume.index.find(request.path);
-  if (idx_it != volume.index.end()) {
-    auto [old_part, node] = idx_it->second;
-    node->last_access = request.time;
-    if (old_part == part) {
-      // Move-to-front within its partition — O(1) splice.
-      volume.parts[part].splice(volume.parts[part].begin(),
-                                volume.parts[part], node);
-    } else {
-      // Size/type class changed (e.g. resource grew); migrate partitions.
-      volume.parts[part].splice(volume.parts[part].begin(),
-                                volume.parts[old_part], node);
-      idx_it->second.first = part;
-    }
-    idx_it->second.second = volume.parts[part].begin();
-    return;
+  const auto part = static_cast<std::uint32_t>(partition_of(
+      request.type, request.size, config_.large_size_threshold));
+  const auto [it, inserted] = volume.index.try_emplace(request.path, kNil);
+  if (!inserted) {
+    unlink(volume, it->second);
+  } else if (volume.free != kNil) {
+    it->second = volume.free;
+    volume.free = volume.nodes[volume.free].next;
+  } else {
+    it->second = static_cast<std::uint32_t>(volume.nodes.size());
+    volume.nodes.emplace_back();
   }
-  volume.parts[part].push_front({request.path, request.time});
-  volume.index.emplace(request.path,
-                       std::make_pair(part, volume.parts[part].begin()));
+  const auto node = it->second;
+  volume.nodes[node].resource = request.path;
+  volume.nodes[node].last_access = request.time;
+  volume.nodes[node].part = part;
+  // Skip the nodes that stay ahead: accessed later, or in the same second
+  // from a lower partition.
+  auto next = volume.head;
+  while (next != kNil) {
+    const auto& other = volume.nodes[next];
+    if (other.last_access < request.time ||
+        (other.last_access == request.time && other.part >= part)) {
+      break;
+    }
+    next = other.next;
+  }
+  link_before(volume, node, next);
 }
 
 void DirectoryVolumes::trim(Volume& volume) {
   while (volume.index.size() > config_.max_volume_elements) {
-    // Evict the least recently used element across the logical FIFO: the
-    // oldest among the partition tails.
-    std::size_t victim_part = kPartitions;
-    util::TimePoint oldest{0};
-    for (std::size_t p = 0; p < kPartitions; ++p) {
-      if (volume.parts[p].empty()) continue;
-      const auto t = volume.parts[p].back().last_access;
-      if (victim_part == kPartitions || t < oldest) {
-        victim_part = p;
-        oldest = t;
-      }
+    // The oldest second's nodes end the list, partitions ascending, so
+    // walking back from the tail the victim is the first node of the
+    // lowest partition met before the second changes.
+    auto victim = volume.tail;
+    PW_ENSURE(victim != kNil);
+    const auto oldest = volume.nodes[victim].last_access;
+    for (auto n = volume.nodes[victim].prev;
+         n != kNil && volume.nodes[n].last_access == oldest &&
+         volume.nodes[victim].part != 0;
+         n = volume.nodes[n].prev) {
+      if (volume.nodes[n].part < volume.nodes[victim].part) victim = n;
     }
-    PW_ENSURE(victim_part < kPartitions);
-    volume.index.erase(volume.parts[victim_part].back().resource);
-    volume.parts[victim_part].pop_back();
+    volume.index.erase(volume.nodes[victim].resource);
+    unlink(volume, victim);
+    volume.nodes[victim].next = volume.free;
+    volume.free = victim;
   }
+}
+
+void DirectoryVolumes::unlink(Volume& volume, std::uint32_t node) {
+  const auto prev = volume.nodes[node].prev;
+  const auto next = volume.nodes[node].next;
+  (prev == kNil ? volume.head : volume.nodes[prev].next) = next;
+  (next == kNil ? volume.tail : volume.nodes[next].prev) = prev;
+}
+
+void DirectoryVolumes::link_before(Volume& volume, std::uint32_t node,
+                                   std::uint32_t next) {
+  const auto prev = next == kNil ? volume.tail : volume.nodes[next].prev;
+  volume.nodes[node].prev = prev;
+  volume.nodes[node].next = next;
+  (prev == kNil ? volume.head : volume.nodes[prev].next) = node;
+  (next == kNil ? volume.tail : volume.nodes[next].prev) = node;
 }
 
 template <typename Visit>
 void DirectoryVolumes::for_each_candidate(const Volume& volume,
                                           Visit&& visit) const {
-  // Merge the six MRU-ordered partition lists into one recency-ordered
-  // sequence (most recent first); on equal last-access times the lower
-  // partition goes first.
-  std::array<ElementList::const_iterator, kPartitions> cursor;
-  std::array<ElementList::const_iterator, kPartitions> end;
-  for (std::size_t p = 0; p < kPartitions; ++p) {
-    cursor[p] = volume.parts[p].begin();
-    end[p] = volume.parts[p].end();
-  }
-  for (std::size_t visited = 0; visited < config_.max_candidates;
-       ++visited) {
-    std::size_t best = kPartitions;
-    for (std::size_t p = 0; p < kPartitions; ++p) {
-      if (cursor[p] == end[p]) continue;
-      if (best == kPartitions ||
-          cursor[p]->last_access > cursor[best]->last_access) {
-        best = p;
-      }
-    }
-    if (best == kPartitions) return;
-    const auto resource = cursor[best]->resource;
-    ++cursor[best];
-    if (!visit(resource)) return;
+  auto node = volume.head;
+  for (std::size_t visited = 0;
+       node != kNil && visited < config_.max_candidates; ++visited) {
+    const auto& element = volume.nodes[node];
+    if (!visit(element.resource)) return;
+    node = element.next;
   }
 }
 

@@ -4,17 +4,16 @@
 // volumes put /a/b.html and /a/d/e.html together; zero-level prefixes make
 // one site-wide volume"). Volumes are maintained online exactly as §3.2.1
 // prescribes:
-//   * a collection of FIFO lists partitioned by content type and size
-//     class (so filters can serve "popular items of certain content types
-//     and sizes" without scanning),
+//   * one recency list per volume whose elements carry a partition by
+//     content type and size class (so filters can serve "popular items
+//     of certain content types and sizes"); the partition breaks ties
+//     between elements accessed in the same second,
 //   * move-to-front on access (last-access-time as the popularity metric,
 //     constant-time maintenance),
-//   * tail-trimming of the logical FIFO to bound volume size.
+//   * tail-trimming of the list to bound volume size.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <list>
 #include <vector>
 
 #include "core/piggyback.h"
@@ -89,18 +88,28 @@ class DirectoryVolumes final : public core::VolumeProvider {
                                   std::uint64_t size,
                                   std::uint64_t large_threshold);
 
-  struct Element {
-    util::InternId resource;
-    util::TimePoint last_access;
-  };
-  using ElementList = std::list<Element>;
+  // Node index meaning "none": the end of a list or an empty free list.
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
+  struct Node {
+    util::TimePoint last_access;
+    util::InternId resource;
+    std::uint32_t prev;
+    std::uint32_t next;
+    std::uint32_t part;  // partition_of the element's latest access
+  };
+
+  // One volume is one doubly linked list whose nodes live in `nodes` and
+  // link by index. The list is kept in candidate order: last access
+  // descending, then partition ascending, then most recently used first.
+  // So candidates are a walk from `head`, and trim works from `tail`.
+  // Trimmed nodes are chained through `next` from `free` for reuse.
   struct Volume {
-    std::array<ElementList, kPartitions> parts;
-    // resource -> (partition, node) for O(1) move-to-front
-    util::FlatMap<util::InternId,
-                  std::pair<std::size_t, ElementList::iterator>>
-        index;
+    std::vector<Node> nodes;
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t free = kNil;
+    util::FlatMap<util::InternId, std::uint32_t> index;  // resource -> node
   };
 
   // (server id, interned prefix id) packed into the volume lookup key.
@@ -118,13 +127,25 @@ class DirectoryVolumes final : public core::VolumeProvider {
   }
   void predict_into(const core::VolumeRequest& request,
                     core::VolumePrediction& out);
+  // Sets the element's last access and partition and relinks it at its
+  // place in candidate order: after the nodes accessed later, and after
+  // the nodes of lower partitions accessed in the same second. Callers
+  // touch in non-decreasing time, so that place is at or near the head;
+  // an older touch walks further and still lands in order.
   void touch(Volume& volume, const core::VolumeRequest& request);
+  // While the volume is over its bound, evicts the least recently used
+  // element of the lowest partition among those accessed in the oldest
+  // second.
   void trim(Volume& volume);
-  // Calls visit(resource) on the volume's elements best-first — last
+  static void unlink(Volume& volume, std::uint32_t node);
+  // Links `node` in before `next` (kNil: at the tail).
+  static void link_before(Volume& volume, std::uint32_t node,
+                          std::uint32_t next);
+  // Calls visit(resource) on the volume's elements in list order — last
   // access descending, then partition ascending, then most recently used
   // first within a partition — until it returns false or max_candidates
   // elements have been visited. collect() and on_request_filtered() both
-  // read a volume through this one merge.
+  // read a volume through this one walk.
   template <typename Visit>
   void for_each_candidate(const Volume& volume, Visit&& visit) const;
   void collect(const Volume& volume, std::vector<util::InternId>& out) const;

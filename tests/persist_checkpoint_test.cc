@@ -350,6 +350,27 @@ TEST(CheckpointResume, StructurallyInvalidSnapshotsAreRejected) {
                      .has_value());
   }
 
+  // So is a partition list out of last-access order: restore merges the
+  // six lists of a volume by last access.
+  broken = snapshot;
+  bool swapped = false;
+  for (auto& image : broken.volumes) {
+    for (auto& part : image.parts) {
+      for (std::size_t j = 1; j < part.size() && !swapped; ++j) {
+        if (part[j - 1].last_access > part[j].last_access) {
+          std::swap(part[j - 1], part[j]);
+          swapped = true;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(swapped);
+  EXPECT_FALSE(
+      parse_eval_snapshot(serialize_eval_snapshot(broken), error).has_value());
+  EXPECT_NE(error.find("directory partition not in last-access order"),
+            std::string::npos)
+      << error;
+
   // So is a timestamp no trace reaches: the accumulator would overflow
   // subtracting it from a request time.
   const util::Seconds far = -(util::Seconds{1} << 62);

@@ -12,6 +12,7 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "persist/state_access.h"
@@ -135,6 +136,10 @@ TEST(DirectoryVolumesCodec, ExportImportPreservesStructure) {
   const auto a = paths.intern("/a/x.html");
   const auto b = paths.intern("/a/y.gif");
   const auto c = paths.intern("/b/z.html");
+  const auto d = paths.intern("/a/big.html");
+  const auto e = paths.intern("/a/w.gif");
+  const auto f = paths.intern("/a/v.html");
+  const auto g = paths.intern("/a/next.html");
 
   volume::DirectoryVolumeConfig config;
   config.level = 1;
@@ -151,6 +156,16 @@ TEST(DirectoryVolumesCodec, ExportImportPreservesStructure) {
   // Touch /a/x.html again so move-to-front ordering is part of the image.
   original.on_request(
       make_request(1, a, 50, 100, trace::ContentType::kHtml));
+  // Same-second touches across partitions, and /a/y.gif migrating from
+  // the large-image partition to the small one within that second.
+  original.on_request(
+      make_request(1, d, 50, 64 * 1024, trace::ContentType::kHtml));
+  original.on_request(
+      make_request(1, e, 50, 100, trace::ContentType::kImage));
+  original.on_request(
+      make_request(1, f, 50, 100, trace::ContentType::kHtml));
+  original.on_request(
+      make_request(1, b, 50, 100, trace::ContentType::kImage));
 
   const auto images = StateAccess::export_directory_volumes(original);
   ASSERT_EQ(images.size(), original.volume_count());
@@ -187,6 +202,26 @@ TEST(DirectoryVolumesCodec, ExportImportPreservesStructure) {
     EXPECT_EQ(re[i].prefix, expected[i].prefix);
     EXPECT_EQ(re[i].parts, expected[i].parts);
   }
+
+  // The restored provider offers the same candidates, in the same order.
+  const auto next = make_request(1, g, 50, 100, trace::ContentType::kHtml);
+  const auto want = original.on_request(next);
+  EXPECT_EQ(restored.on_request(next).resources, want.resources);
+  EXPECT_EQ(want.resources,
+            (std::vector<util::InternId>{g, f, a, d, b, e}));
+}
+
+TEST(DirectoryVolumesCodec, PartitionOutOfOrderIsRejected) {
+  auto images = sample_images();
+  std::swap(images[0].parts[0][0], images[0].parts[0][1]);
+  volume::DirectoryVolumeConfig config;
+  volume::DirectoryVolumes provider(config);
+  std::vector<const DirectoryVolumeImage*> pointers = {&images[0]};
+  std::vector<core::VolumeId> assigned;
+  std::string error;
+  EXPECT_FALSE(StateAccess::import_directory_volumes(provider, pointers,
+                                                     assigned, error));
+  EXPECT_EQ(error, "directory partition not in last-access order");
 }
 
 TEST(DirectoryVolumesCodec, DuplicateVolumeIdentityIsRejected) {

@@ -33,6 +33,14 @@ class DirectoryVolumesTest : public ::testing::Test {
     return volumes;
   }
 
+  std::vector<std::string> names(const core::VolumePrediction& p) const {
+    std::vector<std::string> out;
+    for (const auto resource : p.resources) {
+      out.emplace_back(paths_.str(resource));
+    }
+    return out;
+  }
+
   util::InternTable paths_;
 };
 
@@ -138,6 +146,66 @@ TEST_F(DirectoryVolumesTest, PartitionMigrationOnTypeChange) {
   const auto p = volumes.on_request(request("/a/other.html", 20));
   EXPECT_EQ(p.resources.size(), 2u);
   EXPECT_EQ(volumes.volume_size(p.volume), 2u);
+}
+
+// Tie order. Timestamps are whole seconds, so several elements often
+// share one; partitions are html small 0, html large 1, image small 2.
+
+TEST_F(DirectoryVolumesTest, SameSecondPartitionsOfferedAscending) {
+  auto volumes = make(1);
+  volumes.on_request(request("/a/img.gif", 5, 100, trace::ContentType::kImage));
+  volumes.on_request(request("/a/small.html", 5, 100));
+  const auto p = volumes.on_request(request("/a/big.html", 5, 100000));
+  EXPECT_EQ(names(p), (std::vector<std::string>{"/a/small.html",
+                                                "/a/big.html",
+                                                "/a/img.gif"}));
+}
+
+TEST_F(DirectoryVolumesTest, SameSecondSamePartitionOfferedMruFirst) {
+  auto volumes = make(1);
+  volumes.on_request(request("/a/1.html", 5));
+  const auto p = volumes.on_request(request("/a/2.html", 5));
+  EXPECT_EQ(names(p), (std::vector<std::string>{"/a/2.html", "/a/1.html"}));
+}
+
+TEST_F(DirectoryVolumesTest, SameSecondMigrationLeadsItsNewPartition) {
+  auto volumes = make(1);
+  volumes.on_request(request("/a/b.html", 5, 100000));
+  volumes.on_request(request("/a/c.html", 5, 100000));
+  volumes.on_request(request("/a/d.html", 5, 100));
+  volumes.on_request(request("/a/m.html", 5, 100));
+  // m grows into partition 1 within the same second: ahead of c and b,
+  // behind d, which stays in partition 0.
+  const auto p = volumes.on_request(request("/a/m.html", 5, 100000));
+  EXPECT_EQ(names(p), (std::vector<std::string>{"/a/d.html", "/a/m.html",
+                                                "/a/c.html", "/a/b.html"}));
+}
+
+TEST_F(DirectoryVolumesTest, TrimInOldestSecondEvictsLowerPartitionLru) {
+  auto volumes = make(1, /*max_elements=*/3);
+  volumes.on_request(request("/a/x.html", 1, 100000));  // partition 1
+  volumes.on_request(request("/a/y.html", 1, 100));     // partition 0
+  volumes.on_request(request("/a/z.html", 1, 100));     // partition 0
+  // Second 1 is the oldest and spans partitions 0 and 1: the list tail x
+  // stays, and y, partition 0's least recently used, goes.
+  const auto p = volumes.on_request(request("/a/w.html", 2, 100));
+  EXPECT_EQ(names(p), (std::vector<std::string>{"/a/w.html", "/a/z.html",
+                                                "/a/x.html"}));
+}
+
+TEST_F(DirectoryVolumesTest, OlderTouchLandsInLastAccessOrder) {
+  // Callers touch in non-decreasing time. An older touch is still placed
+  // by its own last access, behind every element accessed later.
+  auto volumes = make(1, /*max_elements=*/3);
+  volumes.on_request(request("/a/a.html", 10));
+  volumes.on_request(request("/a/b.html", 20));
+  auto p = volumes.on_request(request("/a/a.html", 15));
+  EXPECT_EQ(names(p), (std::vector<std::string>{"/a/b.html", "/a/a.html"}));
+  volumes.on_request(request("/a/c.html", 12));
+  // Over the bound, the oldest access goes: c, touched last.
+  p = volumes.on_request(request("/a/d.html", 18));
+  EXPECT_EQ(names(p), (std::vector<std::string>{"/a/b.html", "/a/d.html",
+                                                "/a/a.html"}));
 }
 
 TEST_F(DirectoryVolumesTest, ServersKeepSeparateVolumes) {
