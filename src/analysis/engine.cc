@@ -1,7 +1,6 @@
 #include "analysis/engine.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -24,12 +23,18 @@ bool analyzable(const std::string& name) {
 }
 
 void walk(const fs::path& dir, const fs::path& root,
-          std::vector<std::string>& out) {
+          std::vector<std::string>& out, std::vector<std::string>& errors) {
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+  fs::directory_iterator entries(dir, ec);
+  if (ec) {
+    errors.push_back("cannot list " + dir.generic_string() + ": " +
+                     ec.message());
+    return;
+  }
+  for (const auto& entry : entries) {
     const std::string name = entry.path().filename().string();
     if (entry.is_directory()) {
-      if (!skip_directory(name)) walk(entry.path(), root, out);
+      if (!skip_directory(name)) walk(entry.path(), root, out, errors);
       continue;
     }
     if (!entry.is_regular_file() || !analyzable(name)) continue;
@@ -37,112 +42,44 @@ void walk(const fs::path& dir, const fs::path& root,
   }
 }
 
-bool matches(const Suppression& s, const Diagnostic& d) {
-  return s.rule == d.rule && s.path == d.file &&
-         (s.line == 0 || s.line == d.line);
-}
-
 }  // namespace
 
-std::vector<Suppression> parse_suppressions(
-    std::string_view text, std::vector<std::string>& errors) {
-  std::vector<Suppression> out;
-  std::size_t lineno = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = std::min(text.find('\n', pos), text.size());
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++lineno;
-    if (const auto hash = line.find('#'); hash != std::string_view::npos) {
-      line = line.substr(0, hash);
-    }
-    while (!line.empty() && (line.back() == ' ' || line.back() == '\t' ||
-                             line.back() == '\r')) {
-      line.remove_suffix(1);
-    }
-    while (!line.empty() && (line.front() == ' ' || line.front() == '\t')) {
-      line.remove_prefix(1);
-    }
-    if (line.empty()) continue;
-    const std::size_t space = line.find_first_of(" \t");
-    if (space == std::string_view::npos) {
-      errors.push_back("line " + std::to_string(lineno) +
-                       ": expected 'rule-id path[:line]'");
-      continue;
-    }
-    Suppression s;
-    s.rule = std::string(line.substr(0, space));
-    std::string_view rest = line.substr(space + 1);
-    while (!rest.empty() && (rest.front() == ' ' || rest.front() == '\t')) {
-      rest.remove_prefix(1);
-    }
-    const std::size_t colon = rest.rfind(':');
-    if (colon != std::string_view::npos && colon + 1 < rest.size() &&
-        rest.find_first_not_of("0123456789", colon + 1) ==
-            std::string_view::npos) {
-      s.line = static_cast<std::uint32_t>(
-          std::stoul(std::string(rest.substr(colon + 1))));
-      rest = rest.substr(0, colon);
-    }
-    if (rest.empty()) {
-      errors.push_back("line " + std::to_string(lineno) + ": empty path");
-      continue;
-    }
-    s.path = std::string(rest);
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-std::vector<std::string> collect_tree(const AnalyzeOptions& options) {
+std::vector<std::string> collect_tree(const AnalyzeOptions& options,
+                                      std::vector<std::string>& errors) {
   std::vector<std::string> out;
   const fs::path root(options.root);
   for (const auto& sub : options.subdirs) {
     const fs::path dir = root / sub;
     std::error_code ec;
-    if (!fs::is_directory(dir, ec)) continue;
-    walk(dir, root, out);
+    if (!fs::is_directory(dir, ec)) {
+      errors.push_back(dir.generic_string() + ": not a directory");
+      continue;
+    }
+    walk(dir, root, out, errors);
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
-AnalyzeResult analyze_paths(const AnalyzeOptions& options,
-                            const std::vector<std::string>& paths) {
+AnalyzeResult analyze_tree(const AnalyzeOptions& options) {
+  AnalyzeResult result;
+  const std::vector<std::string> paths = collect_tree(options, result.errors);
   Project project;
   const fs::path root(options.root);
-  std::size_t loaded = 0;
   for (const auto& rel : paths) {
     std::ifstream in(root / rel, std::ios::binary);
     if (!in) {
-      std::fprintf(stderr, "piggyweb_staticcheck: cannot read %s\n",
-                   rel.c_str());
+      result.errors.push_back("cannot read " + (root / rel).generic_string());
       continue;
     }
     std::ostringstream buf;
     buf << in.rdbuf();
     project.add_file(rel, std::move(buf).str());
-    ++loaded;
   }
-  AnalyzeResult result;
-  result.files_scanned = loaded;
-  for (auto& d : project.analyze()) {
-    bool suppressed = false;
-    for (const Suppression& s : options.suppressions) {
-      if (matches(s, d)) {
-        suppressed = true;
-        break;
-      }
-    }
-    (suppressed ? result.suppressed : result.diagnostics)
-        .push_back(std::move(d));
-  }
+  if (!result.errors.empty()) return result;
+  result.files_scanned = paths.size();
+  result.diagnostics = project.analyze();
   return result;
-}
-
-AnalyzeResult analyze_tree(const AnalyzeOptions& options) {
-  return analyze_paths(options, collect_tree(options));
 }
 
 }  // namespace piggyweb::analysis

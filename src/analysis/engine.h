@@ -1,57 +1,40 @@
 // Drives staticcheck over a source tree on disk: walks the analyzed
-// directories, loads every .h/.cc into a Project, runs all rules, and
-// applies the suppression file. The walker skips build output and the
-// lint fixtures themselves (any directory named "testdata").
+// directories, loads every .h/.cc into a Project and runs all rules.
+// The walker skips build output and the lint fixtures themselves (any
+// directory named "testdata").
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analysis/project.h"
 
 namespace piggyweb::analysis {
 
-// One `rule-id path[:line]` suppression entry. line == 0 matches every
-// line of the file.
-struct Suppression {
-  std::string rule;
-  std::string path;
-  std::uint32_t line = 0;
-
-  friend bool operator==(const Suppression&, const Suppression&) = default;
-};
-
-// Parse suppression-file text: one entry per line, '#' comments and
-// blank lines ignored. Malformed lines are reported into `errors` as
-// "line N: ..." strings and skipped.
-std::vector<Suppression> parse_suppressions(std::string_view text,
-                                            std::vector<std::string>& errors);
-
 struct AnalyzeOptions {
   // Repo root on disk; analyzed paths are reported relative to it.
   std::string root = ".";
   // Subtrees to scan, relative to root.
   std::vector<std::string> subdirs = {"src", "tools", "bench", "tests"};
-  std::vector<Suppression> suppressions;
 };
 
 struct AnalyzeResult {
-  std::vector<Diagnostic> diagnostics;  // after suppression, report order
-  std::vector<Diagnostic> suppressed;   // matched by a suppression entry
+  std::vector<Diagnostic> diagnostics;  // report order
   std::size_t files_scanned = 0;
+  // What could not be read: a subdirectory that is not a directory, a
+  // directory or file that cannot be opened. Any entry means the tree
+  // was not analyzed, and the rules did not run.
+  std::vector<std::string> errors;
 };
 
 // Repo-relative paths of every analyzable file under options.subdirs,
 // sorted. Skips directories named "testdata", ".git", ".claude", and
-// any starting with "build".
-std::vector<std::string> collect_tree(const AnalyzeOptions& options);
+// any starting with "build". A subdirectory that is missing or cannot
+// be listed is reported into `errors`.
+std::vector<std::string> collect_tree(const AnalyzeOptions& options,
+                                      std::vector<std::string>& errors);
 
-// Load `paths` (relative to options.root) and run every rule.
-AnalyzeResult analyze_paths(const AnalyzeOptions& options,
-                            const std::vector<std::string>& paths);
-
-// collect_tree + analyze_paths.
+// collect_tree, then load every file and run every rule.
 AnalyzeResult analyze_tree(const AnalyzeOptions& options);
 
 }  // namespace piggyweb::analysis

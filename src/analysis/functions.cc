@@ -14,23 +14,11 @@ struct Scope {
   std::string_view name;  // class name for kClass scopes, else empty
 };
 
-// Member types that exempt a declaration from atomic-plain-mix: the
-// synchronization primitives themselves, atomics (already safe), and
-// const/static members (never raced).
-bool type_exempt_ident(std::string_view t) {
-  return t == "mutex" || t == "shared_mutex" || t == "recursive_mutex" ||
-         t == "timed_mutex" || t == "shared_timed_mutex" ||
-         t == "condition_variable" || t == "condition_variable_any" ||
-         t == "once_flag" || t == "atomic" || t == "atomic_flag" ||
-         t == "const" || t == "constexpr" || t == "static" ||
-         t == "friend" || t == "unique_lock" || t == "lock_guard";
-}
-
 class Scanner {
  public:
   explicit Scanner(const SourceFile& file) : toks_(file.tokens) {}
 
-  ScanResult run() {
+  std::vector<FunctionDef> run() {
     while (i_ < toks_.size()) {
       const Token& t = toks_[i_];
       if (t.is_punct("#")) {
@@ -62,12 +50,11 @@ class Scanner {
       } else if (t.text == "using" || t.text == "typedef") {
         skip_to_semicolon();
       } else if (t.text.starts_with("PW_") && peek_punct(i_ + 1, "(")) {
-        handle_annotation_macro();
+        skip_macro_call();
       } else if (in_code_scope() && peek_punct(i_ + 1, "(") &&
                  !is_cpp_keyword(t.text)) {
         try_function();
       } else {
-        if (at_class_scope()) maybe_member(i_);
         ++i_;
       }
     }
@@ -78,10 +65,6 @@ class Scanner {
   bool in_code_scope() const {
     return scopes_.empty() || scopes_.back().kind == ScopeKind::kNamespace ||
            scopes_.back().kind == ScopeKind::kClass;
-  }
-
-  bool at_class_scope() const {
-    return !scopes_.empty() && scopes_.back().kind == ScopeKind::kClass;
   }
 
   bool peek_punct(std::size_t idx, std::string_view text) const {
@@ -240,76 +223,11 @@ class Scanner {
     return toks_.size();
   }
 
-  // Normalized annotation-argument text for the macro call whose '(' is
-  // at `open`: token texts concatenated with '->' folded to '.', so
-  // `stripe->mutex` and `stripe.mutex` compare equal.
-  std::string normalize_args(std::size_t open, std::size_t close) const {
-    std::string out;
-    for (std::size_t j = open + 1; j < close; ++j) {
-      if (toks_[j].is_punct("->")) {
-        out += '.';
-      } else {
-        out += toks_[j].text;
-      }
-    }
-    return out;
-  }
-
-  // toks_[i_] is a `PW_*` identifier followed by '('. At class scope a
-  // PW_GUARDED_BY annotates the member declared immediately before it;
-  // everything else (PW_EXPECT at namespace scope, stray macros) is
-  // skipped without being mistaken for a function named PW_*.
-  void handle_annotation_macro() {
+  // toks_[i_] is a `PW_*` identifier followed by '(': a contract macro
+  // (PW_EXPECT at namespace scope, say), never a function named PW_*.
+  void skip_macro_call() {
     const std::size_t close = match(i_ + 1, "(", ")");
-    if (toks_[i_].text == "PW_GUARDED_BY" && at_class_scope() && i_ > 0 &&
-        toks_[i_ - 1].kind == TokKind::kIdent &&
-        !is_cpp_keyword(toks_[i_ - 1].text)) {
-      out_.guarded_members.push_back({class_path(), toks_[i_ - 1].text,
-                                      normalize_args(i_ + 1, close),
-                                      toks_[i_ - 1].line});
-    }
     i_ = close < toks_.size() ? close + 1 : toks_.size();
-  }
-
-  // toks_[idx] is a plain identifier at class scope that is not a
-  // function candidate. Record it as a data member when it matches the
-  // declaration shape `<type tokens> name (';' | '=' | '{' | PW_*)`.
-  void maybe_member(std::size_t idx) {
-    const Token& t = toks_[idx];
-    if (is_cpp_keyword(t.text)) return;
-    if (idx == 0 || idx + 1 >= toks_.size()) return;
-    const Token& prev = toks_[idx - 1];
-    const bool declish_prev =
-        prev.kind == TokKind::kIdent || prev.is_punct(">") ||
-        prev.is_punct("*") || prev.is_punct("&") || prev.is_punct("]");
-    if (!declish_prev) return;
-    if (prev.kind == TokKind::kIdent && is_cpp_keyword(prev.text) &&
-        prev.text != "const" && prev.text != "unsigned" &&
-        prev.text != "signed" && prev.text != "long" &&
-        prev.text != "short" && prev.text != "int" && prev.text != "char" &&
-        prev.text != "bool" && prev.text != "double" &&
-        prev.text != "float" && prev.text != "mutable") {
-      return;
-    }
-    const Token& next = toks_[idx + 1];
-    const bool decl_end =
-        next.is_punct(";") || next.is_punct("=") || next.is_punct("{") ||
-        (next.kind == TokKind::kIdent && next.text.starts_with("PW_"));
-    if (!decl_end) return;
-    // Walk the declaration's type tokens back to the statement start.
-    bool exempt = false;
-    for (std::size_t j = idx; j-- > 0;) {
-      const Token& b = toks_[j];
-      if (b.is_punct(";") || b.is_punct("{") || b.is_punct("}") ||
-          b.is_punct(":")) {
-        break;
-      }
-      if (b.kind == TokKind::kIdent && type_exempt_ident(b.text)) {
-        exempt = true;
-        break;
-      }
-    }
-    out_.members.push_back({class_path(), t.text, exempt, t.line});
   }
 
   // toks_[i_] is a non-keyword identifier followed by '('.
@@ -413,7 +331,7 @@ class Scanner {
         def.is_public = false;
       }
     }
-    out_.functions.push_back(std::move(def));
+    out_.push_back(std::move(def));
     i_ = body_close < toks_.size() ? body_close + 1 : toks_.size();
   }
 
@@ -516,15 +434,13 @@ class Scanner {
   const std::vector<Token>& toks_;
   std::size_t i_ = 0;
   std::vector<Scope> scopes_;
-  ScanResult out_;
+  std::vector<FunctionDef> out_;
 };
 
 }  // namespace
 
 std::vector<FunctionDef> scan_functions(const SourceFile& file) {
-  return Scanner(file).run().functions;
+  return Scanner(file).run();
 }
-
-ScanResult scan_file(const SourceFile& file) { return Scanner(file).run(); }
 
 }  // namespace piggyweb::analysis

@@ -136,30 +136,6 @@ const std::set<std::string_view>* Project::provided_symbols(
   return &entry;
 }
 
-const ScanResult& Project::scan_of(const SourceFile& file) const {
-  const auto cached = scan_cache_.find(file.path);
-  if (cached != scan_cache_.end()) return cached->second;
-  return scan_cache_.emplace(file.path, scan_file(file)).first->second;
-}
-
-std::vector<std::string> Project::include_closure(
-    const SourceFile& file) const {
-  std::vector<std::string> order{file.path};
-  std::set<std::string, std::less<>> seen{file.path};
-  for (std::size_t next = 0; next < order.size(); ++next) {
-    const SourceFile* f = find(order[next]);
-    if (f == nullptr) continue;
-    for (const IncludeRef& inc : includes_of(*f)) {
-      if (inc.spec.size() < 2 || inc.spec.front() != '"') continue;
-      const std::string resolved =
-          resolve_include(*f, inc.spec.substr(1, inc.spec.size() - 2));
-      if (resolved.empty() || !seen.insert(resolved).second) continue;
-      order.push_back(resolved);
-    }
-  }
-  return order;
-}
-
 std::vector<Diagnostic> Project::analyze() const {
   std::vector<Diagnostic> out;
   for (const auto& file : files_) {
@@ -167,7 +143,6 @@ std::vector<Diagnostic> Project::analyze() const {
     check_flatmap_safety(*this, *file, out);
     check_contracts(*this, *file, out);
     check_headers(*this, *file, out);
-    check_concurrency(*this, *file, out);
     check_view_invalidation(*this, *file, out);
   }
   std::sort(out.begin(), out.end(), diagnostic_less);

@@ -10,7 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/functions.h"
 #include "analysis/source.h"
 
 namespace piggyweb::analysis {
@@ -49,14 +48,6 @@ class Project {
   const std::set<std::string_view>* provided_symbols(
       std::string_view path) const;
 
-  // Cached scan_file() result for a registered file (functions,
-  // guarded-member annotations, plain members).
-  const ScanResult& scan_of(const SourceFile& file) const;
-
-  // `file`'s path plus every project file it (transitively) includes,
-  // breadth-first starting with the file itself; cycle-safe.
-  std::vector<std::string> include_closure(const SourceFile& file) const;
-
   // Run every rule over every file; diagnostics in report order.
   std::vector<Diagnostic> analyze() const;
 
@@ -68,7 +59,6 @@ class Project {
   std::map<std::string, SourceFile*, std::less<>> by_path_;
   mutable std::map<std::string, std::set<std::string_view>, std::less<>>
       provided_cache_;
-  mutable std::map<std::string, ScanResult, std::less<>> scan_cache_;
 };
 
 }  // namespace piggyweb::analysis

@@ -22,12 +22,6 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"hdr-pragma-once", "header does not start with #pragma once"},
       {"hdr-unused-include",
        "include whose (transitive) symbols are never referenced"},
-      {"lock-guarded-state",
-       "access to a PW_GUARDED_BY member without holding the named mutex "
-       "(RAII guard or explicit lock())"},
-      {"atomic-plain-mix",
-       "plain member of a lock-annotated class written under a lock but "
-       "also accessed with no lock held"},
       {"view-after-advance",
        "TraceView window/read_batch span or InternTable views() used "
        "after an advancing call invalidated it"},

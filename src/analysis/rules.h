@@ -2,8 +2,8 @@
 // one file; Project::analyze() drives all of them. Scope policy (which
 // modules a rule applies to) lives here so it is one table to read and
 // one place to change — per-module allowlisting is deliberate: a cold
-// module is exempted as a whole, never a single call site (that is what
-// the suppression file is for, and CI requires it to stay empty).
+// module is exempted as a whole, never a single call site. There is no
+// suppression file: a finding is fixed, or its rule changes.
 #pragma once
 
 #include <string_view>
@@ -64,12 +64,6 @@ void check_contracts(const Project& project, const SourceFile& file,
 // hdr-pragma-once, hdr-unused-include.
 void check_headers(const Project& project, const SourceFile& file,
                    std::vector<Diagnostic>& out);
-
-// lock-guarded-state: access to a PW_GUARDED_BY member without its
-// mutex held; atomic-plain-mix: plain member of an annotated class
-// written under a lock but also accessed lock-free.
-void check_concurrency(const Project& project, const SourceFile& file,
-                       std::vector<Diagnostic>& out);
 
 // view-after-advance: TraceView window / read_batch spans and
 // InternTable::views() used after an advancing/mutating call on the

@@ -18,24 +18,24 @@ void Gauge::set_max(double value) {
 }
 
 Counter& Registry::counter(std::string_view name, bool deterministic) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
+  auto entries = entries_.lock();
+  auto it = entries->find(name);
+  if (it == entries->end()) {
     Entry entry{Kind::kCounter, deterministic, std::make_unique<Counter>(),
                 nullptr, nullptr};
-    it = entries_.emplace(std::string(name), std::move(entry)).first;
+    it = entries->emplace(std::string(name), std::move(entry)).first;
   }
   PW_EXPECT(it->second.kind == Kind::kCounter);
   return *it->second.counter;
 }
 
 Gauge& Registry::gauge(std::string_view name, bool deterministic) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
+  auto entries = entries_.lock();
+  auto it = entries->find(name);
+  if (it == entries->end()) {
     Entry entry{Kind::kGauge, deterministic, nullptr,
                 std::make_unique<Gauge>(), nullptr};
-    it = entries_.emplace(std::string(name), std::move(entry)).first;
+    it = entries->emplace(std::string(name), std::move(entry)).first;
   }
   PW_EXPECT(it->second.kind == Kind::kGauge);
   return *it->second.gauge;
@@ -45,12 +45,12 @@ LogHistogram& Registry::log_histogram(std::string_view name, double lo,
                                       double hi,
                                       std::size_t buckets_per_decade,
                                       bool deterministic) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
+  auto entries = entries_.lock();
+  auto it = entries->find(name);
+  if (it == entries->end()) {
     Entry entry{Kind::kLogHistogram, deterministic, nullptr, nullptr,
                 std::make_unique<LogHistogram>(lo, hi, buckets_per_decade)};
-    it = entries_.emplace(std::string(name), std::move(entry)).first;
+    it = entries->emplace(std::string(name), std::move(entry)).first;
   }
   PW_EXPECT(it->second.kind == Kind::kLogHistogram);
   return *it->second.log_histogram;
@@ -61,9 +61,9 @@ void Registry::merge_from(const Registry& other) {
   // merge without holding it (metric updates are internally synchronized).
   std::vector<std::pair<std::string, const Entry*>> names;
   {
-    std::lock_guard<std::mutex> lock(other.mutex_);
-    names.reserve(other.entries_.size());
-    for (const auto& [name, entry] : other.entries_) {
+    const auto entries = other.entries_.lock();
+    names.reserve(entries->size());
+    for (const auto& [name, entry] : *entries) {
       names.emplace_back(name, &entry);
     }
   }
@@ -87,16 +87,15 @@ void Registry::merge_from(const Registry& other) {
 }
 
 std::size_t Registry::metric_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+  return entries_.lock()->size();
 }
 
 Json Registry::snapshot() const {
   auto counters = Json::array();
   auto gauges = Json::array();
   auto histograms = Json::array();
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, entry] : entries_) {
+  const auto entries = entries_.lock();
+  for (const auto& [name, entry] : *entries) {
     auto item = Json::object();
     item.set("name", name);
     switch (entry.kind) {
@@ -169,8 +168,8 @@ void append_prometheus_number(std::string& out, double value) {
 
 std::string Registry::to_prometheus() const {
   std::string out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, entry] : entries_) {
+  const auto entries = entries_.lock();
+  for (const auto& [name, entry] : *entries) {
     const auto metric = prometheus_name(name);
     switch (entry.kind) {
       case Kind::kCounter:

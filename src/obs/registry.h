@@ -27,12 +27,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 
 #include "obs/log_histogram.h"
-#include "util/expect.h"
+#include "util/guarded.h"
 
 namespace piggyweb::obs {
 
@@ -113,9 +112,8 @@ class Registry {
     std::unique_ptr<LogHistogram> log_histogram;
   };
 
-  mutable std::mutex mutex_;
   // Sorted map: snapshot order == name order, deterministic by design.
-  std::map<std::string, Entry, std::less<>> entries_ PW_GUARDED_BY(mutex_);
+  util::Guarded<std::map<std::string, Entry, std::less<>>> entries_;
 };
 
 // Process-global metrics sink. Null (the default) disables all metric

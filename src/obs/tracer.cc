@@ -33,56 +33,49 @@ Tracer::ThreadBuffer& Tracer::local_buffer() {
     auto buffer = std::make_unique<ThreadBuffer>();
     cached_buffer = buffer.get();
     cached_id = id_;
-    std::lock_guard<std::mutex> lock(mutex_);
-    buffers_.push_back(std::move(buffer));
+    buffers_.lock()->push_back(std::move(buffer));
   }
   return *cached_buffer;
 }
 
 void Tracer::complete(std::string name, std::uint64_t start_us,
                       std::uint64_t dur_us) {
-  auto& buffer = local_buffer();
-  std::lock_guard<std::mutex> lock(buffer.mutex);
-  if (buffer.events.size() >= max_events_) {
+  auto events = local_buffer().lock();
+  if (events->size() >= max_events_) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  buffer.events.push_back({std::move(name), start_us, dur_us, 'X'});
+  events->push_back({std::move(name), start_us, dur_us, 'X'});
 }
 
 void Tracer::instant(std::string name) {
   auto& buffer = local_buffer();
   const auto ts = now_us();
-  std::lock_guard<std::mutex> lock(buffer.mutex);
-  if (buffer.events.size() >= max_events_) {
+  auto events = buffer.lock();
+  if (events->size() >= max_events_) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  buffer.events.push_back({std::move(name), ts, 0, 'i'});
+  events->push_back({std::move(name), ts, 0, 'i'});
 }
 
 std::size_t Tracer::event_count() const {
   std::size_t total = 0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    total += buffer->events.size();
-  }
+  const auto buffers = buffers_.lock();
+  for (const auto& buffer : *buffers) total += buffer->lock()->size();
   return total;
 }
 
 std::size_t Tracer::thread_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return buffers_.size();
+  return buffers_.lock()->size();
 }
 
 Json Tracer::chrome_trace() const {
   auto events = Json::array();
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t tid = 0; tid < buffers_.size(); ++tid) {
-    const auto& buffer = *buffers_[tid];
-    std::lock_guard<std::mutex> buffer_lock(buffer.mutex);
-    for (const auto& event : buffer.events) {
+  const auto buffers = buffers_.lock();
+  for (std::size_t tid = 0; tid < buffers->size(); ++tid) {
+    const auto buffer = (*buffers)[tid]->lock();
+    for (const auto& event : *buffer) {
       auto item = Json::object();
       item.set("name", event.name);
       item.set("cat", "piggyweb");

@@ -26,11 +26,10 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "util/expect.h"
+#include "util/guarded.h"
 
 namespace piggyweb::obs {
 
@@ -86,10 +85,8 @@ class Tracer {
     std::uint64_t dur_us;
     char phase;  // 'X' complete, 'i' instant
   };
-  struct ThreadBuffer {
-    mutable std::mutex mutex;
-    std::vector<Event> events PW_GUARDED_BY(mutex);
-  };
+  // One thread's events: appended by that thread, read by the exporter.
+  using ThreadBuffer = util::Guarded<std::vector<Event>>;
 
   ThreadBuffer& local_buffer();
 
@@ -97,8 +94,7 @@ class Tracer {
   const std::chrono::steady_clock::time_point epoch_;
   const std::size_t max_events_;
   std::atomic<std::uint64_t> dropped_{0};
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_ PW_GUARDED_BY(mutex_);
+  util::Guarded<std::vector<std::unique_ptr<ThreadBuffer>>> buffers_;
 };
 
 // RAII span: records [construction, destruction) on `tracer`'s calling

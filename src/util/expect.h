@@ -63,17 +63,3 @@ inline void expect_bounds(unsigned long long index, unsigned long long bound,
   ::piggyweb::util::contract_failure("unreachable", "PW_UNREACHABLE()",   \
                                      __FILE__, __LINE__)
 
-// --- concurrency annotation (checked by staticcheck, not the compiler) ---
-//
-// It expands to nothing: it is machine-readable documentation that the
-// in-tree analyzer (lock-guarded-state, atomic-plain-mix; DESIGN.md §14)
-// enforces. Unlike clang's -Wthread-safety attributes it needs no
-// compiler support and applies to the raw source, so it works under
-// every toolchain the project builds with.
-
-// On a data member: every access must happen while `mutex` is held (a
-// lock_guard/scoped_lock/unique_lock/shared_lock of it in an enclosing
-// scope, or an explicit lock()/unlock() pair around the access).
-// Constructors and destructors are exempt (no concurrent access can
-// exist yet / anymore).
-#define PW_GUARDED_BY(mutex)

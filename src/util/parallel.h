@@ -12,10 +12,9 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <vector>
 
-#include "util/expect.h"
+#include "util/guarded.h"
 #include "util/thread_pool.h"
 
 namespace piggyweb::util {
@@ -24,22 +23,27 @@ namespace detail {
 
 // Completion latch + first-exception capture shared by one fork-join.
 struct JoinState {
-  std::mutex mutex;
-  std::condition_variable done;
-  std::size_t pending PW_GUARDED_BY(mutex) = 0;
-  std::exception_ptr error PW_GUARDED_BY(mutex);
+  struct Progress {
+    std::size_t pending = 0;
+    std::exception_ptr error;
+  };
+
+  explicit JoinState(std::size_t shards) : progress(Progress{shards, {}}) {}
 
   void finish(std::exception_ptr e) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (e && !error) error = e;
-    if (--pending == 0) done.notify_all();
+    auto p = progress.lock();
+    if (e && !p->error) p->error = e;
+    if (--p->pending == 0) done.notify_all();
   }
 
   void wait() {
-    std::unique_lock<std::mutex> lock(mutex);
-    done.wait(lock, [this] { return pending == 0; });
-    if (error) std::rethrow_exception(error);
+    auto p = progress.lock();
+    done.wait(p.unique_lock(), [&p] { return p->pending == 0; });
+    if (p->error) std::rethrow_exception(p->error);
   }
+
+  Guarded<Progress> progress;
+  std::condition_variable done;
 };
 
 }  // namespace detail
@@ -55,8 +59,7 @@ void parallel_shards(ThreadPool& pool, std::size_t shards, const Fn& fn) {
     for (std::size_t s = 0; s < shards; ++s) fn(s);
     return;
   }
-  detail::JoinState join;
-  join.pending = shards;
+  detail::JoinState join(shards);
   // All shard tasks enqueue under one pool-mutex acquisition; workers
   // wake once and drain. Posting one at a time made the pool queue the
   // hottest lock on the windowed replay path (two forks per window).

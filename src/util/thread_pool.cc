@@ -17,10 +17,7 @@ ThreadPool::ThreadPool(std::size_t threads, ThreadPoolObserver* observer)
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
+  queue_.lock()->stopping = true;
   wake_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
@@ -33,10 +30,10 @@ void ThreadPool::post(std::function<void()> task) {
   }
   std::size_t depth = 0;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    PW_EXPECT(!stopping_);
-    queue_.push_back(std::move(entry));
-    depth = queue_.size();
+    auto queue = queue_.lock();
+    PW_EXPECT(!queue->stopping);
+    queue->tasks.push_back(std::move(entry));
+    depth = queue->tasks.size();
   }
   wake_.notify_one();
   if (observer_ != nullptr) observer_->on_post(depth);
@@ -50,13 +47,13 @@ void ThreadPool::post_batch(std::span<std::function<void()>> tasks) {
   }
   std::size_t depth = 0;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    PW_EXPECT(!stopping_);
+    auto queue = queue_.lock();
+    PW_EXPECT(!queue->stopping);
     for (auto& task : tasks) {
       PW_EXPECT(task != nullptr);
-      queue_.push_back(Task{std::move(task), enqueued});
+      queue->tasks.push_back(Task{std::move(task), enqueued});
     }
-    depth = queue_.size();
+    depth = queue->tasks.size();
   }
   if (tasks.size() == 1) {
     wake_.notify_one();
@@ -72,8 +69,7 @@ void ThreadPool::post_batch(std::span<std::function<void()>> tasks) {
 }
 
 std::size_t ThreadPool::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
+  return queue_.lock()->tasks.size();
 }
 
 std::size_t ThreadPool::hardware_threads() {
@@ -87,23 +83,26 @@ void ThreadPool::worker_loop() {
     bool waited = false;
     double idle_seconds = 0;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (observer_ != nullptr && queue_.empty() && !stopping_) {
+      auto queue = queue_.lock();
+      const auto ready = [&queue] {
+        return queue->stopping || !queue->tasks.empty();
+      };
+      if (observer_ != nullptr && !ready()) {
         // The worker is about to block: time the idle interval. The
         // wakeup that ends it is a handoff — the task it dequeues was
         // handed to a sleeping worker rather than drained by a busy one.
         const auto idle_start = std::chrono::steady_clock::now();
-        wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+        wake_.wait(queue.unique_lock(), ready);
         idle_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - idle_start)
                            .count();
         waited = true;
       } else {
-        wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+        wake_.wait(queue.unique_lock(), ready);
       }
-      if (queue_.empty()) return;  // stopping_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      if (queue->tasks.empty()) return;  // stopping and drained
+      task = std::move(queue->tasks.front());
+      queue->tasks.pop_front();
     }
     if (observer_ != nullptr) {
       const auto dequeued = std::chrono::steady_clock::now();

@@ -17,12 +17,11 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <span>
 #include <thread>
 #include <vector>
 
-#include "util/expect.h"
+#include "util/guarded.h"
 
 namespace piggyweb::util {
 
@@ -92,12 +91,15 @@ class ThreadPool {
     std::chrono::steady_clock::time_point enqueued;
   };
 
+  struct Queue {
+    std::deque<Task> tasks;
+    bool stopping = false;
+  };
+
   void worker_loop();
 
-  mutable std::mutex mutex_;
+  Guarded<Queue> queue_;
   std::condition_variable wake_;
-  std::deque<Task> queue_ PW_GUARDED_BY(mutex_);
-  bool stopping_ PW_GUARDED_BY(mutex_) = false;
   ThreadPoolObserver* const observer_;  // fixed at construction
   std::vector<std::thread> workers_;
 };

@@ -165,42 +165,5 @@ TEST(AnalysisFunctions, OutOfLineQualifiersJoinTheClassPath) {
             (std::vector<std::string_view>{"Outer", "Inner"}));
 }
 
-TEST(AnalysisFunctions, GuardedByAnnotationsCollected) {
-  const auto file = make_file(
-      "struct Counter {\n"
-      "  std::mutex mutex;\n"
-      "  long value PW_GUARDED_BY(mutex) = 0;\n"
-      "  std::vector<int> items PW_GUARDED_BY(mutex);\n"
-      "};\n");
-  const auto scan = scan_file(file);
-  ASSERT_EQ(scan.guarded_members.size(), 2u);
-  EXPECT_EQ(scan.guarded_members[0].member, "value");
-  EXPECT_EQ(scan.guarded_members[0].mutex, "mutex");
-  EXPECT_EQ(scan.guarded_members[0].classes,
-            (std::vector<std::string_view>{"Counter"}));
-  EXPECT_EQ(scan.guarded_members[0].line, 3u);
-  EXPECT_EQ(scan.guarded_members[1].member, "items");
-}
-
-TEST(AnalysisFunctions, MemberDeclsSeparateExemptTypes) {
-  const auto file = make_file(
-      "struct Stats {\n"
-      "  std::mutex mutex;\n"
-      "  std::atomic<long> hits;\n"
-      "  long plain = 0;\n"
-      "  static constexpr int kMax = 4;\n"
-      "};\n");
-  const auto scan = scan_file(file);
-  ASSERT_EQ(scan.members.size(), 4u);
-  EXPECT_EQ(scan.members[0].name, "mutex");
-  EXPECT_TRUE(scan.members[0].type_exempt);
-  EXPECT_EQ(scan.members[1].name, "hits");
-  EXPECT_TRUE(scan.members[1].type_exempt);
-  EXPECT_EQ(scan.members[2].name, "plain");
-  EXPECT_FALSE(scan.members[2].type_exempt);
-  EXPECT_EQ(scan.members[3].name, "kMax");
-  EXPECT_TRUE(scan.members[3].type_exempt);
-}
-
 }  // namespace
 }  // namespace piggyweb::analysis

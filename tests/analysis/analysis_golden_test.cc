@@ -1,6 +1,6 @@
 // Golden-output test over the disk fixtures in testdata/, plus
-// engine-level coverage: suppression parsing/partitioning and the disk
-// walker's skip rules. The fixtures are stored flat; each is analyzed
+// engine-level coverage: the disk walker's skip rules and its refusal
+// of a subdirectory it cannot read. The fixtures are stored flat; each is analyzed
 // under a mapped repo-relative path so module policy applies.
 #include "analysis/engine.h"
 
@@ -42,13 +42,11 @@ struct FixtureMap {
   const char* analyzed_path;
 };
 constexpr FixtureMap kFixtures[] = {
-    {"atomic_mix.cc", "src/util/atomic_mix.cc"},
     {"clean.cc", "src/core/clean.cc"},
     {"contract_missing.h", "src/proxy/contract_missing.h"},
     {"det_banned.cc", "src/core/det_banned.cc"},
     {"det_unordered.cc", "src/sim/det_unordered.cc"},
     {"flatmap_unsafe.cc", "src/volume/flatmap_unsafe.cc"},
-    {"guarded_state.cc", "src/util/guarded_state.cc"},
     {"helper.h", "src/util/helper.h"},
     {"missing_pragma.h", "src/core/missing_pragma.h"},
     {"os_call.cc", "src/trace/os_call.cc"},
@@ -83,30 +81,7 @@ TEST(AnalysisGolden, CleanFixtureAloneProducesNothing) {
   EXPECT_TRUE(project.analyze().empty());
 }
 
-TEST(AnalysisSuppressions, ParseAcceptsFileAndLineForms) {
-  std::vector<std::string> errors;
-  const auto entries = parse_suppressions(
-      "# legacy findings\n"
-      "\n"
-      "det-banned-call src/http/clock.cc\n"
-      "hdr-unused-include src/trace/record.h:12\n",
-      errors);
-  EXPECT_TRUE(errors.empty());
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0], (Suppression{"det-banned-call", "src/http/clock.cc", 0}));
-  EXPECT_EQ(entries[1],
-            (Suppression{"hdr-unused-include", "src/trace/record.h", 12}));
-}
-
-TEST(AnalysisSuppressions, MalformedLinesAreReportedNotDropped) {
-  std::vector<std::string> errors;
-  const auto entries = parse_suppressions("just-one-field\n", errors);
-  EXPECT_TRUE(entries.empty());
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("line 1"), std::string::npos);
-}
-
-// A throwaway on-disk tree for the walker/suppression tests.
+// A throwaway on-disk tree for the walker tests.
 class TempTree {
  public:
   TempTree() {
@@ -128,35 +103,6 @@ class TempTree {
   fs::path root_;
 };
 
-TEST(AnalysisEngine, SuppressionMovesFindingAside) {
-  TempTree tree;
-  tree.write("src/core/bad.cc", "int f() { return rand(); }\n");
-
-  AnalyzeOptions options;
-  options.root = tree.root();
-  options.subdirs = {"src"};
-
-  // Unsuppressed: one live finding.
-  auto result = analyze_tree(options);
-  EXPECT_EQ(result.files_scanned, 1u);
-  ASSERT_EQ(result.diagnostics.size(), 1u);
-  EXPECT_EQ(result.diagnostics[0].rule, "det-banned-call");
-  EXPECT_TRUE(result.suppressed.empty());
-
-  // Suppressed: the finding is partitioned aside, not deleted.
-  options.suppressions = {{"det-banned-call", "src/core/bad.cc", 0}};
-  result = analyze_tree(options);
-  EXPECT_TRUE(result.diagnostics.empty());
-  ASSERT_EQ(result.suppressed.size(), 1u);
-  EXPECT_EQ(result.suppressed[0].rule, "det-banned-call");
-
-  // A suppression pinned to the wrong line does not match.
-  options.suppressions = {{"det-banned-call", "src/core/bad.cc", 999}};
-  result = analyze_tree(options);
-  EXPECT_EQ(result.diagnostics.size(), 1u);
-  EXPECT_TRUE(result.suppressed.empty());
-}
-
 TEST(AnalysisEngine, WalkerSkipsTestdataAndBuildDirectories) {
   TempTree tree;
   tree.write("src/core/ok.cc", "int g_x = 0;\n");
@@ -167,9 +113,32 @@ TEST(AnalysisEngine, WalkerSkipsTestdataAndBuildDirectories) {
   AnalyzeOptions options;
   options.root = tree.root();
   options.subdirs = {"src"};
-  EXPECT_EQ(collect_tree(options),
+  std::vector<std::string> errors;
+  EXPECT_EQ(collect_tree(options, errors),
             (std::vector<std::string>{"src/core/ok.cc"}));
-  EXPECT_TRUE(analyze_tree(options).diagnostics.empty());
+  EXPECT_TRUE(errors.empty());
+  const auto result = analyze_tree(options);
+  EXPECT_TRUE(result.errors.empty());
+  EXPECT_EQ(result.files_scanned, 1u);
+  EXPECT_TRUE(result.diagnostics.empty());
+}
+
+// A subdirectory that is not there is an error, not an empty tree: a
+// lint gate that scanned nothing must not pass. The rules do not run.
+TEST(AnalysisEngine, MissingSubdirectoryIsAnError) {
+  TempTree tree;
+  tree.write("src/core/bad.cc", "int f() { return rand(); }\n");
+
+  AnalyzeOptions options;
+  options.root = tree.root();
+  options.subdirs = {"src", "srcc"};
+  const auto result = analyze_tree(options);
+  ASSERT_EQ(result.errors.size(), 1u);
+  EXPECT_NE(result.errors[0].find("srcc: not a directory"),
+            std::string::npos)
+      << result.errors[0];
+  EXPECT_EQ(result.files_scanned, 0u);
+  EXPECT_TRUE(result.diagnostics.empty());
 }
 
 }  // namespace

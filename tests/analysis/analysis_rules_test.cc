@@ -279,160 +279,6 @@ TEST(AnalysisRules, ConcurrencyHeadersKnowTheirSymbols) {
                   .empty());
 }
 
-TEST(AnalysisRules, GuardedMemberAccessOutsideLockIsFlagged) {
-  const std::string bad =
-      "#include <mutex>\n"
-      "struct Counter {\n"
-      "  std::mutex mutex;\n"
-      "  long value PW_GUARDED_BY(mutex) = 0;\n"
-      "  void add() {\n"
-      "    std::lock_guard<std::mutex> lock(mutex);\n"
-      "    value += 1;\n"
-      "  }\n"
-      "  long peek() const { return value; }\n"
-      "};\n";
-  const auto diags = analyze_one("src/util/counter.cc", bad);
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "lock-guarded-state");
-  EXPECT_EQ(diags[0].line, 9u);
-}
-
-TEST(AnalysisRules, GuardedMemberUnderRequiresOrGuardIsClean) {
-  const std::string good =
-      "#include <mutex>\n"
-      "struct Counter {\n"
-      "  std::mutex mutex;\n"
-      "  long value PW_GUARDED_BY(mutex) = 0;\n"
-      "  void add() {\n"
-      "    std::scoped_lock lock(mutex);\n"
-      "    value += 1;\n"
-      "  }\n"
-      "  void bump() {\n"
-      "    mutex.lock();\n"
-      "    value += 1;\n"
-      "    mutex.unlock();\n"
-      "  }\n"
-      "};\n";
-  EXPECT_TRUE(analyze_one("src/util/counter.cc", good).empty());
-}
-
-TEST(AnalysisRules, GuardedMemberInConstructorIsExempt) {
-  const std::string ctor =
-      "#include <mutex>\n"
-      "struct Counter {\n"
-      "  Counter() { value = 1; }\n"
-      "  ~Counter() { value = 0; }\n"
-      "  std::mutex mutex;\n"
-      "  long value PW_GUARDED_BY(mutex) = 0;\n"
-      "};\n";
-  EXPECT_TRUE(analyze_one("src/util/counter.cc", ctor).empty());
-}
-
-// A nested class's guarded member reached through a receiver needs the
-// receiver's mutex: `stripe.hits` is guarded by `stripe.mutex`.
-TEST(AnalysisRules, GuardedMemberHonorsReturnsLockFactory) {
-  const std::string nested =
-      "#include <mutex>\n"
-      "struct Table {\n"
-      "  struct Stripe {\n"
-      "    std::mutex mutex;\n"
-      "    long hits PW_GUARDED_BY(mutex) = 0;\n"
-      "  };\n"
-      "  Stripe stripe;\n"
-      "  void add() {\n"
-      "    std::lock_guard<std::mutex> lock(stripe.mutex);\n"
-      "    stripe.hits += 1;\n"
-      "  }\n"
-      "  long bad() { return stripe.hits; }\n"
-      "};\n";
-  const auto diags = analyze_one("src/util/table.cc", nested);
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "lock-guarded-state");
-  EXPECT_EQ(diags[0].line, 12u);
-}
-
-TEST(AnalysisRules, GuardedStateRespectsUnlockAndDeferLock) {
-  const std::string unlock_then_touch =
-      "#include <mutex>\n"
-      "struct Counter {\n"
-      "  std::mutex mutex;\n"
-      "  long value PW_GUARDED_BY(mutex) = 0;\n"
-      "  void f() {\n"
-      "    std::unique_lock<std::mutex> lock(mutex);\n"
-      "    value += 1;\n"
-      "    lock.unlock();\n"
-      "    value += 1;\n"
-      "  }\n"
-      "};\n";
-  const auto diags = analyze_one("src/util/counter.cc", unlock_then_touch);
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "lock-guarded-state");
-  EXPECT_EQ(diags[0].line, 9u);
-  const std::string deferred =
-      "#include <mutex>\n"
-      "struct Counter {\n"
-      "  std::mutex mutex;\n"
-      "  long value PW_GUARDED_BY(mutex) = 0;\n"
-      "  void f() {\n"
-      "    std::unique_lock<std::mutex> lock(mutex, std::defer_lock);\n"
-      "    lock.lock();\n"
-      "    value += 1;\n"
-      "  }\n"
-      "};\n";
-  EXPECT_TRUE(analyze_one("src/util/counter.cc", deferred).empty());
-}
-
-TEST(AnalysisRules, AtomicPlainMixFlagsLockedWritePlusBareRead) {
-  const std::string mixed =
-      "#include <mutex>\n"
-      "struct Stats {\n"
-      "  std::mutex mutex;\n"
-      "  long guarded PW_GUARDED_BY(mutex) = 0;\n"
-      "  long plain = 0;\n"
-      "  void add() {\n"
-      "    std::lock_guard<std::mutex> lock(mutex);\n"
-      "    guarded += 1;\n"
-      "    plain += 1;\n"
-      "  }\n"
-      "  long read() const { return plain; }\n"
-      "};\n";
-  const auto diags = analyze_one("src/util/stats.cc", mixed);
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "atomic-plain-mix");
-  EXPECT_EQ(diags[0].line, 11u);
-}
-
-TEST(AnalysisRules, AtomicPlainMixNeedsBothSidesOfTheMix) {
-  // Only ever written under the lock: consistent, no mix.
-  const std::string consistent =
-      "#include <mutex>\n"
-      "struct Stats {\n"
-      "  std::mutex mutex;\n"
-      "  long guarded PW_GUARDED_BY(mutex) = 0;\n"
-      "  long plain = 0;\n"
-      "  void add() {\n"
-      "    std::lock_guard<std::mutex> lock(mutex);\n"
-      "    guarded += 1;\n"
-      "    plain += 1;\n"
-      "  }\n"
-      "};\n";
-  EXPECT_TRUE(analyze_one("src/util/stats.cc", consistent).empty());
-  // Class has no PW_GUARDED_BY member at all: not a concurrent class,
-  // the rule stays out of the way.
-  const std::string unannotated =
-      "#include <mutex>\n"
-      "struct Stats {\n"
-      "  std::mutex mutex;\n"
-      "  long plain = 0;\n"
-      "  void add() {\n"
-      "    std::lock_guard<std::mutex> lock(mutex);\n"
-      "    plain += 1;\n"
-      "  }\n"
-      "  long read() const { return plain; }\n"
-      "};\n";
-  EXPECT_TRUE(analyze_one("src/util/stats.cc", unannotated).empty());
-}
-
 TEST(AnalysisRules, TraceWindowSpanUsedAfterNextWindow) {
   const std::string bad =
       "#include \"trace/stream.h\"\n"
@@ -539,7 +385,7 @@ TEST(AnalysisRules, FlatMapRuleMatchesReferenceOracleOnRandomPrograms) {
 
 TEST(AnalysisRules, RuleCatalogCoversEveryEmittedRule) {
   const auto& catalog = rule_catalog();
-  EXPECT_EQ(catalog.size(), 11u);
+  EXPECT_EQ(catalog.size(), 9u);
   for (const auto& rule : catalog) {
     EXPECT_FALSE(rule.id.empty());
     EXPECT_FALSE(rule.summary.empty());

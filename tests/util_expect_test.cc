@@ -4,7 +4,6 @@
 #include "util/expect.h"
 
 #include <cstddef>
-#include <mutex>
 
 #include <gtest/gtest.h>
 
@@ -54,36 +53,6 @@ TEST(ExpectDeathTest, BoundsEvaluatesArgumentsOnce) {
 
 TEST(ExpectDeathTest, UnreachableAlwaysAborts) {
   EXPECT_DEATH(PW_UNREACHABLE(), "piggyweb: unreachable failed");
-}
-
-// The lock annotation is an assertion for the static checker, not the
-// runtime: it must expand to nothing, cost nothing, and never evaluate
-// its argument. An annotated class compiles and runs exactly like its
-// unannotated twin.
-namespace lock_annotations {
-
-struct Annotated {
-  std::mutex mutex;
-  int value PW_GUARDED_BY(mutex) = 7;
-};
-
-}  // namespace lock_annotations
-
-TEST(ExpectTest, LockAnnotationsAreRuntimeNoOps) {
-  lock_annotations::Annotated annotated;
-  EXPECT_EQ(annotated.value, 7);
-  {
-    std::lock_guard<std::mutex> lock(annotated.mutex);
-    ++annotated.value;
-  }
-  EXPECT_EQ(annotated.value, 8);
-  // An annotated member is layout-identical to a plain one: the macro
-  // added no storage.
-  struct Plain {
-    std::mutex mutex;
-    int value = 7;
-  };
-  EXPECT_EQ(sizeof(lock_annotations::Annotated), sizeof(Plain));
 }
 
 }  // namespace

@@ -1,13 +1,10 @@
 // Project lint driver: runs the analysis rule set over the repository's
 // own sources and reports findings as `file:line: [rule-id] message`
-// lines (or JSON with --json). Exits 0 only when there are no findings
-// — and, under --require-empty-suppressions (what CI and the ctest lint
-// label pass), only when the suppression file is empty too.
+// lines (or JSON with --json). Exits 0 when there are no findings, 1
+// when there are, and 2 on a usage error or when a subdirectory or file
+// to scan cannot be read (nothing is analyzed then).
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,14 +19,6 @@ namespace {
 using piggyweb::analysis::AnalyzeOptions;
 using piggyweb::analysis::AnalyzeResult;
 using piggyweb::analysis::Diagnostic;
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
-}
 
 // Findings per rule id, ordered by id (map order) so the summary is
 // stable across runs.
@@ -58,12 +47,6 @@ int main(int argc, char** argv) {
   flags.add_string("root", ".", "repository root to scan");
   flags.add_string("subdirs", "src,tools,bench,tests",
                    "comma-separated subtrees to scan under the root");
-  flags.add_string("suppressions", "",
-                   "suppression file (rule-id path[:line] per line); "
-                   "defaults to <root>/lint-suppressions.txt when present");
-  flags.add_bool("require-empty-suppressions", false,
-                 "fail unless the suppression file has no entries (CI "
-                 "mode)");
   flags.add_bool("json", false, "emit machine-readable JSON on stdout");
   flags.add_bool("list-rules", false, "print the rule catalog and exit");
   piggyweb::tools::add_observability_flags(flags);
@@ -95,40 +78,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string suppression_path = flags.get_string("suppressions");
-  bool suppressions_explicit = !suppression_path.empty();
-  if (!suppressions_explicit) {
-    suppression_path = options.root + "/lint-suppressions.txt";
-  }
-  std::size_t suppression_entries = 0;
-  if (const auto text = read_file(suppression_path)) {
-    std::vector<std::string> errors;
-    options.suppressions =
-        piggyweb::analysis::parse_suppressions(*text, errors);
-    suppression_entries = options.suppressions.size();
-    for (const auto& err : errors) {
-      std::fprintf(stderr, "piggyweb_staticcheck: %s: %s\n",
-                   suppression_path.c_str(), err.c_str());
+  const AnalyzeResult result = piggyweb::analysis::analyze_tree(options);
+  if (!result.errors.empty()) {
+    for (const auto& error : result.errors) {
+      std::fprintf(stderr, "piggyweb_staticcheck: %s\n", error.c_str());
     }
-    if (!errors.empty()) return 2;
-  } else if (suppressions_explicit) {
-    std::fprintf(stderr, "piggyweb_staticcheck: cannot read %s\n",
-                 suppression_path.c_str());
     return 2;
   }
-
-  const AnalyzeResult result = piggyweb::analysis::analyze_tree(options);
   if (auto* metrics = piggyweb::obs::global_metrics(); metrics != nullptr) {
     metrics->counter("staticcheck.files_scanned", /*deterministic=*/true)
         .add(result.files_scanned);
     metrics->counter("staticcheck.findings", /*deterministic=*/true)
         .add(result.diagnostics.size());
-    metrics->counter("staticcheck.suppressed", /*deterministic=*/true)
-        .add(result.suppressed.size());
   }
-  const bool suppressions_violation =
-      flags.get_bool("require-empty-suppressions") &&
-      suppression_entries > 0;
 
   if (flags.get_bool("json")) {
     auto report = piggyweb::obs::Json::object();
@@ -139,22 +101,12 @@ int main(int argc, char** argv) {
       findings.push_back(diagnostic_json(d));
     }
     report.set("findings", std::move(findings));
-    auto suppressed = piggyweb::obs::Json::array();
-    for (const auto& d : result.suppressed) {
-      suppressed.push_back(diagnostic_json(d));
-    }
-    report.set("suppressed", std::move(suppressed));
     auto rule_counts = piggyweb::obs::Json::object();
     for (const auto& [rule, count] : count_by_rule(result.diagnostics)) {
       rule_counts.set(rule, static_cast<std::uint64_t>(count));
     }
     report.set("rule_counts", std::move(rule_counts));
-    report.set("suppression_entries",
-               static_cast<std::uint64_t>(suppression_entries));
-    report.set("suppressions_must_be_empty",
-               flags.get_bool("require-empty-suppressions"));
-    report.set("ok",
-               result.diagnostics.empty() && !suppressions_violation);
+    report.set("ok", result.diagnostics.empty());
     std::printf("%s\n", report.dump(2).c_str());
   } else {
     for (const auto& d : result.diagnostics) {
@@ -162,10 +114,9 @@ int main(int argc, char** argv) {
                   piggyweb::analysis::format_diagnostic(d).c_str());
     }
     std::fprintf(stderr,
-                 "piggyweb_staticcheck: %zu finding(s), %zu suppressed, "
-                 "%zu file(s) scanned\n",
-                 result.diagnostics.size(), result.suppressed.size(),
-                 result.files_scanned);
+                 "piggyweb_staticcheck: %zu finding(s), %zu file(s) "
+                 "scanned\n",
+                 result.diagnostics.size(), result.files_scanned);
     // On failure, break the total down by rule so a CI log tells you
     // which checker fired without grepping the finding lines.
     if (!result.diagnostics.empty()) {
@@ -175,14 +126,5 @@ int main(int argc, char** argv) {
       }
     }
   }
-
-  if (suppressions_violation) {
-    std::fprintf(stderr,
-                 "piggyweb_staticcheck: suppression file %s has %zu "
-                 "entr%s but --require-empty-suppressions is set — fix "
-                 "the findings instead of suppressing them\n",
-                 suppression_path.c_str(), suppression_entries,
-                 suppression_entries == 1 ? "y" : "ies");
-  }
-  return (result.diagnostics.empty() && !suppressions_violation) ? 0 : 1;
+  return result.diagnostics.empty() ? 0 : 1;
 }
