@@ -15,8 +15,10 @@
 using namespace piggyweb;
 
 int main(int argc, char** argv) {
-  bench::Observability observability("ablation_counters", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
+  tools::FlagSet flags("Ablation: sampled vs exact pair counters (§3.3.1)");
+  const auto run_scope =
+      bench::parse_flags(flags, "ablation_counters", argc, argv);
+  const double scale = flags.get_double("scale");
   bench::print_banner(
       "Ablation: sampled vs exact pair counters (Sun)",
       "sampling shrinks the counter table with little recall/precision "

@@ -60,8 +60,11 @@ void run_log(const trace::LogProfile& profile, double pt, double eff) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Observability observability("ablation_train_test", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
+  tools::FlagSet flags(
+      "Ablation: in-sample vs out-of-sample probability volumes");
+  const auto run_scope =
+      bench::parse_flags(flags, "ablation_train_test", argc, argv);
+  const double scale = flags.get_double("scale");
   bench::print_banner(
       "Ablation: in-sample vs out-of-sample probability volumes",
       "out-of-sample recall/precision land close to in-sample (co-access "

@@ -1,5 +1,5 @@
-// §4 application trade-offs via the end-to-end simulator (clients behind
-// one proxy, volume center on the path, simulated origins):
+// §4 application trade-offs with the clients behind one proxy (volume
+// center on the path, simulated origins), run by the simulation engine:
 //   * cache coherency — a-priori refreshes/invalidations, validations
 //     avoided, staleness;
 //   * prefetching — useful vs futile fetches and the bandwidth increase
@@ -14,36 +14,52 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "sim/end_to_end.h"
+#include "sim/engine.h"
 #include "sim/report.h"
 
 using namespace piggyweb;
 
 namespace {
 
-sim::EndToEndConfig base_config() {
-  sim::EndToEndConfig config;
-  config.cache.capacity_bytes = 24ULL * 1024 * 1024;
-  config.cache.freshness_interval = 2 * util::kHour;
-  config.base_filter.max_elements = 20;
-  config.volumes.level = 1;
-  config.rpv.timeout = 60;
-  return config;
+// The proxy's cost-accounted link faces the origin, which sees each
+// client's own id.
+sim::ProxyNodeSpec base_proxy() {
+  sim::ProxyNodeSpec proxy;
+  proxy.name = "proxy";
+  proxy.cache.capacity_bytes = 24ULL * 1024 * 1024;
+  proxy.cache.freshness_interval = 2 * util::kHour;
+  proxy.base_filter.max_elements = 20;
+  proxy.rpv.timeout = 60;
+  proxy.link = net::NetworkConfig{};
+  return proxy;
+}
+
+sim::EngineConfig base_engine() {
+  sim::EngineConfig engine;
+  engine.volumes.level = 1;
+  return engine;
+}
+
+sim::EngineResult run(const trace::SyntheticWorkload& workload,
+                      const sim::ProxyNodeSpec& proxy,
+                      const sim::EngineConfig& engine = base_engine()) {
+  return sim::SimulationEngine(workload, sim::Topology{{proxy}}, engine)
+      .run();
 }
 
 void coherency_section(const trace::SyntheticWorkload& workload) {
   std::printf("--- cache coherency ---\n");
-  auto off = base_config();
+  auto off = base_engine();
   off.piggybacking = false;
-  const auto baseline = sim::EndToEndSimulator(workload, off).run();
-
-  auto on = base_config();
-  on.enable_coherency = true;
-  const auto piggy = sim::EndToEndSimulator(workload, on).run();
+  const auto baseline = run(workload, base_proxy(), off);
+  const auto piggy = run(workload, base_proxy());
+  const auto& baseline_proxy = baseline.nodes[0];
+  const auto& piggy_proxy = piggy.nodes[0];
 
   sim::Table table({"metric", "no piggybacking", "piggyback coherency"});
-  table.row({"fresh hit rate", sim::Table::pct(baseline.cache.fresh_hit_rate()),
-             sim::Table::pct(piggy.cache.fresh_hit_rate())});
+  table.row({"fresh hit rate",
+             sim::Table::pct(baseline_proxy.cache.fresh_hit_rate()),
+             sim::Table::pct(piggy_proxy.cache.fresh_hit_rate())});
   table.row({"If-Modified-Since validations",
              sim::Table::count(baseline.validations),
              sim::Table::count(piggy.validations)});
@@ -51,9 +67,9 @@ void coherency_section(const trace::SyntheticWorkload& workload) {
              sim::Table::pct(baseline.stale_rate(), 2),
              sim::Table::pct(piggy.stale_rate(), 2)});
   table.row({"a-priori refreshes", "0",
-             sim::Table::count(piggy.coherency.refreshed)});
+             sim::Table::count(piggy_proxy.coherency.refreshed)});
   table.row({"a-priori invalidations", "0",
-             sim::Table::count(piggy.coherency.invalidated)});
+             sim::Table::count(piggy_proxy.coherency.invalidated)});
   table.row({"mean user latency (s)",
              sim::Table::num(baseline.mean_user_latency(), 3),
              sim::Table::num(piggy.mean_user_latency(), 3)});
@@ -67,30 +83,31 @@ void prefetch_section(const trace::SyntheticWorkload& workload,
   // Prefetching needs accurate predictions (§4): all rows (including the
   // off-baseline) use the paper's best volumes, probability-based with
   // effectiveness thinning, so the only varying factor is prefetching.
-  auto off = base_config();
-  off.probability_volumes = &volumes;
-  const auto baseline = sim::EndToEndSimulator(workload, off).run();
+  auto engine = base_engine();
+  engine.probability_volumes = &volumes;
+  const auto baseline = run(workload, base_proxy(), engine);
   sim::Table table({"size ceiling", "prefetches", "futile %",
                     "bandwidth increase", "fresh hit rate"});
   table.row({"off", "0", "-", "-",
-             sim::Table::pct(baseline.cache.fresh_hit_rate())});
+             sim::Table::pct(baseline.nodes[0].cache.fresh_hit_rate())});
   for (const std::uint64_t ceiling :
        {16ULL * 1024, 128ULL * 1024, 1024ULL * 1024}) {
-    auto config = off;
-    config.enable_prefetch = true;
-    config.prefetch.max_resource_bytes = ceiling;
-    const auto result = sim::EndToEndSimulator(workload, config).run();
+    auto proxy = base_proxy();
+    proxy.enable_prefetch = true;
+    proxy.prefetch.max_resource_bytes = ceiling;
+    const auto result = run(workload, proxy, engine);
     const double bw_increase =
         baseline.body_bytes == 0
             ? 0.0
             : static_cast<double>(result.body_bytes) /
                       static_cast<double>(baseline.body_bytes) -
                   1.0;
+    const auto& node = result.nodes[0];
     table.row({sim::Table::count(ceiling / 1024) + " KB",
-               sim::Table::count(result.prefetch.issued),
-               sim::Table::pct(result.prefetch.futile_fraction()),
+               sim::Table::count(node.prefetch.issued),
+               sim::Table::pct(node.prefetch.futile_fraction()),
                sim::Table::pct(bw_increase),
-               sim::Table::pct(result.cache.fresh_hit_rate())});
+               sim::Table::pct(node.cache.fresh_hit_rate())});
   }
   table.print(std::cout);
   std::printf(
@@ -101,21 +118,22 @@ void prefetch_section(const trace::SyntheticWorkload& workload,
 void replacement_section(const trace::SyntheticWorkload& workload,
                          const volume::ProbabilityVolumeSet& volumes) {
   std::printf("--- cache replacement under pressure ---\n");
+  auto engine = base_engine();
+  engine.probability_volumes = &volumes;  // accurate piggyback hints
   sim::Table table({"policy", "hit rate", "fresh hit rate", "evictions"});
   for (const auto policy :
        {proxy::ReplacementPolicy::kLru, proxy::ReplacementPolicy::kSize,
         proxy::ReplacementPolicy::kGdSize,
         proxy::ReplacementPolicy::kLruPiggyback,
         proxy::ReplacementPolicy::kGdSizeHint}) {
-    auto config = base_config();
-    config.cache.capacity_bytes = 512 * 1024;  // force pressure
-    config.cache.policy = policy;
-    config.probability_volumes = &volumes;  // accurate piggyback hints
-    const auto result = sim::EndToEndSimulator(workload, config).run();
-    table.row({proxy::policy_name(policy),
-               sim::Table::pct(result.cache.hit_rate()),
-               sim::Table::pct(result.cache.fresh_hit_rate()),
-               sim::Table::count(result.cache.evictions)});
+    auto spec = base_proxy();
+    spec.cache.capacity_bytes = 512 * 1024;  // force pressure
+    spec.cache.policy = policy;
+    const auto result = run(workload, spec, engine);
+    const auto& cache = result.nodes[0].cache;
+    table.row({proxy::policy_name(policy), sim::Table::pct(cache.hit_rate()),
+               sim::Table::pct(cache.fresh_hit_rate()),
+               sim::Table::count(cache.evictions)});
   }
   table.print(std::cout);
   std::printf("\n");
@@ -126,9 +144,9 @@ void adaptive_ttl_section(const trace::SyntheticWorkload& workload) {
   sim::Table table({"mode", "validations", "304 share of validations",
                     "stale serves"});
   for (const bool adaptive : {false, true}) {
-    auto config = base_config();
-    config.enable_adaptive_ttl = adaptive;
-    const auto result = sim::EndToEndSimulator(workload, config).run();
+    auto proxy = base_proxy();
+    proxy.enable_adaptive_ttl = adaptive;
+    const auto result = run(workload, proxy);
     table.row({adaptive ? "adaptive delta" : "fixed delta",
                sim::Table::count(result.validations),
                sim::Table::pct(result.validations
@@ -148,17 +166,18 @@ void informed_fetch_section(const trace::SyntheticWorkload& workload) {
   // The piggybacked size attributes let the proxy reorder its fetch
   // queue; the engine logs every upstream fetch and replays the log under
   // both disciplines over the same bottleneck link (§4).
-  auto config = base_config();
-  config.enable_informed_fetch = true;
-  const auto result = sim::EndToEndSimulator(workload, config).run();
-  if (!result.informed_fetch || !result.informed_fetch_fifo) {
+  auto proxy = base_proxy();
+  proxy.enable_informed_fetch = true;
+  const auto result = run(workload, proxy);
+  const auto& node = result.nodes[0];
+  if (!node.fetch_schedule || !node.fetch_schedule_fifo) {
     std::printf("(no upstream fetches logged)\n\n");
     return;
   }
   sim::Table table({"discipline", "mean wait (s)", "mean completion (s)",
                     "max completion (s)"});
-  const auto& fifo = *result.informed_fetch_fifo;
-  const auto& informed = *result.informed_fetch;
+  const auto& fifo = *node.fetch_schedule_fifo;
+  const auto& informed = *node.fetch_schedule;
   table.row({"fifo (uninformed)", sim::Table::num(fifo.mean_wait, 4),
              sim::Table::num(fifo.mean_completion, 4),
              sim::Table::num(fifo.max_completion, 4)});
@@ -175,8 +194,11 @@ void informed_fetch_section(const trace::SyntheticWorkload& workload) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Observability observability("apps_tradeoffs", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
+  tools::FlagSet flags(
+      "Section 4: proxy application trade-offs, clients behind one proxy");
+  const auto run_scope =
+      bench::parse_flags(flags, "apps_tradeoffs", argc, argv);
+  const double scale = flags.get_double("scale");
   bench::print_banner(
       "Section 4: proxy application trade-offs (end-to-end simulation)",
       "piggyback coherency lifts fresh hits and cuts validations without "

@@ -1,97 +1,36 @@
 #include "bench_common.h"
 
 #include <cstdio>
-#include <optional>
+#include <cstdlib>
 
 #include "sim/parallel_eval.h"
-#include "util/strings.h"
 
 namespace piggyweb::bench {
 
-namespace {
+void add_threads_flag(tools::FlagSet& flags) {
+  flags.add_int("threads", 1,
+                "replay threads, one shard each (1 = no worker pool, 0 = "
+                "hardware concurrency); results are identical for any "
+                "value");
+}
 
-// Value of the first "--name=value" argv entry matching `flag`, or
-// nullopt when absent.
-std::optional<std::string_view> raw_flag(int argc, char** argv,
-                                         std::string_view flag) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (util::starts_with(arg, flag)) return arg.substr(flag.size());
+std::unique_ptr<obs::RunScope> parse_flags(tools::FlagSet& flags,
+                                           std::string run_name, int argc,
+                                           char** argv) {
+  flags.add_positive_double(
+      "scale", 1.0, "workload scale (1 = the bench's default request counts)");
+  tools::add_observability_flags(flags);
+  if (!flags.parse(argc, argv)) std::exit(2);
+  return tools::make_run_scope(flags, std::move(run_name), argc, argv);
+}
+
+std::size_t threads_flag(const tools::FlagSet& flags) {
+  const auto threads = flags.get_int("threads");
+  if (threads < 0) {
+    std::fprintf(stderr, "--threads must be >= 0\n");
+    std::exit(2);
   }
-  return std::nullopt;
-}
-
-void warn_malformed(std::string_view flag, std::string_view raw) {
-  std::fprintf(stderr, "ignoring malformed %.*s%.*s\n",
-               static_cast<int>(flag.size()), flag.data(),
-               static_cast<int>(raw.size()), raw.data());
-}
-
-// Value of the first "--name=value" argv entry matching `flag` (the full
-// prefix, equals sign included), or "" when absent.
-std::string string_arg(int argc, char** argv, std::string_view flag) {
-  const auto raw = raw_flag(argc, argv, flag);
-  return raw ? std::string(*raw) : std::string();
-}
-
-// As string_arg, parsed; a malformed value warns on stderr and falls back.
-double double_arg(int argc, char** argv, std::string_view flag,
-                  double fallback) {
-  const auto raw = raw_flag(argc, argv, flag);
-  if (!raw) return fallback;
-  double value = 0;
-  if (util::parse_double(*raw, value)) return value;
-  warn_malformed(flag, *raw);
-  return fallback;
-}
-
-std::uint64_t u64_arg(int argc, char** argv, std::string_view flag,
-                      std::uint64_t fallback) {
-  const auto raw = raw_flag(argc, argv, flag);
-  if (!raw) return fallback;
-  std::uint64_t value = 0;
-  if (util::parse_u64(*raw, value)) return value;
-  warn_malformed(flag, *raw);
-  return fallback;
-}
-
-}  // namespace
-
-double scale_arg(int argc, char** argv, double fallback) {
-  const double value = double_arg(argc, argv, "--scale=", fallback);
-  if (value <= 0) {
-    std::fprintf(stderr, "ignoring non-positive --scale\n");
-    return fallback;
-  }
-  return value;
-}
-
-std::size_t threads_arg(int argc, char** argv, std::size_t fallback) {
-  return static_cast<std::size_t>(
-      u64_arg(argc, argv, "--threads=", fallback));
-}
-
-std::string json_arg(int argc, char** argv) {
-  return string_arg(argc, argv, "--json=");
-}
-
-Observability::Observability(std::string run_name, int argc, char** argv) {
-  obs::RunScope::Options options;
-  options.run_name = std::move(run_name);
-  options.metrics_path = string_arg(argc, argv, "--metrics-out=");
-  options.trace_path = string_arg(argc, argv, "--trace-out=");
-  options.prom_path = string_arg(argc, argv, "--prom-out=");
-  if (options.metrics_path.empty() && options.trace_path.empty() &&
-      options.prom_path.empty()) {
-    return;
-  }
-  options.argv.reserve(static_cast<std::size_t>(argc > 1 ? argc - 1 : 0));
-  for (int i = 1; i < argc; ++i) options.argv.emplace_back(argv[i]);
-  scope_ = std::make_unique<obs::RunScope>(std::move(options));
-}
-
-void Observability::note(std::string key, obs::Json value) {
-  if (scope_ != nullptr) scope_->note(std::move(key), std::move(value));
+  return static_cast<std::size_t>(threads);
 }
 
 sim::EvalResult eval_directory(const trace::SyntheticWorkload& workload,

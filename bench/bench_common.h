@@ -1,6 +1,6 @@
-// Shared plumbing for the table/figure reproduction binaries: cached
-// workload generation, evaluator runners for the two volume families, and
-// a --scale command-line knob.
+// Shared plumbing for the table/figure reproduction binaries: the command
+// line, cached workload generation, and evaluator runners for the two
+// volume families.
 //
 // Every binary prints the rows/series of one table or figure from the
 // paper. Absolute values differ from 1998 (synthetic logs, scaled sizes);
@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 
+#include "cli_common.h"
 #include "obs/manifest.h"
 #include "server/meta.h"
 #include "sim/prediction_eval.h"
@@ -21,39 +22,28 @@
 
 namespace piggyweb::bench {
 
-// Parse "--scale=<x>" from argv; returns fallback when absent or not
-// positive.
-double scale_arg(int argc, char** argv, double fallback);
+// Registers --threads=<n> for the benches that replay on shards; read it
+// back with threads_flag().
+void add_threads_flag(tools::FlagSet& flags);
 
-// Parse "--threads=<n>" from argv; returns fallback when absent. 0 means
-// hardware concurrency; 1 (the default) replays on one thread, no pool.
-std::size_t threads_arg(int argc, char** argv, std::size_t fallback = 1);
-
-// Parse "--json=<path>" from argv; empty when absent (no JSON report).
-std::string json_arg(int argc, char** argv);
-
-// Per-run observability: parses --metrics-out=FILE / --trace-out=FILE /
-// --prom-out=FILE and, when any is present, installs the process-global
-// registry/tracer for the binary's lifetime and writes the artifacts on
-// destruction.
-// Declared first in main() so it outlives everything instrumented:
+// Adds --scale=<x> (default 1) and the observability flags
+// (tools::add_observability_flags) to what the caller registered, then
+// parses argv. An unknown or malformed flag, --help or a --scale that is
+// not a finite number > 0 exits 2. Returns the run's observability scope,
+// null when no artifact was asked for; hold it for the whole of main() so
+// it outlives everything instrumented:
 //
-//   bench::Observability obs("fig3_directory_accuracy", argc, argv);
-//
-// With neither flag the global sinks stay null and instrumentation costs
-// one pointer load per site.
-class Observability {
- public:
-  Observability(std::string run_name, int argc, char** argv);
+//   tools::FlagSet flags("Figure 3: ...");
+//   bench::add_threads_flag(flags);
+//   const auto run_scope =
+//       bench::parse_flags(flags, "fig3_directory_accuracy", argc, argv);
+std::unique_ptr<obs::RunScope> parse_flags(tools::FlagSet& flags,
+                                           std::string run_name, int argc,
+                                           char** argv);
 
-  bool enabled() const { return scope_ != nullptr; }
-
-  // Attach an extra top-level manifest section (no-op when disabled).
-  void note(std::string key, obs::Json value);
-
- private:
-  std::unique_ptr<obs::RunScope> scope_;
-};
+// The parsed --threads: 0 means hardware concurrency; 1 (the default)
+// replays on one thread, no pool. A negative value exits 2.
+std::size_t threads_flag(const tools::FlagSet& flags);
 
 // Default bench scales keep each binary within seconds on one core while
 // leaving enough traffic for stable statistics.

@@ -15,33 +15,40 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "sim/end_to_end.h"
+#include "sim/engine.h"
 #include "sim/report.h"
 
 using namespace piggyweb;
 
 namespace {
 
-sim::EndToEndConfig base_config() {
-  sim::EndToEndConfig config;
-  config.cache.capacity_bytes = 24ULL * 1024 * 1024;
-  config.cache.freshness_interval = 2 * util::kHour;
-  config.base_filter.max_elements = 20;
-  config.volumes.level = 1;
-  config.rpv.timeout = 60;
-  config.piggybacking = false;  // each row opts in below
-  return config;
+// The clients sit behind one proxy whose cost-accounted link faces the
+// origin; the origin sees each client's own id.
+sim::ProxyNodeSpec base_proxy() {
+  sim::ProxyNodeSpec proxy;
+  proxy.name = "proxy";
+  proxy.cache.capacity_bytes = 24ULL * 1024 * 1024;
+  proxy.cache.freshness_interval = 2 * util::kHour;
+  proxy.base_filter.max_elements = 20;
+  proxy.rpv.timeout = 60;
+  proxy.link = net::NetworkConfig{};
+  return proxy;
 }
 
 void add_row(sim::Table& table, const char* name,
-             const sim::EndToEndResult& result) {
-  table.row({name, sim::Table::pct(result.cache.fresh_hit_rate()),
+             const trace::SyntheticWorkload& workload,
+             const sim::ProxyNodeSpec& proxy,
+             const sim::EngineConfig& engine) {
+  const auto result =
+      sim::SimulationEngine(workload, sim::Topology{{proxy}}, engine).run();
+  const auto& node = result.nodes[0];
+  table.row({name, sim::Table::pct(node.cache.fresh_hit_rate()),
              sim::Table::count(result.validations),
              sim::Table::pct(result.stale_rate(), 2),
-             sim::Table::count(result.coherency.refreshed +
-                               result.pcv.freshened),
-             sim::Table::count(result.coherency.invalidated +
-                               result.pcv.invalidated),
+             sim::Table::count(node.coherency.refreshed +
+                               node.pcv.freshened),
+             sim::Table::count(node.coherency.invalidated +
+                               node.pcv.invalidated),
              sim::Table::count(result.piggyback_bytes / 1024),
              sim::Table::num(result.mean_user_latency(), 3)});
 }
@@ -49,8 +56,11 @@ void add_row(sim::Table& table, const char* name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Observability observability("coherency_baselines", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
+  tools::FlagSet flags(
+      "Baselines: TTL vs PCV [10] vs server volumes for cache coherency");
+  const auto run_scope =
+      bench::parse_flags(flags, "coherency_baselines", argc, argv);
+  const double scale = flags.get_double("scale");
   bench::print_banner(
       "Baselines: TTL vs PCV [10] vs server volumes (coherency)",
       "both piggyback mechanisms beat plain TTL on validations and "
@@ -74,45 +84,24 @@ int main(int argc, char** argv) {
                     "IMS validations", "stale rate", "freshened",
                     "invalidated", "piggyback KB", "mean latency (s)"});
 
-  {
-    auto config = base_config();  // TTL only
-    add_row(table, "TTL only",
-            sim::EndToEndSimulator(workload, config).run());
-  }
-  {
-    auto config = base_config();
-    config.enable_pcv = true;
-    config.pcv.batch = 10;
-    config.pcv.horizon = 600;
-    add_row(table, "PCV [10]",
-            sim::EndToEndSimulator(workload, config).run());
-  }
-  {
-    auto config = base_config();
-    config.piggybacking = true;
-    config.enable_coherency = true;
-    add_row(table, "volumes (directory)",
-            sim::EndToEndSimulator(workload, config).run());
-  }
-  {
-    auto config = base_config();
-    config.piggybacking = true;
-    config.enable_coherency = true;
-    config.probability_volumes = &volumes;
-    add_row(table, "volumes (prob, thinned)",
-            sim::EndToEndSimulator(workload, config).run());
-  }
-  {
-    auto config = base_config();
-    config.piggybacking = true;
-    config.enable_coherency = true;
-    config.probability_volumes = &volumes;
-    config.enable_pcv = true;
-    config.pcv.batch = 10;
-    config.pcv.horizon = 600;
-    add_row(table, "PCV + volumes",
-            sim::EndToEndSimulator(workload, config).run());
-  }
+  auto with_pcv = base_proxy();
+  with_pcv.enable_pcv = true;
+  with_pcv.pcv.batch = 10;
+  with_pcv.pcv.horizon = 600;
+  sim::EngineConfig off;
+  off.volumes.level = 1;
+  off.piggybacking = false;
+  auto directory = off;
+  directory.piggybacking = true;
+  auto probability = directory;
+  probability.probability_volumes = &volumes;
+
+  add_row(table, "TTL only", workload, base_proxy(), off);
+  add_row(table, "PCV [10]", workload, with_pcv, off);
+  add_row(table, "volumes (directory)", workload, base_proxy(), directory);
+  add_row(table, "volumes (prob, thinned)", workload, base_proxy(),
+          probability);
+  add_row(table, "PCV + volumes", workload, with_pcv, probability);
   table.print(std::cout);
   return 0;
 }

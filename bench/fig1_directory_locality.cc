@@ -13,8 +13,11 @@
 using namespace piggyweb;
 
 int main(int argc, char** argv) {
-  bench::Observability observability("fig1_directory_locality", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
+  tools::FlagSet flags(
+      "Figure 1: spacing of requests within directory-based volumes");
+  const auto run_scope =
+      bench::parse_flags(flags, "fig1_directory_locality", argc, argv);
+  const double scale = flags.get_double("scale");
   bench::print_banner(
       "Figure 1: directory-prefix locality (AT&T-like client trace)",
       "(a) seen-before fraction falls with level (paper: 98.5% -> 61.6%) "

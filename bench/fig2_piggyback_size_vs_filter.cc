@@ -45,8 +45,10 @@ void run_log(const trace::LogProfile& profile, bool include_level0,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Observability observability("fig2_piggyback_size_vs_filter", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
+  tools::FlagSet flags("Figure 2: average piggyback size vs access filter");
+  const auto run_scope =
+      bench::parse_flags(flags, "fig2_piggyback_size_vs_filter", argc, argv);
+  const double scale = flags.get_double("scale");
   bench::print_banner(
       "Figure 2: avg piggyback size vs access filter (directory volumes)",
       "size drops dramatically both with deeper prefix levels and with "

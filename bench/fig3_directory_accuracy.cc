@@ -50,9 +50,12 @@ void run_log(const trace::LogProfile& profile, std::size_t threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Observability observability("fig3_directory_accuracy", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
-  const std::size_t threads = bench::threads_arg(argc, argv);
+  tools::FlagSet flags("Figure 3: accuracy of directory-based volumes");
+  bench::add_threads_flag(flags);
+  const auto run_scope =
+      bench::parse_flags(flags, "fig3_directory_accuracy", argc, argv);
+  const double scale = flags.get_double("scale");
+  const std::size_t threads = bench::threads_flag(flags);
   bench::print_banner(
       "Figure 3: accuracy of directory-based volumes (Sun, AIUSA)",
       "(a) fraction predicted rises with piggyback size with diminishing "

@@ -12,8 +12,10 @@
 using namespace piggyweb;
 
 int main(int argc, char** argv) {
-  bench::Observability observability("fig4_rpv_min_interval", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
+  tools::FlagSet flags("Figure 4: enforcing a minimum time between piggybacks");
+  const auto run_scope =
+      bench::parse_flags(flags, "fig4_rpv_min_interval", argc, argv);
+  const double scale = flags.get_double("scale");
   bench::print_banner(
       "Figure 4: RPV minimum time between piggybacks (Apache)",
       "(a) piggyback elements per request drop steeply with the minimum "

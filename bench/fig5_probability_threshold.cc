@@ -16,9 +16,12 @@
 using namespace piggyweb;
 
 int main(int argc, char** argv) {
-  bench::Observability observability("fig5_probability_threshold", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
-  const std::size_t threads = bench::threads_arg(argc, argv);
+  tools::FlagSet flags("Figure 5: fraction predicted vs probability threshold");
+  bench::add_threads_flag(flags);
+  const auto run_scope =
+      bench::parse_flags(flags, "fig5_probability_threshold", argc, argv);
+  const double scale = flags.get_double("scale");
+  const std::size_t threads = bench::threads_flag(flags);
   bench::print_banner(
       "Figure 5: fraction predicted vs probability threshold (Sun)",
       "(a) all four curves fall as p_t rises; thinning (eff 0.1/0.2) "

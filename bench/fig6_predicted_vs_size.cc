@@ -46,8 +46,11 @@ void run_log(const trace::LogProfile& profile) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Observability observability("fig6_predicted_vs_size", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
+  tools::FlagSet flags(
+      "Figure 6: fraction predicted vs average piggyback size");
+  const auto run_scope =
+      bench::parse_flags(flags, "fig6_predicted_vs_size", argc, argv);
+  const double scale = flags.get_double("scale");
   bench::print_banner(
       "Figure 6: fraction predicted vs avg piggyback size (probability)",
       "prediction rate grows with piggyback size with diminishing "

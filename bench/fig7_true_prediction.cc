@@ -48,9 +48,13 @@ void run_log(const trace::LogProfile& profile, std::size_t threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Observability observability("fig7_true_prediction", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
-  const std::size_t threads = bench::threads_arg(argc, argv);
+  tools::FlagSet flags(
+      "Figure 7: true prediction fraction vs average piggyback size");
+  bench::add_threads_flag(flags);
+  const auto run_scope =
+      bench::parse_flags(flags, "fig7_true_prediction", argc, argv);
+  const double scale = flags.get_double("scale");
+  const std::size_t threads = bench::threads_flag(flags);
   bench::print_banner(
       "Figure 7: true prediction fraction vs avg piggyback size",
       "precision rises as p_t tightens (smaller piggybacks); thinned "

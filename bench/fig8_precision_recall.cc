@@ -12,8 +12,11 @@
 using namespace piggyweb;
 
 int main(int argc, char** argv) {
-  bench::Observability observability("fig8_precision_recall", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
+  tools::FlagSet flags(
+      "Figure 8: precision vs recall of thinned probability volumes");
+  const auto run_scope =
+      bench::parse_flags(flags, "fig8_precision_recall", argc, argv);
+  const double scale = flags.get_double("scale");
   bench::print_banner(
       "Figure 8: precision vs recall (effective threshold 0.2)",
       "as p_t loosens, recall rises while precision falls, tracing a "

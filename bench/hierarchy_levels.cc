@@ -4,11 +4,12 @@
 // origin; the parent relays piggybacks downstream so both levels receive
 // refreshes/invalidations from one server message.
 //
-// The second half sweeps general topologies through the simulation
-// engine: balanced trees of depth 1–4 at several fan-outs over a
-// multi-origin client-trace workload, one JSON row per shape (optionally
-// mirrored to --json=FILE). Deeper trees absorb more requests below the
-// root but fragment each leaf's client population.
+// Both halves run the simulation engine on balanced trees: first the
+// two-level tree (depth 2) over a server log, then a sweep of depth 1–4
+// at several fan-outs over a multi-origin client-trace workload, one JSON
+// row per shape (optionally mirrored to --json=FILE). Deeper trees absorb
+// more requests below the root but fragment each leaf's client
+// population.
 //
 //   hierarchy_levels [--scale=1.0] [--json=BENCH_topology_sweep.json]
 #include <cstdio>
@@ -18,31 +19,33 @@
 
 #include "bench_common.h"
 #include "sim/engine.h"
-#include "sim/hierarchy.h"
 #include "sim/report.h"
 
 using namespace piggyweb;
 
 namespace {
 
-sim::HierarchyConfig base_config() {
-  sim::HierarchyConfig config;
-  config.child_proxies = 4;
-  config.child_cache.capacity_bytes = 2ULL * 1024 * 1024;
-  config.parent_cache.capacity_bytes = 32ULL * 1024 * 1024;
-  config.base_filter.max_elements = 20;
-  config.volumes.level = 1;
-  config.rpv.timeout = 60;
-  return config;
+// Both halves' trees: 2 MiB leaf caches, a 32 MiB root, free links.
+sim::UniformTreeSpec tree_spec(int depth, int fanout) {
+  sim::UniformTreeSpec spec;
+  spec.depth = depth;
+  spec.fanout = fanout;
+  spec.leaf_cache.capacity_bytes = 2ULL * 1024 * 1024;
+  spec.root_cache.capacity_bytes = 32ULL * 1024 * 1024;
+  spec.base_filter.max_elements = 20;
+  spec.rpv.timeout = 60;
+  return spec;
 }
 
 void add_row(sim::Table& table, const char* name,
-             const sim::HierarchyResult& result) {
-  table.row({name, sim::Table::pct(result.child_hit_rate()),
+             const trace::SyntheticWorkload& workload,
+             const sim::Topology& topology, const sim::EngineConfig& engine) {
+  const auto result = sim::SimulationEngine(workload, topology, engine).run();
+  table.row({name, sim::Table::pct(result.leaf_hit_rate()),
              sim::Table::pct(result.overall_hit_rate()),
              sim::Table::pct(result.server_contact_rate()),
-             sim::Table::count(result.parent_coherency.refreshed),
-             sim::Table::count(result.child_coherency.refreshed),
+             sim::Table::count(result.merged_root_coherency().refreshed),
+             sim::Table::count(result.merged_leaf_coherency().refreshed),
              sim::Table::count(result.stale_served)});
 }
 
@@ -84,15 +87,9 @@ void topology_sweep(double scale, const std::string& json_path) {
   for (const int depth : {1, 2, 3, 4}) {
     for (const int fanout : {2, 4}) {
       if (depth == 1 && fanout != 2) continue;  // one node either way
-      sim::UniformTreeSpec spec;
-      spec.depth = depth;
-      spec.fanout = depth == 1 ? 1 : fanout;
-      spec.leaf_cache.capacity_bytes = 2ULL * 1024 * 1024;
+      auto spec = tree_spec(depth, depth == 1 ? 1 : fanout);
       spec.leaf_cache.freshness_interval = 2 * util::kHour;
-      spec.root_cache.capacity_bytes = 32ULL * 1024 * 1024;
       spec.root_cache.freshness_interval = 2 * util::kHour;
-      spec.base_filter.max_elements = 20;
-      spec.rpv.timeout = 60;
       spec.origin_link = net::NetworkConfig{};
       const auto topology = sim::uniform_tree_topology(spec);
       const auto result =
@@ -114,9 +111,13 @@ void topology_sweep(double scale, const std::string& json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Observability observability("hierarchy_levels", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
-  const auto json_path = bench::json_arg(argc, argv);
+  tools::FlagSet flags("Extension: piggybacking across cache hierarchies");
+  flags.add_string("json", "",
+                   "also write the topology sweep's JSON rows to this file");
+  const auto run_scope =
+      bench::parse_flags(flags, "hierarchy_levels", argc, argv);
+  const double scale = flags.get_double("scale");
+  const auto json_path = flags.get_string("json");
   bench::print_banner(
       "Extension: piggybacking across cache hierarchies",
       "piggybacking cuts origin contacts at both depths; relaying "
@@ -135,23 +136,20 @@ int main(int argc, char** argv) {
                     "server contact rate", "parent refreshes",
                     "child refreshes", "stale serves"});
 
-  auto off = base_config();
+  sim::EngineConfig engine;
+  engine.volumes.level = 1;
+  auto off = engine;
   off.piggybacking = false;
-  add_row(table, "no piggybacking",
-          sim::HierarchySimulator(workload, off).run());
+  const auto relayed = sim::uniform_tree_topology(tree_spec(2, 4));
+  auto parent_only = relayed;
+  parent_only.relay_to_descendants = false;
 
-  auto parent_only = base_config();
-  parent_only.relay_to_children = false;
-  add_row(table, "piggyback, parent only",
-          sim::HierarchySimulator(workload, parent_only).run());
-
-  add_row(table, "piggyback, relayed to children",
-          sim::HierarchySimulator(workload, base_config()).run());
-
-  auto many = base_config();
-  many.child_proxies = 16;
-  add_row(table, "relayed, 16 children",
-          sim::HierarchySimulator(workload, many).run());
+  add_row(table, "no piggybacking", workload, relayed, off);
+  add_row(table, "piggyback, parent only", workload, parent_only, engine);
+  add_row(table, "piggyback, relayed to children", workload, relayed,
+          engine);
+  add_row(table, "relayed, 16 children", workload,
+          sim::uniform_tree_topology(tree_spec(2, 16)), engine);
 
   table.print(std::cout);
   std::printf("\n");

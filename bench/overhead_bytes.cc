@@ -15,8 +15,10 @@
 using namespace piggyweb;
 
 int main(int argc, char** argv) {
-  bench::Observability observability("overhead_bytes", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
+  tools::FlagSet flags("Section 2.3: wire overhead of the piggybacks sent");
+  const auto run_scope =
+      bench::parse_flags(flags, "overhead_bytes", argc, argv);
+  const double scale = flags.get_double("scale");
   bench::print_banner(
       "Section 2.3: piggyback wire overhead (Sun, probability volumes)",
       "per-element cost = URL length + 16 B; messages of a handful of "

@@ -13,9 +13,13 @@
 using namespace piggyweb;
 
 int main(int argc, char** argv) {
-  bench::Observability observability("table1_update_fraction", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
-  const std::size_t threads = bench::threads_arg(argc, argv);
+  tools::FlagSet flags(
+      "Table 1: update fraction for probability-based volumes");
+  bench::add_threads_flag(flags);
+  const auto run_scope =
+      bench::parse_flags(flags, "table1_update_fraction", argc, argv);
+  const double scale = flags.get_double("scale");
+  const std::size_t threads = bench::threads_flag(flags);
   bench::print_banner(
       "Table 1: update fraction for probability-based volumes",
       "Sun has much the largest cache-hit share and update fraction "

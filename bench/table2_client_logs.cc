@@ -10,8 +10,10 @@
 using namespace piggyweb;
 
 int main(int argc, char** argv) {
-  bench::Observability observability("table2_client_logs", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
+  tools::FlagSet flags("Table 2: client log characteristics");
+  const auto run_scope =
+      bench::parse_flags(flags, "table2_client_logs", argc, argv);
+  const double scale = flags.get_double("scale");
   bench::print_banner(
       "Table 2: client log characteristics",
       "Digital is several times larger than AT&T in requests, servers and "

@@ -11,8 +11,10 @@
 using namespace piggyweb;
 
 int main(int argc, char** argv) {
-  bench::Observability observability("table3_server_logs", argc, argv);
-  const double scale = bench::scale_arg(argc, argv, 1.0);
+  tools::FlagSet flags("Table 3: server log characteristics");
+  const auto run_scope =
+      bench::parse_flags(flags, "table3_server_logs", argc, argv);
+  const double scale = flags.get_double("scale");
   bench::print_banner(
       "Table 3: server log characteristics",
       "Sun is by far the largest (most requests, most resources, highest "

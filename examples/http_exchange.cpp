@@ -63,8 +63,7 @@ int main() {
   proxy::FilterPolicyConfig fpc;
   fpc.base.max_elements = 10;
   fpc.rpv.timeout = 60;
-  proxy::FilterPolicy filter_policy(fpc,
-                                    std::make_unique<core::AlwaysEnable>());
+  proxy::FilterPolicy filter_policy(fpc);
   proxy::CoherencyAgent coherency(cache);
   util::InternTable proxy_paths;
   const auto server_id = proxy_paths.intern(site.host());

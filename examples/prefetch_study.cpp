@@ -7,9 +7,9 @@
 // Build & run:  ./build/examples/prefetch_study [--scale=<x>]
 #include <cstdio>
 #include <iostream>
-#include <string>
 
-#include "sim/end_to_end.h"
+#include "cli_common.h"
+#include "sim/engine.h"
 #include "sim/report.h"
 #include "trace/profiles.h"
 #include "volume/pair_counter.h"
@@ -18,11 +18,10 @@
 using namespace piggyweb;
 
 int main(int argc, char** argv) {
-  double scale = 0.008;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) scale = std::stod(arg.substr(8));
-  }
+  tools::FlagSet flags("prefetching behind one proxy (§4)");
+  flags.add_positive_double("scale", 0.008, "Sun-like workload scale");
+  if (!flags.parse(argc, argv)) return 2;
+  const double scale = flags.get_double("scale");
   const auto workload = trace::generate(trace::sun_profile(scale));
   std::printf("workload: sun-like, %zu requests\n\n", workload.trace.size());
 
@@ -30,11 +29,20 @@ int main(int argc, char** argv) {
   const auto counts =
       volume::PairCounterBuilder(pcc).build(workload.trace, 10);
 
-  sim::EndToEndConfig base;
+  // Every client sits behind one proxy whose cost-accounted link faces
+  // the origin.
+  sim::ProxyNodeSpec base;
   base.cache.capacity_bytes = 48ULL * 1024 * 1024;
   base.base_filter.max_elements = 20;
-  base.enable_coherency = true;
   base.rpv.timeout = 60;
+  base.link = net::NetworkConfig{};
+  const auto run = [&](const sim::ProxyNodeSpec& proxy,
+                       const volume::ProbabilityVolumeSet& volumes) {
+    sim::EngineConfig engine;
+    engine.probability_volumes = &volumes;
+    return sim::SimulationEngine(workload, sim::Topology{{proxy}}, engine)
+        .run();
+  };
 
   // Baseline: coherency only, probability volumes at p_t = 0.2.
   volume::ProbabilityVolumeConfig base_pvc;
@@ -42,16 +50,13 @@ int main(int argc, char** argv) {
   base_pvc.effectiveness_threshold = 0.2;
   const auto base_volumes =
       volume::build_probability_volumes(workload.trace, counts, base_pvc);
-  auto off_config = base;
-  off_config.probability_volumes = &base_volumes;
-  const auto baseline =
-      sim::EndToEndSimulator(workload, off_config).run();
+  const auto baseline = run(base, base_volumes);
 
   sim::Table table({"p_t", "prefetches", "useful", "futile %",
                     "bandwidth increase", "fresh hit rate",
                     "mean latency (s)"});
   table.row({"off", "0", "0", "-", "-",
-             sim::Table::pct(baseline.cache.fresh_hit_rate()),
+             sim::Table::pct(baseline.nodes[0].cache.fresh_hit_rate()),
              sim::Table::num(baseline.mean_user_latency(), 3)});
 
   for (const double pt : {0.1, 0.2, 0.4}) {
@@ -61,12 +66,12 @@ int main(int argc, char** argv) {
     const auto volumes =
         volume::build_probability_volumes(workload.trace, counts, pvc);
 
-    auto config = base;
-    config.probability_volumes = &volumes;
-    config.enable_prefetch = true;
-    config.prefetch.max_resource_bytes = 256 * 1024;
-    config.prefetch.useful_window = 300;
-    const auto result = sim::EndToEndSimulator(workload, config).run();
+    auto proxy_spec = base;
+    proxy_spec.enable_prefetch = true;
+    proxy_spec.prefetch.max_resource_bytes = 256 * 1024;
+    proxy_spec.prefetch.useful_window = 300;
+    const auto result = run(proxy_spec, volumes);
+    const auto& proxy = result.nodes[0];
 
     const double bw = baseline.body_bytes == 0
                           ? 0.0
@@ -75,11 +80,11 @@ int main(int argc, char** argv) {
                                         baseline.body_bytes) -
                                 1.0;
     table.row({sim::Table::num(pt, 2),
-               sim::Table::count(result.prefetch.issued),
-               sim::Table::count(result.prefetch.useful),
-               sim::Table::pct(result.prefetch.futile_fraction()),
+               sim::Table::count(proxy.prefetch.issued),
+               sim::Table::count(proxy.prefetch.useful),
+               sim::Table::pct(proxy.prefetch.futile_fraction()),
                sim::Table::pct(bw),
-               sim::Table::pct(result.cache.fresh_hit_rate()),
+               sim::Table::pct(proxy.cache.fresh_hit_rate()),
                sim::Table::num(result.mean_user_latency(), 3)});
   }
   table.print(std::cout);

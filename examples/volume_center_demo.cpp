@@ -7,10 +7,10 @@
 // Build & run:  ./build/examples/volume_center_demo [--scale=<x>]
 #include <cstdio>
 #include <iostream>
-#include <string>
 
-#include "core/frequency.h"
+#include "cli_common.h"
 #include "core/rpv.h"
+#include "proxy/filter_policy.h"
 #include "server/meta.h"
 #include "server/volume_center.h"
 #include "sim/report.h"
@@ -19,11 +19,10 @@
 using namespace piggyweb;
 
 int main(int argc, char** argv) {
-  double scale = 0.03;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) scale = std::stod(arg.substr(8));
-  }
+  tools::FlagSet flags("one transparent volume center for many servers");
+  flags.add_positive_double("scale", 0.03, "AT&T-like client-trace scale");
+  if (!flags.parse(argc, argv)) return 2;
+  const double scale = flags.get_double("scale");
   const auto workload = trace::generate(trace::att_client_profile(scale));
   const auto& trace = workload.trace;
   std::printf("client trace: %zu requests to %zu servers\n\n", trace.size(),
@@ -36,11 +35,16 @@ int main(int argc, char** argv) {
   // piggyback elements from metadata learned off the traffic it sees.
   server::TraceMetaOracle learned;
 
-  // Per-(source, server) RPV lists, exactly what a proxy would keep.
+  // Per-(source, server) RPV lists, exactly what a proxy would keep, and
+  // per-server frequency control.
   core::RpvConfig rpv_config;
   rpv_config.timeout = 60;
   std::unordered_map<std::uint64_t, core::RpvList> rpv;
-  core::MinIntervalEnable frequency(10);
+  proxy::FilterPolicyConfig policy_config;
+  policy_config.base.max_elements = 10;
+  policy_config.use_rpv = false;
+  policy_config.min_piggyback_interval = 10;
+  proxy::FilterPolicy filter_policy(policy_config);
 
   std::uint64_t mentions = 0;
   // Count how often a mentioned resource is requested by the same source
@@ -52,9 +56,7 @@ int main(int argc, char** argv) {
     const auto pair_key =
         (static_cast<std::uint64_t>(req.source) << 32) | req.server;
 
-    core::ProxyFilter filter;
-    filter.max_elements = 10;
-    filter.enabled = frequency.should_enable(req.server, req.time);
+    core::ProxyFilter filter = filter_policy.filter_for(req.server, req.time);
     if (filter.enabled) {
       filter.rpv = rpv.try_emplace(pair_key, rpv_config)
                        .first->second.live(req.time);
@@ -78,7 +80,7 @@ int main(int argc, char** argv) {
     exchange.type = trace::classify_path(trace.paths().str(req.path));
     const auto message = center.observe(exchange, filter, learned);
     if (message.empty()) continue;
-    frequency.on_piggyback(req.server, req.time);
+    filter_policy.on_piggyback(req.server, message.volume, req.time);
     rpv.try_emplace(pair_key, rpv_config)
         .first->second.note(message.volume, req.time);
     mentions += message.elements.size();

@@ -5,9 +5,13 @@ namespace piggyweb::proxy {
 core::ProxyFilter FilterPolicy::filter_for(util::InternId server,
                                            util::TimePoint now) {
   core::ProxyFilter filter = config_.base;
-  if (frequency_ && !frequency_->should_enable(server, now)) {
-    filter.enabled = false;
-    return filter;
+  if (config_.min_piggyback_interval > 0) {
+    const auto it = last_piggyback_.find(server);
+    if (it != last_piggyback_.end() &&
+        now - it->second < config_.min_piggyback_interval) {
+      filter.enabled = false;
+      return filter;
+    }
   }
   if (config_.use_rpv) {
     filter.rpv = rpv_.live(server, now);
@@ -18,7 +22,7 @@ core::ProxyFilter FilterPolicy::filter_for(util::InternId server,
 void FilterPolicy::on_piggyback(util::InternId server, core::VolumeId volume,
                                 util::TimePoint now) {
   if (config_.use_rpv) rpv_.note(server, volume, now);
-  if (frequency_) frequency_->on_piggyback(server, now);
+  if (config_.min_piggyback_interval > 0) last_piggyback_[server] = now;
 }
 
 }  // namespace piggyweb::proxy

@@ -11,9 +11,11 @@
 // coherency work from a single server message (§5). Cost-accounted links
 // model persistent connections, packets and latency.
 //
-// The end-to-end and hierarchy harnesses are thin topology presets over
-// this engine (see sim/end_to_end.h, sim/hierarchy.h); their historical
-// counters are pinned bit-identically by tests/sim_golden_regression_test.
+// The paper's two shapes are topologies like any other: §4's clients
+// behind one proxy is a single ProxyNodeSpec with a cost-accounted link
+// (node counters in EngineResult::nodes[0]), and §5's two-level hierarchy
+// is uniform_tree_topology at depth 2. tests/sim_golden_regression_test
+// pins both, bit-exactly, to the counters of the pre-engine harnesses.
 #pragma once
 
 #include <memory>
@@ -88,6 +90,13 @@ struct EngineResult {
     return client_requests == 0
                ? 0.0
                : user_latency_sum / static_cast<double>(client_requests);
+  }
+  // Share of fresh hits that served an outdated copy.
+  double stale_rate() const {
+    const auto fresh_hits = total_fresh_hits();
+    return fresh_hits == 0 ? 0.0
+                           : static_cast<double>(stale_served) /
+                                 static_cast<double>(fresh_hits);
   }
 };
 

@@ -9,16 +9,8 @@ proxy::FilterPolicyConfig make_filter_policy_config(
   fp.base = spec.base_filter;
   fp.rpv = spec.rpv;
   fp.use_rpv = spec.use_rpv;
+  fp.min_piggyback_interval = spec.min_piggyback_interval;
   return fp;
-}
-
-std::unique_ptr<core::FrequencyPolicy> make_frequency_policy(
-    const ProxyNodeSpec& spec) {
-  if (spec.min_piggyback_interval > 0) {
-    return std::make_unique<core::MinIntervalEnable>(
-        spec.min_piggyback_interval);
-  }
-  return std::make_unique<core::AlwaysEnable>();
 }
 
 }  // namespace
@@ -31,8 +23,7 @@ ProxyNode::ProxyNode(const ProxyNodeSpec& node_spec, int node_depth)
       prefetcher(spec.prefetch, cache),
       adaptive_ttl(spec.adaptive_ttl),
       pcv(spec.pcv, cache),
-      filter_policy(make_filter_policy_config(spec),
-                    make_frequency_policy(spec)) {
+      filter_policy(make_filter_policy_config(spec)) {
   if (spec.link) {
     connections.emplace(spec.link->persistent_idle_timeout);
     cost.emplace(*spec.link);

@@ -2,7 +2,7 @@
 // the per-node application agents (coherency, prefetch, adaptive TTL,
 // PCV, informed-fetch log), the filter policy for upstream requests, the
 // optional cost-accounted upstream link, and the per-node counters that
-// the engine aggregates into harness-level results.
+// the engine aggregates into its EngineResult.
 #pragma once
 
 #include <optional>

@@ -72,7 +72,9 @@ Topology uniform_tree_topology(const UniformTreeSpec& spec) {
     const bool is_leaf_level = level == spec.depth - 1;
     proxy::CacheConfig cache = is_leaf_level ? spec.leaf_cache
                                              : spec.root_cache;
-    if (spec.depth > 1) {
+    // Only inner levels interpolate: the truncated product can miss an
+    // end's capacity by a byte.
+    if (level > 0 && !is_leaf_level) {
       const double t = static_cast<double>(level) /
                        static_cast<double>(spec.depth - 1);
       cache.capacity_bytes = static_cast<std::uint64_t>(

@@ -1,8 +1,8 @@
 // Declarative cache-network topologies for the unified simulation engine.
 //
-// The paper's harnesses hard-coded two shapes: one proxy in front of the
-// origin servers (end-to-end, §4) and a two-level child/parent hierarchy
-// (§5's multi-level-cache extension). Cache-network work shows that filter
+// The paper evaluates two shapes: one proxy in front of the origin
+// servers (end-to-end, §4) and a two-level child/parent hierarchy (§5's
+// multi-level-cache extension). Cache-network work shows that filter
 // and piggyback behaviour changes qualitatively with depth and fan-out, so
 // the topology is data here: an arbitrary forest of proxy nodes, each with
 // its own cache, application policies, filter preferences, and an optional
@@ -63,14 +63,13 @@ struct ProxyNodeSpec {
 
   // When set, exchanges on this node's upstream link (to its parent, or
   // to the origins for a root) are cost-accounted: persistent
-  // connections, packets, bytes, latency. Unset links are free, matching
-  // the original hierarchy harness.
+  // connections, packets, bytes, latency. Unset links are free.
   std::optional<net::NetworkConfig> link;
 
   // Source identity this node presents upstream. Unset = transparent
-  // (the original client id rides through, as in the end-to-end
-  // harness); set = the node aggregates its clients behind one id (as
-  // the hierarchy parent does).
+  // (the original client id rides through, as behind §4's single
+  // proxy); set = the node aggregates its clients behind one id (as a
+  // hierarchy root does).
   std::optional<util::InternId> upstream_source;
 };
 
@@ -98,12 +97,13 @@ std::vector<int> leaf_indices(const Topology& topology);
 // Nodes with parent == -1, in index order.
 std::vector<int> root_indices(const Topology& topology);
 
-// Presets ------------------------------------------------------------------
+// Balanced trees -----------------------------------------------------------
 
 // A balanced tree of proxy caches: `depth` levels (1 = a single proxy),
 // each inner node with `fanout` children. Node 0 is the root; leaves are
-// the deepest level. Cache capacity interpolates geometrically from
-// `leaf_cache` at the leaves to `root_cache` at the root.
+// the deepest level. The root level takes `root_cache` and the leaf level
+// `leaf_cache` (a single proxy is a leaf); inner levels take `root_cache`
+// with a capacity interpolated geometrically between the two.
 struct UniformTreeSpec {
   int depth = 2;
   int fanout = 2;

@@ -25,8 +25,7 @@ class HttpRoundTripTest : public ::testing::Test {
         volumes_(make_volume_config()),
         origin_(site_, volumes_, server_paths_),
         cache_(make_cache_config()),
-        filter_policy_(make_policy_config(),
-                       std::make_unique<core::AlwaysEnable>()),
+        filter_policy_(make_policy_config()),
         coherency_(cache_) {
     volumes_.bind_paths(server_paths_);
     server_id_ = proxy_paths_.intern(site_.host());

@@ -14,7 +14,7 @@ FilterPolicyConfig base_config() {
 }
 
 TEST(FilterPolicy, BasePreferencesCarried) {
-  FilterPolicy policy(base_config(), std::make_unique<core::AlwaysEnable>());
+  FilterPolicy policy(base_config());
   const auto filter = policy.filter_for(/*server=*/1, {0});
   EXPECT_TRUE(filter.enabled);
   EXPECT_EQ(filter.max_elements, 10u);
@@ -22,12 +22,13 @@ TEST(FilterPolicy, BasePreferencesCarried) {
 }
 
 TEST(FilterPolicy, RpvAccumulatesPerServer) {
-  FilterPolicy policy(base_config(), std::make_unique<core::AlwaysEnable>());
+  FilterPolicy policy(base_config());
   policy.on_piggyback(1, /*volume=*/5, {100});
   policy.on_piggyback(1, /*volume=*/6, {110});
   policy.on_piggyback(2, /*volume=*/7, {110});
 
   const auto f1 = policy.filter_for(1, {120});
+  EXPECT_TRUE(f1.enabled);  // no frequency control by default
   ASSERT_EQ(f1.rpv.size(), 2u);
   EXPECT_EQ(f1.rpv[0], 5u);
   EXPECT_EQ(f1.rpv[1], 6u);
@@ -38,7 +39,7 @@ TEST(FilterPolicy, RpvAccumulatesPerServer) {
 }
 
 TEST(FilterPolicy, RpvEntriesExpire) {
-  FilterPolicy policy(base_config(), std::make_unique<core::AlwaysEnable>());
+  FilterPolicy policy(base_config());
   policy.on_piggyback(1, 5, {100});
   EXPECT_FALSE(policy.filter_for(1, {150}).rpv.empty());
   EXPECT_TRUE(policy.filter_for(1, {161}).rpv.empty());
@@ -47,14 +48,19 @@ TEST(FilterPolicy, RpvEntriesExpire) {
 TEST(FilterPolicy, UseRpvOffSendsNoList) {
   auto config = base_config();
   config.use_rpv = false;
-  FilterPolicy policy(config, std::make_unique<core::AlwaysEnable>());
+  FilterPolicy policy(config);
   policy.on_piggyback(1, 5, {100});
   EXPECT_TRUE(policy.filter_for(1, {110}).rpv.empty());
 }
 
+FilterPolicyConfig min_interval_config(util::Seconds interval) {
+  auto config = base_config();
+  config.min_piggyback_interval = interval;
+  return config;
+}
+
 TEST(FilterPolicy, MinIntervalFrequencyControl) {
-  FilterPolicy policy(base_config(),
-                      std::make_unique<core::MinIntervalEnable>(60));
+  FilterPolicy policy(min_interval_config(60));
   EXPECT_TRUE(policy.filter_for(1, {100}).enabled);
   policy.on_piggyback(1, 5, {100});
   EXPECT_FALSE(policy.filter_for(1, {130}).enabled);
@@ -63,9 +69,19 @@ TEST(FilterPolicy, MinIntervalFrequencyControl) {
   EXPECT_TRUE(policy.filter_for(2, {130}).enabled);
 }
 
+TEST(FilterPolicy, OnlyPiggybacksArmFrequencyControl) {
+  // Asking for a filter must not arm the interval; only observed
+  // piggybacks do (otherwise a burst of suppressed requests would stay
+  // suppressed forever).
+  FilterPolicy policy(min_interval_config(60));
+  EXPECT_TRUE(policy.filter_for(1, {0}).enabled);
+  EXPECT_TRUE(policy.filter_for(1, {1}).enabled);
+  policy.on_piggyback(1, 5, {1});
+  EXPECT_FALSE(policy.filter_for(1, {2}).enabled);
+}
+
 TEST(FilterPolicy, DisabledFilterKeepsBasePrefsIrrelevant) {
-  FilterPolicy policy(base_config(),
-                      std::make_unique<core::MinIntervalEnable>(60));
+  FilterPolicy policy(min_interval_config(60));
   policy.on_piggyback(1, 5, {100});
   const auto filter = policy.filter_for(1, {110});
   EXPECT_FALSE(filter.enabled);

@@ -7,9 +7,7 @@
 #include <algorithm>
 #include <string>
 
-#include "sim/end_to_end.h"
 #include "sim/engine.h"
-#include "sim/hierarchy.h"
 #include "trace/profiles.h"
 
 namespace piggyweb {
@@ -76,7 +74,7 @@ TEST(SimulationEngine, DepthThreeMultiOriginTree) {
     EXPECT_GT(processed, 0u) << "no piggybacks at depth " << depth;
   }
 
-  // Only the root has a cost-accounted link in this preset.
+  // Only the root has a cost-accounted link in this tree.
   EXPECT_GT(result.connections.opened, 0u);
   EXPECT_GT(result.user_latency_sum, 0.0);
   EXPECT_GT(result.total_packets, 0u);
@@ -137,55 +135,33 @@ TEST(SimulationEngine, UnknownHostsAndNonSitePathsAreUnresolved) {
   EXPECT_EQ(result.center.elements_injected, base.center.elements_injected);
 }
 
-TEST(SimulationEngine, EndToEndPresetShape) {
-  sim::EndToEndConfig config;
-  config.network.rtt_seconds = 0.25;
-  const auto topology = sim::EndToEndSimulator::topology_for(config);
-  ASSERT_EQ(topology.nodes.size(), 1u);
-  EXPECT_EQ(topology.nodes[0].parent, -1);
-  EXPECT_FALSE(topology.nodes[0].upstream_source.has_value());
-  ASSERT_TRUE(topology.nodes[0].link.has_value());
-  EXPECT_EQ(topology.nodes[0].link->rtt_seconds, 0.25);
-  const auto engine = sim::EndToEndSimulator::engine_config_for(config);
-  EXPECT_TRUE(engine.piggybacking);
-}
-
-TEST(SimulationEngine, HierarchyPresetShape) {
-  sim::HierarchyConfig config;
-  config.child_proxies = 3;
-  const auto topology = sim::HierarchySimulator::topology_for(config);
-  ASSERT_EQ(topology.nodes.size(), 4u);
-  EXPECT_EQ(topology.nodes[0].parent, -1);
-  EXPECT_TRUE(topology.nodes[0].upstream_source.has_value());
-  EXPECT_FALSE(topology.nodes[0].link.has_value());  // links are free
-  for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(topology.nodes[i].parent, 0);
-  }
-  EXPECT_EQ(sim::leaf_indices(topology), (std::vector<int>{1, 2, 3}));
-}
-
 TEST(SimulationEngine, InformedFetchSchedules) {
   trace::LogProfile profile = trace::aiusa_profile(0.05);
   const auto workload = trace::generate(profile);
-  sim::EndToEndConfig config;
-  config.cache.capacity_bytes = 16ULL * 1024 * 1024;
-  config.cache.freshness_interval = 2 * util::kHour;
-  config.base_filter.max_elements = 20;
-  config.volumes.level = 1;
-  config.enable_informed_fetch = true;
-  const auto result = sim::EndToEndSimulator(workload, config).run();
+  sim::ProxyNodeSpec proxy;
+  proxy.cache.capacity_bytes = 16ULL * 1024 * 1024;
+  proxy.cache.freshness_interval = 2 * util::kHour;
+  proxy.base_filter.max_elements = 20;
+  proxy.link = net::NetworkConfig{};
+  proxy.enable_informed_fetch = true;
+  const auto result =
+      sim::SimulationEngine(workload, sim::Topology{{proxy}}, engine_config())
+          .run();
+  const auto& node = result.nodes[0];
 
-  ASSERT_TRUE(result.informed_fetch.has_value());
-  ASSERT_TRUE(result.informed_fetch_fifo.has_value());
-  EXPECT_EQ(result.informed_fetch->completion_by_id.size(),
+  ASSERT_TRUE(node.fetch_schedule.has_value());
+  ASSERT_TRUE(node.fetch_schedule_fifo.has_value());
+  EXPECT_EQ(node.fetch_schedule->completion_by_id.size(),
             result.server_contacts);
   // Shortest-first cannot do worse than FIFO on mean waiting time (§4).
-  EXPECT_LE(result.informed_fetch->mean_wait,
-            result.informed_fetch_fifo->mean_wait);
+  EXPECT_LE(node.fetch_schedule->mean_wait,
+            node.fetch_schedule_fifo->mean_wait);
   // Without the flag the optionals stay empty.
-  config.enable_informed_fetch = false;
-  const auto off = sim::EndToEndSimulator(workload, config).run();
-  EXPECT_FALSE(off.informed_fetch.has_value());
+  proxy.enable_informed_fetch = false;
+  const auto off =
+      sim::SimulationEngine(workload, sim::Topology{{proxy}}, engine_config())
+          .run();
+  EXPECT_FALSE(off.nodes[0].fetch_schedule.has_value());
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
-// Golden regression for the engine refactor: every counter of
-// EndToEndResult / HierarchyResult for fixed seeds and configs, captured
-// from the pre-engine implementations (PR 1 tree) and asserted exactly —
-// including bit-exact latency doubles. The topology presets must
-// reproduce the historical harness behaviour down to accumulation order;
-// any drift here means the engine changed observable semantics.
+// Golden regression for the simulation engine: every counter of §4's
+// single-proxy shape and §5's two-level hierarchy for fixed seeds and
+// configs, captured from the separate simulators that preceded the engine
+// and asserted exactly — including bit-exact latency doubles. Each case
+// builds its Topology the way callers do (one ProxyNodeSpec with a
+// cost-accounted link; uniform_tree_topology at depth 2 with free links),
+// so any drift here means the engine changed observable semantics.
 #include <gtest/gtest.h>
 
-#include "sim/end_to_end.h"
-#include "sim/hierarchy.h"
+#include "sim/engine.h"
 #include "trace/profiles.h"
 #include "volume/pair_counter.h"
 #include "volume/probability.h"
@@ -38,27 +38,49 @@ const volume::ProbabilityVolumeSet& shared_probability_volumes() {
   return set;
 }
 
-sim::EndToEndConfig e2e_base() {
-  sim::EndToEndConfig config;
-  config.cache.capacity_bytes = 16ULL * 1024 * 1024;
-  config.cache.freshness_interval = 2 * util::kHour;
-  config.base_filter.max_elements = 20;
-  config.volumes.level = 1;
-  config.rpv.timeout = 60;
-  return config;
+// §4: the clients behind one proxy whose cost-accounted link faces the
+// origin.
+sim::ProxyNodeSpec e2e_proxy() {
+  sim::ProxyNodeSpec proxy;
+  proxy.name = "proxy";
+  proxy.cache.capacity_bytes = 16ULL * 1024 * 1024;
+  proxy.cache.freshness_interval = 2 * util::kHour;
+  proxy.base_filter.max_elements = 20;
+  proxy.rpv.timeout = 60;
+  proxy.link = net::NetworkConfig{};
+  return proxy;
 }
 
-sim::HierarchyConfig hier_base() {
-  sim::HierarchyConfig config;
-  config.child_proxies = 4;
-  config.child_cache.capacity_bytes = 2ULL * 1024 * 1024;
-  config.child_cache.freshness_interval = 2 * util::kHour;
-  config.parent_cache.capacity_bytes = 32ULL * 1024 * 1024;
-  config.parent_cache.freshness_interval = 2 * util::kHour;
-  config.base_filter.max_elements = 20;
-  config.volumes.level = 1;
-  config.rpv.timeout = 60;
-  return config;
+sim::EngineConfig engine_base() {
+  sim::EngineConfig engine;
+  engine.volumes.level = 1;
+  return engine;
+}
+
+sim::EngineResult run_e2e(const sim::ProxyNodeSpec& proxy,
+                          const sim::EngineConfig& engine = engine_base()) {
+  return sim::SimulationEngine(shared_workload(), sim::Topology{{proxy}},
+                               engine)
+      .run();
+}
+
+// §5: `children` child proxies under one parent, free links.
+sim::Topology hier_topology(int children) {
+  sim::UniformTreeSpec spec;
+  spec.depth = 2;
+  spec.fanout = children;
+  spec.leaf_cache.capacity_bytes = 2ULL * 1024 * 1024;
+  spec.leaf_cache.freshness_interval = 2 * util::kHour;
+  spec.root_cache.capacity_bytes = 32ULL * 1024 * 1024;
+  spec.root_cache.freshness_interval = 2 * util::kHour;
+  spec.base_filter.max_elements = 20;
+  spec.rpv.timeout = 60;
+  return sim::uniform_tree_topology(spec);
+}
+
+sim::EngineResult run_hier(const sim::Topology& topology,
+                           const sim::EngineConfig& engine = engine_base()) {
+  return sim::SimulationEngine(shared_workload(), topology, engine).run();
 }
 
 struct E2eGolden {
@@ -77,7 +99,9 @@ struct E2eGolden {
       center_servers;
 };
 
-void expect_e2e(const sim::EndToEndResult& r, const E2eGolden& g) {
+void expect_e2e(const sim::EngineResult& r, const E2eGolden& g) {
+  ASSERT_EQ(r.nodes.size(), 1u);
+  const auto& proxy = r.nodes[0];
   EXPECT_EQ(r.client_requests, 9035u);
   EXPECT_EQ(r.server_contacts, g.server_contacts);
   EXPECT_EQ(r.validations, g.validations);
@@ -88,27 +112,27 @@ void expect_e2e(const sim::EndToEndResult& r, const E2eGolden& g) {
   EXPECT_EQ(r.total_packets, g.total_packets);
   EXPECT_EQ(r.user_latency_sum, g.user_latency_sum);  // bit-exact
   EXPECT_EQ(r.prefetch_latency_sum, g.prefetch_latency_sum);
-  EXPECT_EQ(r.cache.lookups, 9035u);
-  EXPECT_EQ(r.cache.fresh_hits, g.fresh_hits);
-  EXPECT_EQ(r.cache.stale_hits, g.stale_hits);
-  EXPECT_EQ(r.cache.misses, g.misses);
-  EXPECT_EQ(r.cache.insertions, g.insertions);
-  EXPECT_EQ(r.cache.evictions, 0u);
-  EXPECT_EQ(r.cache.piggyback_refreshes, g.piggyback_refreshes);
-  EXPECT_EQ(r.cache.piggyback_invalidations, g.piggyback_invalidations);
-  EXPECT_EQ(r.coherency.piggybacks_processed, g.coh_piggybacks);
-  EXPECT_EQ(r.coherency.elements_processed, g.coh_elements);
-  EXPECT_EQ(r.coherency.refreshed, g.coh_refreshed);
-  EXPECT_EQ(r.coherency.invalidated, g.coh_invalidated);
-  EXPECT_EQ(r.coherency.not_cached, g.coh_not_cached);
-  EXPECT_EQ(r.prefetch.issued, g.prefetch_issued);
-  EXPECT_EQ(r.prefetch.useful, g.prefetch_useful);
-  EXPECT_EQ(r.prefetch.futile, g.prefetch_futile);
-  EXPECT_EQ(r.prefetch.bytes_fetched, g.prefetch_bytes);
-  EXPECT_EQ(r.pcv.batches_sent, g.pcv_batches);
-  EXPECT_EQ(r.pcv.items_sent, g.pcv_items);
-  EXPECT_EQ(r.pcv.freshened, g.pcv_freshened);
-  EXPECT_EQ(r.pcv.invalidated, g.pcv_invalidated);
+  EXPECT_EQ(proxy.cache.lookups, 9035u);
+  EXPECT_EQ(proxy.cache.fresh_hits, g.fresh_hits);
+  EXPECT_EQ(proxy.cache.stale_hits, g.stale_hits);
+  EXPECT_EQ(proxy.cache.misses, g.misses);
+  EXPECT_EQ(proxy.cache.insertions, g.insertions);
+  EXPECT_EQ(proxy.cache.evictions, 0u);
+  EXPECT_EQ(proxy.cache.piggyback_refreshes, g.piggyback_refreshes);
+  EXPECT_EQ(proxy.cache.piggyback_invalidations, g.piggyback_invalidations);
+  EXPECT_EQ(proxy.coherency.piggybacks_processed, g.coh_piggybacks);
+  EXPECT_EQ(proxy.coherency.elements_processed, g.coh_elements);
+  EXPECT_EQ(proxy.coherency.refreshed, g.coh_refreshed);
+  EXPECT_EQ(proxy.coherency.invalidated, g.coh_invalidated);
+  EXPECT_EQ(proxy.coherency.not_cached, g.coh_not_cached);
+  EXPECT_EQ(proxy.prefetch.issued, g.prefetch_issued);
+  EXPECT_EQ(proxy.prefetch.useful, g.prefetch_useful);
+  EXPECT_EQ(proxy.prefetch.futile, g.prefetch_futile);
+  EXPECT_EQ(proxy.prefetch.bytes_fetched, g.prefetch_bytes);
+  EXPECT_EQ(proxy.pcv.batches_sent, g.pcv_batches);
+  EXPECT_EQ(proxy.pcv.items_sent, g.pcv_items);
+  EXPECT_EQ(proxy.pcv.freshened, g.pcv_freshened);
+  EXPECT_EQ(proxy.pcv.invalidated, g.pcv_invalidated);
   EXPECT_EQ(r.connections.opened, g.conn_opened);
   EXPECT_EQ(r.connections.reused, g.conn_reused);
   EXPECT_EQ(r.center.exchanges_observed, g.center_exchanges);
@@ -126,22 +150,24 @@ struct HierGolden {
       child_invalidated, child_not_cached;
 };
 
-void expect_hier(const sim::HierarchyResult& r, const HierGolden& g) {
+void expect_hier(const sim::EngineResult& r, const HierGolden& g) {
+  const auto parent = r.merged_root_coherency();
+  const auto child = r.merged_leaf_coherency();
   EXPECT_EQ(r.client_requests, 9035u);
-  EXPECT_EQ(r.child_fresh_hits, g.child_fresh_hits);
-  EXPECT_EQ(r.parent_fresh_hits, g.parent_fresh_hits);
+  EXPECT_EQ(r.leaf_fresh_hits(), g.child_fresh_hits);
+  EXPECT_EQ(r.root_fresh_hits(), g.parent_fresh_hits);
   EXPECT_EQ(r.server_contacts, g.server_contacts);
   EXPECT_EQ(r.stale_served, g.stale_served);
-  EXPECT_EQ(r.parent_coherency.piggybacks_processed, g.parent_piggybacks);
-  EXPECT_EQ(r.parent_coherency.elements_processed, g.parent_elements);
-  EXPECT_EQ(r.parent_coherency.refreshed, g.parent_refreshed);
-  EXPECT_EQ(r.parent_coherency.invalidated, g.parent_invalidated);
-  EXPECT_EQ(r.parent_coherency.not_cached, g.parent_not_cached);
-  EXPECT_EQ(r.child_coherency.piggybacks_processed, g.child_piggybacks);
-  EXPECT_EQ(r.child_coherency.elements_processed, g.child_elements);
-  EXPECT_EQ(r.child_coherency.refreshed, g.child_refreshed);
-  EXPECT_EQ(r.child_coherency.invalidated, g.child_invalidated);
-  EXPECT_EQ(r.child_coherency.not_cached, g.child_not_cached);
+  EXPECT_EQ(parent.piggybacks_processed, g.parent_piggybacks);
+  EXPECT_EQ(parent.elements_processed, g.parent_elements);
+  EXPECT_EQ(parent.refreshed, g.parent_refreshed);
+  EXPECT_EQ(parent.invalidated, g.parent_invalidated);
+  EXPECT_EQ(parent.not_cached, g.parent_not_cached);
+  EXPECT_EQ(child.piggybacks_processed, g.child_piggybacks);
+  EXPECT_EQ(child.elements_processed, g.child_elements);
+  EXPECT_EQ(child.refreshed, g.child_refreshed);
+  EXPECT_EQ(child.invalidated, g.child_invalidated);
+  EXPECT_EQ(child.not_cached, g.child_not_cached);
 }
 
 TEST(SimGoldenRegression, WorkloadSizePinned) {
@@ -149,8 +175,7 @@ TEST(SimGoldenRegression, WorkloadSizePinned) {
 }
 
 TEST(SimGoldenRegression, EndToEndDefault) {
-  const auto result =
-      sim::EndToEndSimulator(shared_workload(), e2e_base()).run();
+  const auto result = run_e2e(e2e_proxy());
   E2eGolden g{};
   g.server_contacts = 1460;
   g.validations = 1209;
@@ -182,9 +207,9 @@ TEST(SimGoldenRegression, EndToEndDefault) {
 }
 
 TEST(SimGoldenRegression, EndToEndPiggybackingOff) {
-  auto config = e2e_base();
-  config.piggybacking = false;
-  const auto result = sim::EndToEndSimulator(shared_workload(), config).run();
+  auto engine = engine_base();
+  engine.piggybacking = false;
+  const auto result = run_e2e(e2e_proxy(), engine);
   E2eGolden g{};
   g.server_contacts = 5670;
   g.validations = 5585;
@@ -207,13 +232,13 @@ TEST(SimGoldenRegression, EndToEndPiggybackingOff) {
 }
 
 TEST(SimGoldenRegression, EndToEndAllApplications) {
-  auto config = e2e_base();
-  config.enable_prefetch = true;
-  config.prefetch.max_resource_bytes = 64 * 1024;
-  config.enable_pcv = true;
-  config.enable_adaptive_ttl = true;
-  config.min_piggyback_interval = 30;
-  const auto result = sim::EndToEndSimulator(shared_workload(), config).run();
+  auto proxy = e2e_proxy();
+  proxy.enable_prefetch = true;
+  proxy.prefetch.max_resource_bytes = 64 * 1024;
+  proxy.enable_pcv = true;
+  proxy.enable_adaptive_ttl = true;
+  proxy.min_piggyback_interval = 30;
+  const auto result = run_e2e(proxy);
   E2eGolden g{};
   g.server_contacts = 1095;
   g.validations = 953;
@@ -253,9 +278,9 @@ TEST(SimGoldenRegression, EndToEndAllApplications) {
 }
 
 TEST(SimGoldenRegression, EndToEndProbabilityVolumes) {
-  auto config = e2e_base();
-  config.probability_volumes = &shared_probability_volumes();
-  const auto result = sim::EndToEndSimulator(shared_workload(), config).run();
+  auto engine = engine_base();
+  engine.probability_volumes = &shared_probability_volumes();
+  const auto result = run_e2e(e2e_proxy(), engine);
   E2eGolden g{};
   g.server_contacts = 1655;
   g.validations = 1444;
@@ -313,11 +338,13 @@ TEST(SimGoldenRegression, ReplacementPoliciesUnderPressure) {
   };
   for (const auto& g : goldens) {
     SCOPED_TRACE(proxy::policy_name(g.policy));
-    auto config = e2e_base();
-    config.cache.capacity_bytes = 256 * 1024;
-    config.cache.policy = g.policy;
-    config.probability_volumes = &shared_probability_volumes();
-    const auto r = sim::EndToEndSimulator(shared_workload(), config).run();
+    auto proxy = e2e_proxy();
+    proxy.cache.capacity_bytes = 256 * 1024;
+    proxy.cache.policy = g.policy;
+    auto engine = engine_base();
+    engine.probability_volumes = &shared_probability_volumes();
+    const auto result = run_e2e(proxy, engine);
+    const auto& r = result.nodes[0];
     EXPECT_EQ(r.cache.lookups, 9035u);
     EXPECT_EQ(r.cache.fresh_hits, g.fresh_hits);
     EXPECT_EQ(r.cache.stale_hits, g.stale_hits);
@@ -331,13 +358,12 @@ TEST(SimGoldenRegression, ReplacementPoliciesUnderPressure) {
     EXPECT_EQ(r.coherency.refreshed, g.coh_refreshed);
     EXPECT_EQ(r.coherency.invalidated, g.coh_invalidated);
     EXPECT_EQ(r.coherency.not_cached, g.coh_not_cached);
-    EXPECT_EQ(r.user_latency_sum, g.user_latency_sum);  // bit-exact
+    EXPECT_EQ(result.user_latency_sum, g.user_latency_sum);  // bit-exact
   }
 }
 
 TEST(SimGoldenRegression, HierarchyDefault) {
-  const auto result =
-      sim::HierarchySimulator(shared_workload(), hier_base()).run();
+  const auto result = run_hier(hier_topology(4));
   HierGolden g{};
   g.child_fresh_hits = 4877;
   g.parent_fresh_hits = 2696;
@@ -357,10 +383,9 @@ TEST(SimGoldenRegression, HierarchyDefault) {
 }
 
 TEST(SimGoldenRegression, HierarchyNoRelay) {
-  auto config = hier_base();
-  config.relay_to_children = false;
-  const auto result =
-      sim::HierarchySimulator(shared_workload(), config).run();
+  auto topology = hier_topology(4);
+  topology.relay_to_descendants = false;
+  const auto result = run_hier(topology);
   HierGolden g{};
   g.child_fresh_hits = 2004;
   g.parent_fresh_hits = 5572;
@@ -375,10 +400,9 @@ TEST(SimGoldenRegression, HierarchyNoRelay) {
 }
 
 TEST(SimGoldenRegression, HierarchyPiggybackingOff) {
-  auto config = hier_base();
-  config.piggybacking = false;
-  const auto result =
-      sim::HierarchySimulator(shared_workload(), config).run();
+  auto engine = engine_base();
+  engine.piggybacking = false;
+  const auto result = run_hier(hier_topology(4), engine);
   HierGolden g{};
   g.child_fresh_hits = 2004;
   g.parent_fresh_hits = 1430;
@@ -388,10 +412,7 @@ TEST(SimGoldenRegression, HierarchyPiggybackingOff) {
 }
 
 TEST(SimGoldenRegression, HierarchyWide) {
-  auto config = hier_base();
-  config.child_proxies = 16;
-  const auto result =
-      sim::HierarchySimulator(shared_workload(), config).run();
+  const auto result = run_hier(hier_topology(16));
   HierGolden g{};
   g.child_fresh_hits = 3561;
   g.parent_fresh_hits = 4025;

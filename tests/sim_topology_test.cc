@@ -1,5 +1,5 @@
 // Structural tests for declarative topologies: validation, depth/leaf/root
-// queries, and the uniform-tree preset generator.
+// queries, and the uniform-tree generator.
 #include <gtest/gtest.h>
 
 #include "sim/topology.h"
@@ -51,6 +51,24 @@ TEST(Topology, UniformTreeDepthFour) {
   const auto mid = tree.nodes[1].cache.capacity_bytes;  // depth-1 node
   EXPECT_LT(mid, tree.nodes[0].cache.capacity_bytes);
   EXPECT_GT(mid, 2ULL * 1024 * 1024);
+}
+
+TEST(Topology, UniformTreeEndLevelsTakeTheirCapacityExactly) {
+  // root * (leaf / root) truncates to leaf - 1 for this pair in doubles;
+  // the leaf level must still get its spec's capacity to the byte.
+  for (const int depth : {2, 3, 4}) {
+    SCOPED_TRACE(depth);
+    auto spec = tree_spec(depth, 2);
+    spec.root_cache.capacity_bytes = 22'000'000;
+    spec.leaf_cache.capacity_bytes = 15'000'000;
+    const auto tree = sim::uniform_tree_topology(spec);
+    EXPECT_EQ(tree.nodes[0].cache.capacity_bytes, 22'000'000u);
+    for (const int leaf : sim::leaf_indices(tree)) {
+      EXPECT_EQ(
+          tree.nodes[static_cast<std::size_t>(leaf)].cache.capacity_bytes,
+          15'000'000u);
+    }
+  }
 }
 
 TEST(Topology, ForestWithTwoRoots) {

@@ -65,6 +65,16 @@ TEST(FlagSet, BareBooleanFlag) {
   EXPECT_TRUE(flags.get_bool("verbose"));
 }
 
+TEST(FlagSet, BareFlagMustBeBoolean) {
+  // A bare string flag must not take the text "true" as its value (a
+  // bare --json would write a file named "true").
+  for (const char* arg : {"--name", "--ratio", "--count"}) {
+    auto flags = standard_flags();
+    Argv argv({arg});
+    EXPECT_FALSE(flags.parse(argv.argc(), argv.argv())) << arg;
+  }
+}
+
 TEST(FlagSet, RejectsUnknownFlag) {
   auto flags = standard_flags();
   Argv argv({"--nope=1"});
@@ -107,6 +117,21 @@ TEST(FlagSet, NegativeNumbers) {
   ASSERT_TRUE(flags.parse(argv.argc(), argv.argv()));
   EXPECT_EQ(flags.get_int("count"), -3);
   EXPECT_DOUBLE_EQ(flags.get_double("ratio"), -0.5);
+}
+
+TEST(FlagSet, PositiveDoubleRejectsZeroNegativeAndNonFinite) {
+  for (const char* arg :
+       {"--scale=0", "--scale=-0.5", "--scale=nan", "--scale=inf"}) {
+    FlagSet flags("test");
+    flags.add_positive_double("scale", 1.0, "a positive double");
+    Argv argv({arg});
+    EXPECT_FALSE(flags.parse(argv.argc(), argv.argv())) << arg;
+  }
+  FlagSet flags("test");
+  flags.add_positive_double("scale", 1.0, "a positive double");
+  Argv argv({"--scale=0.01"});
+  ASSERT_TRUE(flags.parse(argv.argc(), argv.argv()));
+  EXPECT_DOUBLE_EQ(flags.get_double("scale"), 0.01);
 }
 
 TEST(FlagSet, EmptyStringValue) {

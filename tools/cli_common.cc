@@ -1,5 +1,6 @@
 #include "cli_common.h"
 
+#include <cmath>
 #include <cstdio>
 
 #include "util/expect.h"
@@ -17,6 +18,13 @@ void FlagSet::add_double(const std::string& name, double default_value,
                          const std::string& help) {
   const auto text = std::to_string(default_value);
   flags_[name] = {Type::kDouble, text, help, text};
+}
+
+void FlagSet::add_positive_double(const std::string& name,
+                                  double default_value,
+                                  const std::string& help) {
+  add_double(name, default_value, help);
+  flags_[name].positive = true;
 }
 
 void FlagSet::add_int(const std::string& name, std::int64_t default_value,
@@ -47,7 +55,8 @@ bool FlagSet::parse(int argc, char** argv) {
     arg.remove_prefix(2);
     std::string name;
     std::string value;
-    if (const auto eq = arg.find('='); eq != std::string_view::npos) {
+    const auto eq = arg.find('=');
+    if (eq != std::string_view::npos) {
       name = std::string(arg.substr(0, eq));
       value = std::string(arg.substr(eq + 1));
     } else {
@@ -60,6 +69,11 @@ bool FlagSet::parse(int argc, char** argv) {
       print_usage(argv[0]);
       return false;
     }
+    if (eq == std::string_view::npos && it->second.type != Type::kBool) {
+      std::fprintf(stderr, "error: --%s needs a value (--%s=...)\n",
+                   name.c_str(), name.c_str());
+      return false;
+    }
     // Validate by type.
     switch (it->second.type) {
       case Type::kString:
@@ -68,6 +82,12 @@ bool FlagSet::parse(int argc, char** argv) {
         double parsed = 0;
         if (!util::parse_double(value, parsed)) {
           std::fprintf(stderr, "error: --%s expects a number, got '%s'\n",
+                       name.c_str(), value.c_str());
+          return false;
+        }
+        if (it->second.positive && !(parsed > 0 && std::isfinite(parsed))) {
+          std::fprintf(stderr,
+                       "error: --%s must be a finite number > 0, got '%s'\n",
                        name.c_str(), value.c_str());
           return false;
         }

@@ -21,6 +21,10 @@ class FlagSet {
                   const std::string& help);
   void add_double(const std::string& name, double default_value,
                   const std::string& help);
+  // As add_double, but parse() also rejects a value that is not a finite
+  // number > 0.
+  void add_positive_double(const std::string& name, double default_value,
+                           const std::string& help);
   void add_int(const std::string& name, std::int64_t default_value,
                const std::string& help);
   void add_bool(const std::string& name, bool default_value,
@@ -44,6 +48,7 @@ class FlagSet {
     std::string value;  // canonical text form
     std::string help;
     std::string default_text;
+    bool positive = false;  // kDouble only: reject values <= 0
   };
   const Flag* find(const std::string& name, Type type) const;
 

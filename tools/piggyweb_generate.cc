@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
       "paper's log profiles");
   flags.add_string("profile", "aiusa",
                    "aiusa|marimba|apache|sun|att_client|digital_client");
-  flags.add_double("scale", 0.05, "request-count scale (1.0 = paper size)");
+  flags.add_positive_double("scale", 0.05,
+                            "request-count scale (1.0 = paper size)");
   flags.add_int("seed", 0, "override the profile's RNG seed (0 = default)");
   flags.add_string("out", "synthetic.log", "output CLF file");
   flags.add_string("volumes-out", "",
