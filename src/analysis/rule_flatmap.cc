@@ -1,13 +1,15 @@
 // Flat-map safety. util::FlatMap invalidates every reference and
 // iterator on any mutation (rehash on insert, backward-shift on erase),
-// unlike std::unordered_map. This rule flags, within one function body:
+// unlike std::unordered_map, and so does util::GenerationalMap, which
+// holds two of them (touch moves a key between them, rotate drops one).
+// This rule flags, within one function body:
 //
-//   * a reference/iterator obtained from a FlatMap and used after a
+//   * a reference/iterator obtained from either map and used after a
 //     later mutating call on the same map expression;
-//   * a mutating call on a FlatMap inside a range-for over that map.
+//   * a mutating call on a map inside a range-for over that map.
 //
 // The tracking itself lives in the shared invalidation core
-// (invalidation.h); this file only supplies the FlatMap method tables.
+// (invalidation.h); this file only supplies the method tables.
 #include <string_view>
 #include <vector>
 
@@ -21,12 +23,12 @@ namespace {
 bool mutating_method(std::string_view m) {
   return m == "insert" || m == "emplace" || m == "try_emplace" ||
          m == "erase" || m == "erase_if" || m == "clear" ||
-         m == "reserve" || m == "rehash";
+         m == "reserve" || m == "rehash" || m == "touch" || m == "rotate";
 }
 
 bool accessor_method(std::string_view m) {
   return m == "find" || m == "at" || m == "insert" || m == "emplace" ||
-         m == "try_emplace";
+         m == "try_emplace" || m == "touch";
 }
 
 // Methods whose plain-copy result is safe to keep (`auto v = m.at(k)`):
@@ -44,7 +46,7 @@ void check_flatmap_safety(const Project& /*project*/,
   }
   InvalidationConfig config;
   config.rule = "flatmap-ref-after-mutate";
-  config.type_names = {"FlatMap"};
+  config.type_names = {"FlatMap", "GenerationalMap"};
   config.require_template_args = true;
   config.subscript_mutates = true;
   config.check_range_for = true;

@@ -14,8 +14,8 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"os-call-confined",
        "raw mmap/munmap/madvise-family syscalls outside util::MmapFile"},
       {"flatmap-ref-after-mutate",
-       "FlatMap reference/iterator used after a mutating call (mutation "
-       "invalidates all references)"},
+       "FlatMap/GenerationalMap reference/iterator used after a mutating "
+       "call (mutation invalidates all references)"},
       {"contract-missing-expect",
        "public hot-module function with an index-like parameter but no "
        "PW_EXPECT/PW_EXPECT_BOUNDS in its body"},

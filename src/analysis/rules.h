@@ -51,8 +51,8 @@ void check_determinism(const Project& project, const SourceFile& file,
                        std::vector<Diagnostic>& out);
 
 // flatmap-ref-after-mutate: a reference/iterator obtained from a
-// FlatMap used after a mutating call on the same map in the same
-// function, or mutation of a FlatMap inside a range-for over it.
+// FlatMap or GenerationalMap used after a mutating call on the same map
+// in the same function, or mutation of one inside a range-for over it.
 void check_flatmap_safety(const Project& project, const SourceFile& file,
                           std::vector<Diagnostic>& out);
 

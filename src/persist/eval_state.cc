@@ -124,9 +124,9 @@ EvalSnapshot capture_eval_state(
   }
 
   // Capture time: the stopped run's last request time. Export keeps only
-  // the state live then, and a sweep drops only state dead at an earlier
-  // time, so the union is the same however each shard swept: the bytes
-  // stay the same at every thread count.
+  // the state live then, and a rotation drops only state dead at an
+  // earlier time, so the union is the same however each shard rotated:
+  // the bytes stay the same at every thread count.
   util::Seconds now = sim::detail::kNever;
   for (const auto* accumulator : accumulators) {
     PW_EXPECT(accumulator != nullptr);
@@ -358,7 +358,7 @@ std::optional<EvalSnapshot> parse_eval_snapshot(std::string_view file,
 
   {
     // The accumulator subtracts every loaded timestamp from request times
-    // (its sweep reads them all), so a far-off one would overflow.
+    // (observe and export read them all), so a far-off one would overflow.
     // Within 2^61 seconds of the epoch no difference can.
     const auto in_range = [](util::Seconds t) {
       constexpr util::Seconds kLimit = util::Seconds{1} << 61;

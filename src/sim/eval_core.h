@@ -29,7 +29,7 @@
 #include "core/rpv.h"
 #include "sim/prediction_eval.h"
 #include "trace/record.h"
-#include "util/flat_map.h"
+#include "util/generational_map.h"
 
 namespace piggyweb::sim::detail {
 
@@ -96,13 +96,16 @@ struct EvalStateImage {
 // only min_piggyback_interval, and an RPV list only its timeout. An entry
 // whose every timestamp is past the window that reads it is *dead*:
 // observe() cannot tell it from an absent one, at its time or any later
-// one. observe() drops the dead entries of all three tables once per C of
-// trace time, so the tables hold the pairs active within C instead of
-// every pair the trace ever touched. The cadence changes memory only,
-// never a result.
+// one. The three tables forget by generation (util::GenerationalMap):
+// they rotate together at the first request at least the rotation
+// interval E = max(C, T, min_piggyback_interval, rpv.timeout, 1) after
+// the previous rotation. An entry dropped at a rotation was last written
+// more than E before it, so it was dead, and the tables hold the pairs
+// written within about two E instead of every pair the trace ever
+// touched. The cadence changes memory only, never a result.
 class MetricAccumulator {
  public:
-  explicit MetricAccumulator(const EvalConfig& config) : config_(&config) {}
+  explicit MetricAccumulator(const EvalConfig& config);
 
   void observe(const trace::Request& request, core::VolumeId volume,
                std::span<const util::InternId> resources);
@@ -116,17 +119,17 @@ class MetricAccumulator {
 
   // Appends the state live at `now` (a capture time, at or after
   // latest_time()) to `image`; counters are summed. Dead entries are left
-  // out and stale fields of live ones reset, the same rule the sweep
-  // applies, so the image is the same whenever this accumulator swept.
+  // out and stale fields of live ones reset, so the image is the same
+  // whichever generation holds an entry and whenever the tables rotated.
   // Accumulators from disjoint source shards hold disjoint keys, so
   // exporting them all into one image is an exact union.
   void export_state(EvalStateImage& image, util::Seconds now) const;
 
   // Installs the image entries whose source (high 32 bits of the key)
-  // passes `owns`. Exactly one accumulator per restore takes the summed
-  // counters, or the merged total double-counts. Dead entries (an image
-  // written before export filtered them) load too and go at the first
-  // sweep.
+  // passes `owns`, in the current generation. Exactly one accumulator per
+  // restore takes the summed counters, or the merged total double-counts.
+  // Dead entries (an image written before export filtered them) load too
+  // and go within two rotations.
   void import_state(const EvalStateImage& image,
                     const std::function<bool(util::InternId source)>& owns,
                     bool take_counters);
@@ -139,20 +142,18 @@ class MetricAccumulator {
   ResourceState live_part(ResourceState state, util::Seconds now) const;
   bool piggy_dead(util::Seconds last, util::Seconds now) const;
 
-  // Drops every entry dead at `now`.
-  void sweep(util::Seconds now);
-
   const EvalConfig* config_;
+  util::Seconds rotation_interval_;
   EvalResult result_;
   util::Seconds latest_ = kNever;
-  util::Seconds last_sweep_ = kNever;
+  util::Seconds last_rotation_ = kNever;
   // (source, resource) -> state. Sources and resources are dense ids.
-  util::FlatMap<std::uint64_t, ResourceState> state_;
+  util::GenerationalMap<std::uint64_t, ResourceState> state_;
   // (source, server) -> last piggyback time (frequency control; written
   // only when min_piggyback_interval > 0).
-  util::FlatMap<std::uint64_t, util::Seconds> last_piggy_;
+  util::GenerationalMap<std::uint64_t, util::Seconds> last_piggy_;
   // (source, server) -> RPV list.
-  util::FlatMap<std::uint64_t, core::RpvList> rpv_;
+  util::GenerationalMap<std::uint64_t, core::RpvList> rpv_;
 };
 
 // Merge partial results from disjoint request sets: every field is a

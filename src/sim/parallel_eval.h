@@ -130,7 +130,7 @@ class ParallelEvaluator {
   // Replays straight off a TraceView (a streaming PIGGYTRC cursor or a
   // wrapped in-memory trace): no request is held beyond the current
   // window, and the accumulators' state is bounded by the pairs active
-  // within the cache horizon, not by the trace's length. The view's
+  // within about two cache horizons, not by the trace's length. The view's
   // windows must be time-sorted (checked incrementally, window by
   // window).
   EvalResult run(trace::TraceView& view, const ShardedProviderSpec& provider,

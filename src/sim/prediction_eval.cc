@@ -11,6 +11,13 @@ namespace piggyweb::sim {
 
 namespace detail {
 
+MetricAccumulator::MetricAccumulator(const EvalConfig& config)
+    : config_(&config),
+      rotation_interval_(std::max({config.cache_horizon,
+                                   config.prediction_window,
+                                   config.min_piggyback_interval,
+                                   config.rpv.timeout, util::Seconds{1}})) {}
+
 void MetricAccumulator::observe(const trace::Request& req,
                                 core::VolumeId volume,
                                 std::span<const util::InternId> resources) {
@@ -18,18 +25,21 @@ void MetricAccumulator::observe(const trace::Request& req,
   const auto t = req.time.value;
   const auto C = config_->cache_horizon;
 
-  // Sweep at the first request at least C after the previous sweep (and
-  // never twice in one second). The test is a difference, not t + C: C
-  // may be as large as 2^63 - 1.
+  // Rotate at the first request at least one rotation interval after the
+  // previous rotation. The test is a difference, not t + interval: C, and
+  // with it the interval, may be as large as 2^63 - 1.
   latest_ = t;
-  if (last_sweep_ == kNever) {
-    last_sweep_ = t;
-  } else if (t - last_sweep_ >= std::max<util::Seconds>(C, 1)) {
-    sweep(t);
+  if (last_rotation_ == kNever) {
+    last_rotation_ = t;
+  } else if (t - last_rotation_ >= rotation_interval_) {
+    last_rotation_ = t;
+    state_.rotate();
+    last_piggy_.rotate();
+    rpv_.rotate();
   }
 
   ++result_.requests;
-  auto& rs = state_[pair_key(req.source, req.path)];
+  auto& rs = state_.touch(pair_key(req.source, req.path));
 
   // --- metrics, evaluated against state from *earlier* requests --------
   const bool predicted =
@@ -61,31 +71,28 @@ void MetricAccumulator::observe(const trace::Request& req,
   bool enabled = config_->filter.enabled;
   const auto pair = pair_key(req.source, req.server);
   if (config_->min_piggyback_interval > 0) {
-    const auto it = last_piggy_.find(pair);
-    if (it != last_piggy_.end() &&
-        t - it->second < config_->min_piggyback_interval) {
+    const auto* last = last_piggy_.find(pair);
+    if (last != nullptr && t - *last < config_->min_piggyback_interval) {
       enabled = false;
     }
   }
   bool suppressed = volume == core::kNoVolume || resources.empty();
   core::RpvList* rpv_list = nullptr;
   if (config_->use_rpv && enabled) {
-    rpv_list = &rpv_.try_emplace(pair, config_->rpv).first->second;
-    const auto live = rpv_list->live(req.time);
-    if (!suppressed &&
-        std::find(live.begin(), live.end(), volume) != live.end()) {
-      suppressed = true;
-    }
+    rpv_list = &rpv_.touch(pair, config_->rpv);
+    // Checked even when the message is already suppressed: the check
+    // expires the FIFO, and snapshot images carry the raw FIFO.
+    if (rpv_list->contains(volume, req.time)) suppressed = true;
   }
   if (!enabled || suppressed) return;
 
   ++result_.piggyback_messages;
   result_.piggyback_elements += resources.size();
-  if (config_->min_piggyback_interval > 0) last_piggy_[pair] = t;
+  if (config_->min_piggyback_interval > 0) last_piggy_.touch(pair) = t;
   if (rpv_list != nullptr) rpv_list->note(volume, req.time);
 
   for (const auto resource : resources) {
-    auto& es = state_[pair_key(req.source, resource)];
+    auto& es = state_.touch(pair_key(req.source, resource));
     es.last_mention = t;
     if (es.interval_open == kNever || t - es.interval_open > T) {
       // A new prediction interval opens; multiple mentions within one
@@ -123,34 +130,22 @@ bool MetricAccumulator::piggy_dead(util::Seconds last,
   return now - last >= config_->min_piggyback_interval;
 }
 
-void MetricAccumulator::sweep(util::Seconds now) {
-  last_sweep_ = now;
-  state_.erase_if([this, now](const auto& kv) {
-    return live_part(kv.second, now) == ResourceState{};
-  });
-  last_piggy_.erase_if(
-      [this, now](const auto& kv) { return piggy_dead(kv.second, now); });
-  rpv_.erase_if([now](const auto& kv) {
-    return kv.second.empty_at(util::TimePoint{now});
-  });
-}
-
 void MetricAccumulator::export_state(EvalStateImage& image,
                                      util::Seconds now) const {
   const EvalResult partials[] = {image.counters, result_};
   image.counters = merge_results(partials);
-  for (const auto& [key, value] : state_) {
+  state_.for_each([&](std::uint64_t key, const ResourceState& value) {
     const auto live = live_part(value, now);
     if (live != ResourceState{}) image.resource_state.emplace_back(key, live);
-  }
-  for (const auto& [key, value] : last_piggy_) {
+  });
+  last_piggy_.for_each([&](std::uint64_t key, util::Seconds value) {
     if (!piggy_dead(value, now)) image.last_piggy.emplace_back(key, value);
-  }
-  for (const auto& [key, list] : rpv_) {
+  });
+  rpv_.for_each([&](std::uint64_t key, const core::RpvList& list) {
     if (!list.empty_at(util::TimePoint{now})) {
       image.rpv.emplace_back(key, list.entries());
     }
-  }
+  });
 }
 
 void MetricAccumulator::import_state(
@@ -166,16 +161,14 @@ void MetricAccumulator::import_state(
   // entry recovers the capture time.
   for (const auto& [key, value] : image.resource_state) {
     if (!owned(key)) continue;
-    state_[key] = value;
+    state_.touch(key) = value;
     latest_ = std::max(latest_, value.last_access);
   }
   for (const auto& [key, value] : image.last_piggy) {
-    if (owned(key)) last_piggy_[key] = value;
+    if (owned(key)) last_piggy_.touch(key) = value;
   }
   for (const auto& [key, entries] : image.rpv) {
-    if (!owned(key)) continue;
-    rpv_.try_emplace(key, config_->rpv)
-        .first->second.restore_entries(entries);
+    if (owned(key)) rpv_.touch(key, config_->rpv).restore_entries(entries);
   }
 }
 

@@ -15,8 +15,7 @@
 //
 // Semantics match std::unordered_map where the call sites use it:
 // find/end, operator[], try_emplace/emplace/insert, erase by key or
-// iterator, erase_if (as std::erase_if; it also shrinks the allocation),
-// contains/count/at, clear (capacity kept), reserve, and
+// iterator, contains/count/at, clear (capacity kept), reserve, swap, and
 // forward iteration with structured bindings. Iteration order is
 // unspecified and differs from std::unordered_map; every consumer in this
 // codebase is order-independent (sums, point lookups, or sorts-after).
@@ -218,33 +217,6 @@ class FlatMap {
     PW_EXPECT(pos.owner_ == this && pos.idx_ < capacity_ &&
               full_[pos.idx_]);
     erase_at(pos.idx_);
-  }
-
-  // Erases every element for which `pred(element)` is true; returns the
-  // number removed. When any is removed, the survivors move into a fresh
-  // allocation sized for them as reserve(size()) would size it, so a sweep
-  // that drops most of a table also returns its memory. Moving the few
-  // survivors is cheaper than backward-shifting out the many dead.
-  template <typename Pred>
-  std::size_t erase_if(Pred pred) {
-    const std::size_t before = size_;
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      if (full_[i] && pred(std::as_const(slots_[i]))) {
-        slots_[i].~value_type();
-        full_[i] = 0;
-        --size_;
-      }
-    }
-    const std::size_t removed = before - size_;
-    if (removed == 0) return 0;
-    if (size_ == 0) {
-      release();
-      return removed;
-    }
-    // The holes broke probe chains, so the survivors must be re-placed
-    // even when the capacity stays.
-    rehash(capacity_for(size_));
-    return removed;
   }
 
   // Destroys all elements but keeps the allocation, so a clear/refill

@@ -1,10 +1,12 @@
 #include "volume/probability.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/filter.h"
 #include "trace/stream.h"
 #include "util/expect.h"
+#include "util/generational_map.h"
 #include "util/strings.h"
 
 namespace piggyweb::volume {
@@ -104,19 +106,24 @@ ProbabilityVolumeSet build_probability_volumes(
   // Effectiveness pass: replay the trace; an implication r -> s is
   // "effective" at an r-request when s is not already in predicted state
   // for that source (no volume mentioned s within the last T seconds).
+  // Each candidate entry counts its effective requests in `effectiveness`
+  // (an exact integer in a double) until it is divided by c(r).
   if (config.effectiveness_threshold > 0 && !candidates.empty()) {
-    util::FlatMap<std::uint64_t, std::uint64_t> effective;  // pair key
     // (source, resource) -> last time any volume predicted the resource.
-    // An entry more than the window old reads as absent from then on, so
-    // the pass drops those once per window of trace time and the table
-    // holds the pairs predicted within about two windows.
-    util::FlatMap<std::uint64_t, util::Seconds> last_predicted;
+    // It is read only within the window, so the table rotates at the first
+    // request at least one window after its previous rotation: an entry
+    // dropped then was last written more than a window earlier and reads
+    // as absent anyway. It holds the pairs predicted within about two
+    // windows.
+    util::GenerationalMap<std::uint64_t, util::Seconds> last_predicted;
+    constexpr util::Seconds kUnpredicted =
+        std::numeric_limits<util::Seconds>::min();
     const auto state_key = [](util::InternId source, util::InternId res) {
       return (static_cast<std::uint64_t>(source) << 32) | res;
     };
-    const auto sweep_interval = std::max<util::Seconds>(config.window, 1);
+    const auto rotation_interval = std::max<util::Seconds>(config.window, 1);
     bool started = false;
-    util::Seconds last_sweep = 0;
+    util::Seconds last_rotation = 0;
     // Replay one bounded window at a time — the pass only needs (time,
     // source, path) in time order, so streaming views train in O(window)
     // request memory.
@@ -128,40 +135,33 @@ ProbabilityVolumeSet build_probability_volumes(
         const auto t = req.time.value;
         if (!started) {
           started = true;
-          last_sweep = t;
+          last_rotation = t;
         }
-        // Dropping is exact only if no later request comes earlier.
-        PW_EXPECT(t >= last_sweep);
-        // A difference, not last_sweep + window: the window may be as
+        // Forgetting is exact only if no later request comes earlier.
+        PW_EXPECT(t >= last_rotation);
+        // A difference, not last_rotation + window: the window may be as
         // large as 2^63 - 2.
-        if (t - last_sweep >= sweep_interval) {
-          last_sweep = t;
-          last_predicted.erase_if([&config, t](const auto& kv) {
-            return t - kv.second > config.window;
-          });
+        if (t - last_rotation >= rotation_interval) {
+          last_rotation = t;
+          last_predicted.rotate();
         }
         const auto it = candidates.find(req.path);
         if (it == candidates.end()) continue;
-        for (const auto& entry : it->second) {
-          const auto sk = state_key(req.source, entry.resource);
-          const auto [lp, inserted] = last_predicted.try_emplace(sk, t);
-          if (inserted || t - lp->second > config.window) {
-            ++effective[PairCounts::key(req.path, entry.resource)];
+        for (auto& entry : it->second) {
+          auto& last = last_predicted.touch(
+              state_key(req.source, entry.resource), kUnpredicted);
+          if (last == kUnpredicted || t - last > config.window) {
+            entry.effectiveness += 1.0;
           }
-          lp->second = t;
+          last = t;
         }
       }
     }
     for (auto& [r, entries] : candidates) {
       const auto cr = counts.occurrences(r);
       for (auto& entry : entries) {
-        const auto eff_it =
-            effective.find(PairCounts::key(r, entry.resource));
-        const auto eff =
-            eff_it == effective.end() ? 0 : eff_it->second;
         entry.effectiveness =
-            cr == 0 ? 0.0
-                    : static_cast<double>(eff) / static_cast<double>(cr);
+            cr == 0 ? 0.0 : entry.effectiveness / static_cast<double>(cr);
       }
       std::erase_if(entries, [&config](const VolumeEntry& e) {
         return e.effectiveness < config.effectiveness_threshold;

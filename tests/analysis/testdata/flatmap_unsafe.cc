@@ -46,4 +46,10 @@ unsigned reference_after_erase_if(util::FlatMap<unsigned, unsigned>& table) {
   return slot;  // finding: erase_if moves the survivors to a new allocation
 }
 
+long reference_after_rotate(util::GenerationalMap<unsigned, long>& seen) {
+  auto& last = seen.touch(7, 0L);
+  seen.rotate();
+  return last;  // finding: rotate drops a generation and clears the other
+}
+
 }  // namespace piggyweb::volume

@@ -4,6 +4,7 @@
 // bookkeeping bugs (split FIFO partitions, iterator juggling, eviction
 // order) that example-based tests miss.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <map>
@@ -22,6 +23,7 @@
 #include "util/strings.h"
 #include "volume/directory.h"
 #include "volume/pair_counter.h"
+#include "volume/probability.h"
 
 namespace piggyweb::sim::detail {
 
@@ -773,17 +775,21 @@ Pairs sorted_by_key(Pairs pairs) {
 
 // Random requests over few sources, servers and paths, most in the same
 // second as the one before and the rest after a gap of exactly T, T + 1,
-// C or C + 1 (or a random one), fed to MetricAccumulator and the model.
-// The accumulator sweeps once per C; every result and every capture must
-// match the model that never forgets. Some captures also restart the
-// accumulator from its own image, as a resume does.
+// C, C + 1, E or E + 1 (or a random one), fed to MetricAccumulator and the
+// model. E is the accumulator's rotation interval, max(C, T, min
+// interval, RPV timeout, 1), so rotations land on each table's window
+// edge; every result and every capture must match the model that never
+// forgets. Some captures also restart the accumulator from its own image,
+// as a resume does.
 void expect_accumulator_matches_model(std::uint64_t seed,
                                       const sim::EvalConfig& config,
                                       std::size_t requests) {
   util::Rng rng(seed);
   const auto T = config.prediction_window;
   const auto C = config.cache_horizon;
-  const util::Seconds gaps[] = {1, T, T + 1, C, C + 1};
+  const auto E = std::max({C, T, config.min_piggyback_interval,
+                           config.rpv.timeout, util::Seconds{1}});
+  const util::Seconds gaps[] = {1, T, T + 1, C, C + 1, E, E + 1};
   std::optional<sim::detail::MetricAccumulator> acc(std::in_place, config);
   ReferenceAccumulator model(config);
   util::Seconds now = 1000;
@@ -863,6 +869,150 @@ TEST_P(AccumulatorDifferential, SweepIsExactAtTheWindowEdges) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AccumulatorDifferential,
                          ::testing::Values(3, 4242, 0xACC0ULL));
+
+// --- Effectiveness pass vs a reference that never forgets ---------------------
+
+// Naive model of build_probability_volumes without prefix restriction or
+// entry cap, each rule stated once:
+//   * the candidates of r are the counted pairs (r, s) with p(s|r) >= p_t;
+//   * replaying the trace in order, an r-request makes r -> s effective
+//     when no candidate of any volume predicted s to that source within T
+//     (never, or more than T ago), and every candidate of r then predicts
+//     its s at the request's time;
+//   * effectiveness is the effective count over c(r); entries below the
+//     threshold go, and the rest sort by probability, then resource.
+// last_predicted keeps every pair forever.
+std::map<util::InternId, std::vector<volume::VolumeEntry>>
+reference_probability_volumes(const trace::Trace& trace,
+                              const volume::PairCounts& counts,
+                              const volume::ProbabilityVolumeConfig& config) {
+  std::map<util::InternId, std::vector<volume::VolumeEntry>> candidates;
+  for (const auto& [key, pc] : counts.pairs()) {
+    const auto r = static_cast<util::InternId>(key >> 32);
+    const auto s = static_cast<util::InternId>(key & 0xffffffffu);
+    const double p = counts.probability(r, s);
+    if (p >= config.probability_threshold) {
+      candidates[r].push_back({s, p, 0.0});
+    }
+  }
+  std::map<std::pair<util::InternId, util::InternId>, util::Seconds>
+      last_predicted;
+  std::map<std::pair<util::InternId, util::InternId>, std::uint64_t>
+      effective;
+  for (const auto& req : trace.requests()) {
+    const auto it = candidates.find(req.path);
+    if (it == candidates.end()) continue;
+    for (const auto& entry : it->second) {
+      const auto [last, inserted] = last_predicted.try_emplace(
+          {req.source, entry.resource}, req.time.value);
+      if (inserted || req.time.value - last->second > config.window) {
+        ++effective[{req.path, entry.resource}];
+      }
+      last->second = req.time.value;
+    }
+  }
+  std::map<util::InternId, std::vector<volume::VolumeEntry>> volumes;
+  for (auto& [r, entries] : candidates) {
+    const auto cr = counts.occurrences(r);
+    for (auto& entry : entries) {
+      const auto eff = effective[{r, entry.resource}];
+      entry.effectiveness =
+          cr == 0 ? 0.0
+                  : static_cast<double>(eff) / static_cast<double>(cr);
+    }
+    std::erase_if(entries, [&config](const volume::VolumeEntry& e) {
+      return e.effectiveness < config.effectiveness_threshold;
+    });
+    if (entries.empty()) continue;
+    std::sort(entries.begin(), entries.end(),
+              [](const volume::VolumeEntry& a, const volume::VolumeEntry& b) {
+                if (a.probability != b.probability) {
+                  return a.probability > b.probability;
+                }
+                return a.resource < b.resource;
+              });
+    volumes[r] = std::move(entries);
+  }
+  return volumes;
+}
+
+// Random requests over few sources and paths, most in the same second as
+// the one before and the rest after a gap of exactly 1, T or T + 1 (or a
+// random one), so the pass's rotations, once per T, land on the window
+// edge. Each source mostly walks the paths in a cycle, so implications
+// reach every threshold. Both the trained set and the reference hold every
+// resource, probability and effectiveness bit for bit.
+void expect_effectiveness_matches_model(std::uint64_t seed,
+                                        util::Seconds T) {
+  util::Rng rng(seed);
+  constexpr std::size_t kPaths = 6;
+  constexpr std::size_t kSources = 3;
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < kPaths; ++i) {
+    paths.push_back("/p" + std::to_string(i));
+  }
+  std::size_t last_path[kSources] = {};
+  trace::Trace trace;
+  util::Seconds now = 1'000'000;
+  const util::Seconds gaps[] = {1, T, T + 1};
+  for (int i = 0; i < 6000; ++i) {
+    if (!rng.chance(0.55)) {
+      now += rng.chance(0.9) ? gaps[rng.below(std::size(gaps))]
+                             : rng.between(2, 3 * T);
+    }
+    const auto source = rng.below(kSources);
+    auto& path = last_path[source];
+    path = rng.chance(0.7) ? (path + 1) % kPaths : rng.below(kPaths);
+    trace.add({now}, "10.0.0." + std::to_string(source), "origin",
+              paths[path]);
+  }
+  volume::PairCounterConfig counter_config;
+  counter_config.window = T;
+  const auto counts = volume::PairCounterBuilder(counter_config).build(trace);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const double p_t : {0.1, 0.3}) {
+    for (const double eff : {0.05, 0.55, 0.85}) {
+      SCOPED_TRACE(::testing::Message() << "T " << T << " p_t " << p_t
+                                        << " eff " << eff);
+      volume::ProbabilityVolumeConfig config;
+      config.probability_threshold = p_t;
+      config.effectiveness_threshold = eff;
+      config.window = T;
+      const auto set = volume::build_probability_volumes(trace, counts, config);
+      const auto expected =
+          reference_probability_volumes(trace, counts, config);
+      ASSERT_EQ(set.volume_count(), expected.size());
+      for (const auto& [r, entries] : expected) {
+        const auto* trained = set.volume_of(r);
+        ASSERT_NE(trained, nullptr) << "r " << r;
+        ASSERT_EQ(trained->size(), entries.size()) << "r " << r;
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+          const auto& got = (*trained)[i];
+          const auto& want = entries[i];
+          ASSERT_EQ(got.resource, want.resource) << "r " << r << " slot " << i;
+          ASSERT_EQ(bits(got.probability), bits(want.probability))
+              << "r " << r << " slot " << i;
+          ASSERT_EQ(bits(got.effectiveness), bits(want.effectiveness))
+              << "r " << r << " slot " << i;
+        }
+      }
+    }
+  }
+}
+
+class EffectivenessDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EffectivenessDifferential, ForgettingIsExactAtTheWindowEdge) {
+  for (const util::Seconds T : {1, 3, 10}) {
+    expect_effectiveness_matches_model(
+        GetParam() ^ (static_cast<std::uint64_t>(T) << 8), T);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EffectivenessDifferential,
+                         ::testing::Values(5, 777, 0xEFFULL));
 
 }  // namespace
 }  // namespace piggyweb

@@ -280,81 +280,6 @@ TEST(FlatMap, SlidingWindowChurnDifferential) {
   ASSERT_EQ(visited, ref.size());
 }
 
-// erase_if against std::erase_if over std::unordered_map: sweeps that
-// remove nothing, everything, or a random share (the value's low bits
-// against a per-sweep threshold), with insert/erase churn between them so
-// every sweep starts from a table with a different probe layout.
-TEST(FlatMap, EraseIfDifferentialAgainstStdEraseIf) {
-  Rng rng(0xE1A5E1F5ULL);
-  FlatMap<std::uint64_t, std::uint64_t> flat;
-  std::unordered_map<std::uint64_t, std::uint64_t> ref;
-  const auto expect_same = [&] {
-    ASSERT_EQ(flat.size(), ref.size());
-    for (const auto& [k, v] : ref) {
-      const auto it = flat.find(k);
-      ASSERT_NE(it, flat.end()) << k;
-      ASSERT_EQ(it->second, v) << k;
-    }
-    std::size_t visited = 0;
-    for ([[maybe_unused]] const auto& kv : flat) ++visited;
-    ASSERT_EQ(visited, ref.size());
-  };
-
-  for (int round = 0; round < 400; ++round) {
-    const auto churn = rng.below(2000);
-    for (std::uint64_t op = 0; op < churn; ++op) {
-      const auto key = rng.chance(0.9) ? rng.below(4096) : rng();
-      if (rng.chance(0.75)) {
-        const auto value = rng();
-        flat[key] = value;
-        ref[key] = value;
-      } else {
-        ASSERT_EQ(flat.erase(key), ref.erase(key));
-      }
-    }
-    expect_same();
-
-    const auto kind = rng.below(3);
-    const auto threshold = rng.below(1024);
-    const auto pred = [kind, threshold](const auto& kv) {
-      if (kind == 0) return false;
-      if (kind == 1) return true;
-      return (kv.second & 1023) < threshold;
-    };
-    const auto expected = std::erase_if(ref, pred);
-    ASSERT_EQ(flat.erase_if(pred), expected);
-    expect_same();
-  }
-}
-
-TEST(FlatMap, EraseIfShrinksToTheSurvivors) {
-  FlatMap<std::uint32_t, std::uint32_t> map;
-  for (std::uint32_t k = 0; k < 10000; ++k) map[k] = k;
-  const auto full = map.bucket_count();
-
-  // Removing nothing keeps the allocation.
-  EXPECT_EQ(map.erase_if([](const auto&) { return false; }), 0u);
-  EXPECT_EQ(map.bucket_count(), full);
-
-  // Ten survivors fit the minimum table.
-  EXPECT_EQ(map.erase_if([](const auto& kv) { return kv.first >= 10; }),
-            9990u);
-  EXPECT_EQ(map.size(), 10u);
-  EXPECT_LT(map.bucket_count(), full);
-  EXPECT_EQ(map.bucket_count(), 16u);
-  for (std::uint32_t k = 0; k < 10; ++k) EXPECT_EQ(map.at(k), k);
-
-  // The table grows again from there, and an emptied one holds nothing.
-  for (std::uint32_t k = 10; k < 100; ++k) map[k] = k;
-  EXPECT_EQ(map.size(), 100u);
-  EXPECT_EQ(map.erase_if([](const auto&) { return true; }), 100u);
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.bucket_count(), 0u);
-  EXPECT_FALSE(map.contains(5));
-  map[5] = 6;
-  EXPECT_EQ(map.at(5), 6u);
-}
-
 // operator== is content equality: the probe layout, capacity, and the
 // churn history that produced each side must not matter. The snapshot
 // layer depends on this — a map rebuilt from serialized entries compares

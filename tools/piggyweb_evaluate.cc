@@ -143,10 +143,12 @@ int main(int argc, char** argv) {
   }
   constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
   const std::pair<const char*, std::int64_t> ranges[] = {
-      {"level", kIntMax},    {"combine-level", kIntMax},
-      {"maxpiggy", kU32Max}, {"minfreq", kU32Max},
-      {"min-count", std::numeric_limits<std::int64_t>::max()}};
+      {"level", kIntMax},        {"combine-level", kIntMax},
+      {"maxpiggy", kU32Max},     {"minfreq", kU32Max},
+      {"min-count", kI64Max},    {"min-interval", kI64Max},
+      {"rpv-timeout", kI64Max}};
   for (const auto& [name, max] : ranges) {
     const auto value = flags.get_int(name);
     if (value < 0) {
