@@ -7,6 +7,9 @@
 #include <string>
 #include <utility>
 
+#include "analysis/lexer.h"
+#include "analysis/rules.h"
+
 namespace piggyweb::analysis {
 
 namespace fs = std::filesystem;
@@ -44,9 +47,25 @@ void walk(const fs::path& dir, const fs::path& root,
 
 }  // namespace
 
+void analyze_file(std::string path, std::string text,
+                  std::vector<Diagnostic>& out) {
+  // Tokens view into file.text, so the file stays put while rules run.
+  SourceFile file;
+  file.path = std::move(path);
+  file.text = std::move(text);
+  file.tokens = lex(file.text);
+  check_determinism(file, out);
+  check_flatmap_safety(file, out);
+  check_view_invalidation(file, out);
+}
+
 std::vector<std::string> collect_tree(const AnalyzeOptions& options,
                                       std::vector<std::string>& errors) {
   std::vector<std::string> out;
+  if (options.subdirs.empty()) {
+    errors.push_back("no subdirectory to scan");
+    return out;
+  }
   const fs::path root(options.root);
   for (const auto& sub : options.subdirs) {
     const fs::path dir = root / sub;
@@ -55,7 +74,11 @@ std::vector<std::string> collect_tree(const AnalyzeOptions& options,
       errors.push_back(dir.generic_string() + ": not a directory");
       continue;
     }
+    const std::size_t found_before = out.size();
     walk(dir, root, out, errors);
+    if (out.size() == found_before) {
+      errors.push_back(dir.generic_string() + ": no .h or .cc file to scan");
+    }
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -64,21 +87,22 @@ std::vector<std::string> collect_tree(const AnalyzeOptions& options,
 AnalyzeResult analyze_tree(const AnalyzeOptions& options) {
   AnalyzeResult result;
   const std::vector<std::string> paths = collect_tree(options, result.errors);
-  Project project;
+  if (!result.errors.empty()) return result;
   const fs::path root(options.root);
   for (const auto& rel : paths) {
     std::ifstream in(root / rel, std::ios::binary);
     if (!in) {
+      result = {};
       result.errors.push_back("cannot read " + (root / rel).generic_string());
-      continue;
+      return result;
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    project.add_file(rel, std::move(buf).str());
+    analyze_file(rel, std::move(buf).str(), result.diagnostics);
+    ++result.files_scanned;
   }
-  if (!result.errors.empty()) return result;
-  result.files_scanned = paths.size();
-  result.diagnostics = project.analyze();
+  std::sort(result.diagnostics.begin(), result.diagnostics.end(),
+            diagnostic_less);
   return result;
 }
 

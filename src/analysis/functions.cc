@@ -8,12 +8,6 @@ namespace {
 
 enum class ScopeKind { kNamespace, kClass, kEnum, kOther };
 
-struct Scope {
-  ScopeKind kind = ScopeKind::kOther;
-  bool public_access = true;
-  std::string_view name;  // class name for kClass scopes, else empty
-};
-
 class Scanner {
  public:
   explicit Scanner(const SourceFile& file) : toks_(file.tokens) {}
@@ -24,7 +18,7 @@ class Scanner {
       if (t.is_punct("#")) {
         skip_directive();
       } else if (t.is_punct("{")) {
-        scopes_.push_back({ScopeKind::kOther, true, {}});
+        scopes_.push_back(ScopeKind::kOther);
         ++i_;
       } else if (t.is_punct("}")) {
         if (!scopes_.empty()) scopes_.pop_back();
@@ -35,15 +29,9 @@ class Scanner {
         enter_namespace();
       } else if (t.text == "class" || t.text == "struct" ||
                  t.text == "union") {
-        enter_class(t.text != "class");
+        enter_class();
       } else if (t.text == "enum") {
         enter_enum();
-      } else if ((t.text == "public" || t.text == "protected" ||
-                  t.text == "private") &&
-                 peek_punct(i_ + 1, ":") && !scopes_.empty() &&
-                 scopes_.back().kind == ScopeKind::kClass) {
-        scopes_.back().public_access = t.text == "public";
-        i_ += 2;
       } else if (t.text == "template") {
         ++i_;
         skip_angles();
@@ -63,23 +51,12 @@ class Scanner {
 
  private:
   bool in_code_scope() const {
-    return scopes_.empty() || scopes_.back().kind == ScopeKind::kNamespace ||
-           scopes_.back().kind == ScopeKind::kClass;
+    return scopes_.empty() || scopes_.back() == ScopeKind::kNamespace ||
+           scopes_.back() == ScopeKind::kClass;
   }
 
   bool peek_punct(std::size_t idx, std::string_view text) const {
     return idx < toks_.size() && toks_[idx].is_punct(text);
-  }
-
-  // Lexical class scopes, outermost first (unnamed scopes skipped).
-  std::vector<std::string_view> class_path() const {
-    std::vector<std::string_view> path;
-    for (const Scope& s : scopes_) {
-      if (s.kind == ScopeKind::kClass && !s.name.empty()) {
-        path.push_back(s.name);
-      }
-    }
-    return path;
   }
 
   // Skip the rest of a preprocessor directive (same physical line; a
@@ -134,7 +111,7 @@ class Scanner {
       ++i_;
     }
     if (i_ < toks_.size() && toks_[i_].is_punct("{")) {
-      scopes_.push_back({ScopeKind::kNamespace, true, {}});
+      scopes_.push_back(ScopeKind::kNamespace);
       ++i_;
     } else if (i_ < toks_.size()) {
       ++i_;  // namespace alias
@@ -144,7 +121,7 @@ class Scanner {
   // Distinguish a class definition head (`struct Name [final]
   // [: bases] {`) from forward declarations, variables of class type,
   // and elaborated type specifiers. Only a definition pushes a scope.
-  void enter_class(bool default_public) {
+  void enter_class() {
     std::size_t j = i_ + 1;
     // Optional attributes.
     while (j + 1 < toks_.size() && toks_[j].is_punct("[") &&
@@ -154,7 +131,6 @@ class Scanner {
     }
     // Optional (possibly qualified, possibly templated) name.
     bool saw_name = false;
-    std::string_view class_name;
     while (j < toks_.size() &&
            (toks_[j].kind == TokKind::kIdent || toks_[j].is_punct("::"))) {
       if (toks_[j].kind == TokKind::kIdent) {
@@ -166,7 +142,6 @@ class Scanner {
           return;
         }
         saw_name = true;
-        class_name = toks_[j].text;
       }
       ++j;
       if (j < toks_.size() && toks_[j].is_punct("<")) {
@@ -191,7 +166,7 @@ class Scanner {
       }
     }
     if (j < toks_.size() && toks_[j].is_punct("{")) {
-      scopes_.push_back({ScopeKind::kClass, default_public, class_name});
+      scopes_.push_back(ScopeKind::kClass);
       i_ = j + 1;
     } else {
       ++i_;  // forward declaration / elaborated specifier
@@ -205,7 +180,7 @@ class Scanner {
       ++j;
     }
     if (j < toks_.size() && toks_[j].is_punct("{")) {
-      scopes_.push_back({ScopeKind::kEnum, true, {}});
+      scopes_.push_back(ScopeKind::kEnum);
       i_ = j + 1;
     } else {
       i_ = j < toks_.size() ? j + 1 : j;
@@ -316,124 +291,14 @@ class Scanner {
     const std::size_t body_open = j;
     const std::size_t body_close = match(body_open, "{", "}");
 
-    FunctionDef def;
-    def.name = toks_[name_idx].text;
-    def.line = toks_[name_idx].line;
-    def.params = parse_params(name_idx + 1, close);
-    def.body_begin = body_open + 1;
-    def.body_end = body_close;
-    def.at_class_scope =
-        !scopes_.empty() && scopes_.back().kind == ScopeKind::kClass;
-    def.is_public = true;
-    def.classes = qualified_classes(name_idx);
-    for (const Scope& s : scopes_) {
-      if (s.kind == ScopeKind::kClass && !s.public_access) {
-        def.is_public = false;
-      }
-    }
-    out_.push_back(std::move(def));
+    out_.push_back({toks_[name_idx].text, toks_[name_idx].line,
+                    body_open + 1, body_close});
     i_ = body_close < toks_.size() ? body_close + 1 : toks_.size();
-  }
-
-  // Lexical class scopes plus the `A::B::` qualifiers preceding the
-  // function name at `name_idx` (out-of-line definitions), outermost
-  // first. A destructor's '~' is skipped; qualifiers that are template
-  // specializations (`FlatMap<K, V>::`) contribute the template's name.
-  std::vector<std::string_view> qualified_classes(
-      std::size_t name_idx) const {
-    std::vector<std::string_view> quals;
-    std::size_t k = name_idx;
-    if (k > 0 && toks_[k - 1].is_punct("~")) --k;
-    while (k >= 2 && toks_[k - 1].is_punct("::")) {
-      std::size_t q = k - 2;
-      if (toks_[q].is_punct(">")) {
-        // Backward-skip the template argument block.
-        std::size_t depth = 0;
-        while (true) {
-          if (toks_[q].is_punct(">")) ++depth;
-          if (toks_[q].is_punct("<") && --depth == 0) break;
-          if (q == 0) return quals;
-          --q;
-        }
-        if (q == 0) return quals;
-        --q;  // the template's name
-      }
-      if (toks_[q].kind != TokKind::kIdent || is_cpp_keyword(toks_[q].text)) {
-        break;
-      }
-      quals.insert(quals.begin(), toks_[q].text);
-      k = q;
-    }
-    std::vector<std::string_view> path = class_path();
-    path.insert(path.end(), quals.begin(), quals.end());
-    return path;
-  }
-
-  // Parameters between toks_[open] == '(' and toks_[close] == ')'.
-  std::vector<ParamInfo> parse_params(std::size_t open,
-                                      std::size_t close) const {
-    std::vector<ParamInfo> params;
-    std::size_t piece_begin = open + 1;
-    std::size_t depth = 0;
-    for (std::size_t j = open + 1; j <= close; ++j) {
-      const Token& t = toks_[j];
-      const bool at_end = j == close;
-      if (!at_end) {
-        if (t.is_punct("(") || t.is_punct("<") || t.is_punct("[") ||
-            t.is_punct("{")) {
-          ++depth;
-          continue;
-        }
-        if (t.is_punct(")") || t.is_punct(">") || t.is_punct("]") ||
-            t.is_punct("}")) {
-          if (depth > 0) --depth;
-          continue;
-        }
-      }
-      if (at_end || (depth == 0 && t.is_punct(","))) {
-        if (j > piece_begin) params.push_back(param_name(piece_begin, j));
-        piece_begin = j + 1;
-      }
-    }
-    return params;
-  }
-
-  // The declared name within one parameter piece [begin, end), or an
-  // empty name for unnamed parameters. The name is the trailing
-  // identifier of a multi-token piece; a lone identifier (or one
-  // reached through '::') is a type.
-  ParamInfo param_name(std::size_t begin, std::size_t end) const {
-    std::size_t stop = end;
-    std::size_t depth = 0;
-    for (std::size_t j = begin; j < end; ++j) {  // strip default argument
-      const Token& t = toks_[j];
-      if (t.is_punct("(") || t.is_punct("<")) ++depth;
-      if (t.is_punct(")") || t.is_punct(">")) {
-        if (depth > 0) --depth;
-      }
-      if (depth == 0 && t.is_punct("=")) {
-        stop = j;
-        break;
-      }
-    }
-    if (stop - begin < 2) return {};
-    std::size_t last = stop;
-    while (last > begin) {
-      --last;
-      if (toks_[last].kind == TokKind::kIdent) break;
-      if (!toks_[last].is_punct("[") && !toks_[last].is_punct("]")) {
-        return {};  // piece ends in punctuation: `const Foo&` etc.
-      }
-    }
-    if (toks_[last].kind != TokKind::kIdent) return {};
-    if (is_cpp_keyword(toks_[last].text)) return {};
-    if (last > begin && toks_[last - 1].is_punct("::")) return {};
-    return {toks_[last].text};
   }
 
   const std::vector<Token>& toks_;
   std::size_t i_ = 0;
-  std::vector<Scope> scopes_;
+  std::vector<ScopeKind> scopes_;
   std::vector<FunctionDef> out_;
 };
 

@@ -1,11 +1,11 @@
-// Heuristic function-definition scanner shared by the contract-coverage,
-// flat-map-safety and view-invalidation rules. It walks a token stream
-// with an explicit scope stack (namespace / class / enum / other braces),
-// recognizes function definitions at namespace or class scope — including
+// Heuristic function-definition scanner behind the flat-map-safety and
+// view-invalidation rules. It walks a token stream with an explicit
+// scope stack (namespace / class / enum / other braces), recognizes
+// function definitions at namespace or class scope — including
 // out-of-line `Type Class::name(...)` definitions and constructors with
-// member-init lists — and records the token range of each body. Bodies
-// are not recursed into, so lambdas and local classes never produce
-// nested entries.
+// member-init lists — and records the name and the token range of each
+// body. Bodies are not recursed into, so lambdas and local classes never
+// produce nested entries.
 //
 // This is a lint heuristic, not a parser: pathological macro tricks can
 // hide functions from it. The fixture suite pins the constructs that
@@ -19,22 +19,11 @@
 
 namespace piggyweb::analysis {
 
-struct ParamInfo {
-  std::string_view name;  // empty for unnamed parameters
-};
-
 struct FunctionDef {
   std::string_view name;
-  std::uint32_t line = 0;          // line of the name token
-  std::vector<ParamInfo> params;
-  std::size_t body_begin = 0;      // first token index inside the body
-  std::size_t body_end = 0;        // index of the closing '}' token
-  bool at_class_scope = false;
-  bool is_public = true;  // every enclosing class section is public
-  // Enclosing class names, outermost first: lexical class scopes plus
-  // the `Class::` qualifiers of an out-of-line definition. Empty for
-  // free functions.
-  std::vector<std::string_view> classes;
+  std::uint32_t line = 0;      // line of the name token
+  std::size_t body_begin = 0;  // first token index inside the body
+  std::size_t body_end = 0;    // index of the closing '}' token
 };
 
 // All function definitions (bodies only; pure declarations are skipped).

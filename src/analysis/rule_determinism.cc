@@ -156,8 +156,7 @@ bool body_feeds_ordered_output(const std::vector<Token>& toks,
 
 }  // namespace
 
-void check_determinism(const Project& /*project*/, const SourceFile& file,
-                       std::vector<Diagnostic>& out) {
+void check_determinism(const SourceFile& file, std::vector<Diagnostic>& out) {
   const auto& toks = file.tokens;
   const auto module = module_of(file.path);
 

@@ -22,8 +22,8 @@ namespace {
 
 bool mutating_method(std::string_view m) {
   return m == "insert" || m == "emplace" || m == "try_emplace" ||
-         m == "erase" || m == "erase_if" || m == "clear" ||
-         m == "reserve" || m == "rehash" || m == "touch" || m == "rotate";
+         m == "erase" || m == "clear" || m == "reserve" || m == "touch" ||
+         m == "rotate";
 }
 
 bool accessor_method(std::string_view m) {
@@ -37,8 +37,7 @@ bool reference_only_method(std::string_view m) { return m == "at"; }
 
 }  // namespace
 
-void check_flatmap_safety(const Project& /*project*/,
-                          const SourceFile& file,
+void check_flatmap_safety(const SourceFile& file,
                           std::vector<Diagnostic>& out) {
   if (!file.path.starts_with("src/") && !file.path.starts_with("tools/") &&
       !file.path.starts_with("bench/")) {

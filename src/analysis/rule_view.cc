@@ -48,8 +48,7 @@ bool intern_accessor_method(std::string_view m) { return m == "views"; }
 
 }  // namespace
 
-void check_view_invalidation(const Project& /*project*/,
-                             const SourceFile& file,
+void check_view_invalidation(const SourceFile& file,
                              std::vector<Diagnostic>& out) {
   if (!file.path.starts_with("src/") && !file.path.starts_with("tools/") &&
       !file.path.starts_with("bench/")) {

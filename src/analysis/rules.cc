@@ -16,12 +16,6 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"flatmap-ref-after-mutate",
        "FlatMap/GenerationalMap reference/iterator used after a mutating "
        "call (mutation invalidates all references)"},
-      {"contract-missing-expect",
-       "public hot-module function with an index-like parameter but no "
-       "PW_EXPECT/PW_EXPECT_BOUNDS in its body"},
-      {"hdr-pragma-once", "header does not start with #pragma once"},
-      {"hdr-unused-include",
-       "include whose (transitive) symbols are never referenced"},
       {"view-after-advance",
        "TraceView window/read_batch span or InternTable views() used "
        "after an advancing call invalidated it"},
@@ -33,10 +27,6 @@ bool flatmap_required(std::string_view module) {
   return module == "src/sim" || module == "src/volume" ||
          module == "src/proxy" || module == "src/core" ||
          module == "src/server";
-}
-
-bool contracts_required(std::string_view module) {
-  return flatmap_required(module);
 }
 
 bool determinism_exempt(std::string_view path) {

@@ -1,15 +1,15 @@
-// The staticcheck rule catalog. Each checker appends diagnostics for
-// one file; Project::analyze() drives all of them. Scope policy (which
-// modules a rule applies to) lives here so it is one table to read and
-// one place to change — per-module allowlisting is deliberate: a cold
-// module is exempted as a whole, never a single call site. There is no
-// suppression file: a finding is fixed, or its rule changes.
+// The staticcheck rule catalog. Each checker reads one file and appends
+// its diagnostics; analyze_file() (engine.h) runs all of them. Scope
+// policy (which modules a rule applies to) lives here so it is one table
+// to read and one place to change — per-module allowlisting is
+// deliberate: a cold module is exempted as a whole, never a single call
+// site. There is no suppression file: a finding is fixed, or its rule
+// changes.
 #pragma once
 
 #include <string_view>
 #include <vector>
 
-#include "analysis/project.h"
 #include "analysis/source.h"
 
 namespace piggyweb::analysis {
@@ -29,10 +29,6 @@ const std::vector<RuleInfo>& rule_catalog();
 // allowlisted by module.
 bool flatmap_required(std::string_view module);
 
-// Hot modules where public functions with index-like parameters must
-// carry a PW_EXPECT / PW_EXPECT_BOUNDS contract.
-bool contracts_required(std::string_view module);
-
 // Files allowed to touch wall-clock / global-random APIs: the seeded
 // RNG itself, simulation time, and the observability layer (whose
 // wall-clock readings are explicitly non-deterministic metrics).
@@ -46,29 +42,20 @@ bool os_calls_allowed(std::string_view path);
 
 // --- rule families ----------------------------------------------------
 
-// det-banned-call, det-unordered-container, det-unordered-iteration.
-void check_determinism(const Project& project, const SourceFile& file,
-                       std::vector<Diagnostic>& out);
+// det-banned-call, det-unordered-container, det-unordered-iteration,
+// os-call-confined.
+void check_determinism(const SourceFile& file, std::vector<Diagnostic>& out);
 
 // flatmap-ref-after-mutate: a reference/iterator obtained from a
 // FlatMap or GenerationalMap used after a mutating call on the same map
 // in the same function, or mutation of one inside a range-for over it.
-void check_flatmap_safety(const Project& project, const SourceFile& file,
+void check_flatmap_safety(const SourceFile& file,
                           std::vector<Diagnostic>& out);
-
-// contract-missing-expect: public hot-module functions taking
-// index-like parameters without a contract macro in the body.
-void check_contracts(const Project& project, const SourceFile& file,
-                     std::vector<Diagnostic>& out);
-
-// hdr-pragma-once, hdr-unused-include.
-void check_headers(const Project& project, const SourceFile& file,
-                   std::vector<Diagnostic>& out);
 
 // view-after-advance: TraceView window / read_batch spans and
 // InternTable::views() used after an advancing/mutating call on the
 // same receiver (shared invalidation core with the flatmap rule).
-void check_view_invalidation(const Project& project, const SourceFile& file,
+void check_view_invalidation(const SourceFile& file,
                              std::vector<Diagnostic>& out);
 
 }  // namespace piggyweb::analysis

@@ -29,12 +29,4 @@ std::string_view module_of(std::string_view path) {
                                           : path.substr(0, second);
 }
 
-std::string_view stem_of(std::string_view path) {
-  const auto slash = path.rfind('/');
-  std::string_view name =
-      slash == std::string_view::npos ? path : path.substr(slash + 1);
-  const auto dot = name.rfind('.');
-  return dot == std::string_view::npos ? name : name.substr(0, dot);
-}
-
 }  // namespace piggyweb::analysis

@@ -17,8 +17,6 @@ struct SourceFile {
   std::string path;           // repo-relative
   std::string text;           // owned; tokens view into it
   std::vector<Token> tokens;
-
-  bool is_header() const { return path.ends_with(".h"); }
 };
 
 struct Diagnostic {
@@ -39,9 +37,5 @@ bool diagnostic_less(const Diagnostic& a, const Diagnostic& b);
 // Module of a repo-relative path: "src/<subsystem>" for files under
 // src/, else the first path component.
 std::string_view module_of(std::string_view path);
-
-// File name without directories or a trailing .h/.cc extension;
-// "src/sim/engine.cc" -> "engine".
-std::string_view stem_of(std::string_view path);
 
 }  // namespace piggyweb::analysis

@@ -26,10 +26,6 @@ TEST(AnalysisFunctions, FreeFunctionWithParams) {
   ASSERT_EQ(fns.size(), 1u);
   EXPECT_EQ(fns[0].name, "add");
   EXPECT_EQ(fns[0].line, 2u);
-  EXPECT_FALSE(fns[0].at_class_scope);
-  ASSERT_EQ(fns[0].params.size(), 2u);
-  EXPECT_EQ(fns[0].params[0].name, "lhs");
-  EXPECT_EQ(fns[0].params[1].name, "rhs");
 }
 
 TEST(AnalysisFunctions, DeclarationsProduceNoEntry) {
@@ -48,26 +44,23 @@ TEST(AnalysisFunctions, CallsAreNotDefinitions) {
   EXPECT_EQ(fns[0].name, "caller");
 }
 
-TEST(AnalysisFunctions, AccessSpecifiersTracked) {
+TEST(AnalysisFunctions, MemberFunctionsInClassBodies) {
   const auto file = make_file(
       "class Widget {\n"
       " public:\n"
       "  void visible(int index) { use(index); }\n"
       " private:\n"
+      "  struct Inner {\n"
+      "    void poke() { touch(); }\n"
+      "  };\n"
       "  void hidden(int index) { use(index); }\n"
-      "};\n"
-      "struct Pod {\n"
-      "  void open(int index) { use(index); }\n"
       "};\n");
   const auto fns = scan_functions(file);
   ASSERT_EQ(fns.size(), 3u);
   EXPECT_EQ(fns[0].name, "visible");
-  EXPECT_TRUE(fns[0].is_public);
-  EXPECT_TRUE(fns[0].at_class_scope);
-  EXPECT_EQ(fns[1].name, "hidden");
-  EXPECT_FALSE(fns[1].is_public);
-  EXPECT_EQ(fns[2].name, "open");  // struct defaults to public
-  EXPECT_TRUE(fns[2].is_public);
+  EXPECT_EQ(fns[1].name, "poke");
+  EXPECT_EQ(fns[1].line, 6u);
+  EXPECT_EQ(fns[2].name, "hidden");
 }
 
 TEST(AnalysisFunctions, OutOfLineDefinitionAndCtorInitList) {
@@ -78,15 +71,15 @@ TEST(AnalysisFunctions, OutOfLineDefinitionAndCtorInitList) {
       "}\n"
       "int Widget::lookup(std::size_t slot) const noexcept {\n"
       "  return table_[slot];\n"
-      "}\n");
+      "}\n"
+      "void Outer::Inner::poke() { touch(); }\n");
   const auto fns = scan_functions(file);
-  ASSERT_EQ(fns.size(), 2u);
+  ASSERT_EQ(fns.size(), 3u);
   EXPECT_EQ(fns[0].name, "Widget");
-  ASSERT_EQ(fns[0].params.size(), 1u);
-  EXPECT_EQ(fns[0].params[0].name, "capacity");
+  EXPECT_EQ(fns[0].line, 1u);
   EXPECT_EQ(fns[1].name, "lookup");
-  ASSERT_EQ(fns[1].params.size(), 1u);
-  EXPECT_EQ(fns[1].params[0].name, "slot");
+  EXPECT_EQ(fns[1].line, 5u);
+  EXPECT_EQ(fns[2].name, "poke");
 }
 
 TEST(AnalysisFunctions, TrailingReturnTypeAndTemplates) {
@@ -99,9 +92,6 @@ TEST(AnalysisFunctions, TrailingReturnTypeAndTemplates) {
   const auto fns = scan_functions(file);
   ASSERT_EQ(fns.size(), 1u);
   EXPECT_EQ(fns[0].name, "first_of");
-  ASSERT_EQ(fns[0].params.size(), 2u);
-  EXPECT_EQ(fns[0].params[0].name, "items");
-  EXPECT_EQ(fns[0].params[1].name, "pos");
 }
 
 TEST(AnalysisFunctions, UnnamedAndDefaultedParams) {
@@ -110,11 +100,9 @@ TEST(AnalysisFunctions, UnnamedAndDefaultedParams) {
       "  use(count, rate);\n"
       "}\n");
   const auto fns = scan_functions(file);
+  // The call in the default argument is not a definition.
   ASSERT_EQ(fns.size(), 1u);
-  ASSERT_EQ(fns[0].params.size(), 3u);
-  EXPECT_EQ(fns[0].params[0].name, "");  // unnamed: lone type token
-  EXPECT_EQ(fns[0].params[1].name, "count");  // default arg stripped
-  EXPECT_EQ(fns[0].params[2].name, "rate");
+  EXPECT_EQ(fns[0].name, "mixed");
 }
 
 TEST(AnalysisFunctions, LambdasStayInsideTheEnclosingBody) {
@@ -138,31 +126,6 @@ TEST(AnalysisFunctions, BodyRangeCoversTheBody) {
     EXPECT_FALSE(file.tokens[i].is_punct("{"));
   }
   EXPECT_TRUE(saw_return);
-}
-
-TEST(AnalysisFunctions, ClassPathTrackedOnFunctions) {
-  const auto file = make_file(
-      "class Outer {\n"
-      "  struct Inner {\n"
-      "    void poke() { touch(); }\n"
-      "  };\n"
-      "  void prod() { touch(); }\n"
-      "};\n");
-  const auto fns = scan_functions(file);
-  ASSERT_EQ(fns.size(), 2u);
-  EXPECT_EQ(fns[0].classes,
-            (std::vector<std::string_view>{"Outer", "Inner"}));
-  EXPECT_EQ(fns[1].classes, (std::vector<std::string_view>{"Outer"}));
-}
-
-TEST(AnalysisFunctions, OutOfLineQualifiersJoinTheClassPath) {
-  const auto file = make_file(
-      "void Outer::Inner::poke() { touch(); }\n");
-  const auto fns = scan_functions(file);
-  ASSERT_EQ(fns.size(), 1u);
-  EXPECT_EQ(fns[0].name, "poke");
-  EXPECT_EQ(fns[0].classes,
-            (std::vector<std::string_view>{"Outer", "Inner"}));
 }
 
 }  // namespace

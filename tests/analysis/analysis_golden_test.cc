@@ -1,11 +1,13 @@
 // Golden-output test over the disk fixtures in testdata/, plus
 // engine-level coverage: the disk walker's skip rules and its refusal
-// of a subdirectory it cannot read. The fixtures are stored flat; each is analyzed
-// under a mapped repo-relative path so module policy applies.
+// of a subdirectory list that scans nothing. The fixtures are stored
+// flat; each is analyzed under a mapped repo-relative path so module
+// policy applies.
 #include "analysis/engine.h"
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -43,24 +45,22 @@ struct FixtureMap {
 };
 constexpr FixtureMap kFixtures[] = {
     {"clean.cc", "src/core/clean.cc"},
-    {"contract_missing.h", "src/proxy/contract_missing.h"},
     {"det_banned.cc", "src/core/det_banned.cc"},
     {"det_unordered.cc", "src/sim/det_unordered.cc"},
     {"flatmap_unsafe.cc", "src/volume/flatmap_unsafe.cc"},
-    {"helper.h", "src/util/helper.h"},
-    {"missing_pragma.h", "src/core/missing_pragma.h"},
     {"os_call.cc", "src/trace/os_call.cc"},
-    {"unused_include.cc", "tools/unused_include.cc"},
     {"view_after_advance.cc", "src/trace/view_after_advance.cc"},
 };
 
 TEST(AnalysisGolden, FixtureDiagnosticsMatchGoldenFile) {
-  Project project;
+  std::vector<Diagnostic> diagnostics;
   for (const auto& [fixture, analyzed_path] : kFixtures) {
-    project.add_file(analyzed_path, read_file(testdata_dir() / fixture));
+    analyze_file(analyzed_path, read_file(testdata_dir() / fixture),
+                 diagnostics);
   }
+  std::sort(diagnostics.begin(), diagnostics.end(), diagnostic_less);
   std::string actual;
-  for (const auto& d : project.analyze()) {
+  for (const auto& d : diagnostics) {
     actual += format_diagnostic(d);
     actual += '\n';
   }
@@ -76,9 +76,10 @@ TEST(AnalysisGolden, FixtureDiagnosticsMatchGoldenFile) {
 }
 
 TEST(AnalysisGolden, CleanFixtureAloneProducesNothing) {
-  Project project;
-  project.add_file("src/core/clean.cc", read_file(testdata_dir() / "clean.cc"));
-  EXPECT_TRUE(project.analyze().empty());
+  std::vector<Diagnostic> diagnostics;
+  analyze_file("src/core/clean.cc", read_file(testdata_dir() / "clean.cc"),
+               diagnostics);
+  EXPECT_TRUE(diagnostics.empty());
 }
 
 // A throwaway on-disk tree for the walker tests.
@@ -124,21 +125,29 @@ TEST(AnalysisEngine, WalkerSkipsTestdataAndBuildDirectories) {
 }
 
 // A subdirectory that is not there is an error, not an empty tree: a
-// lint gate that scanned nothing must not pass. The rules do not run.
+// lint gate that scanned nothing must not pass. Neither does an empty
+// subdirectory list, or a subdirectory with no .h/.cc file in it. No
+// findings are reported.
 TEST(AnalysisEngine, MissingSubdirectoryIsAnError) {
   TempTree tree;
   tree.write("src/core/bad.cc", "int f() { return rand(); }\n");
+  tree.write("docs/notes.txt", "not C++\n");
 
   AnalyzeOptions options;
   options.root = tree.root();
-  options.subdirs = {"src", "srcc"};
-  const auto result = analyze_tree(options);
-  ASSERT_EQ(result.errors.size(), 1u);
-  EXPECT_NE(result.errors[0].find("srcc: not a directory"),
-            std::string::npos)
-      << result.errors[0];
-  EXPECT_EQ(result.files_scanned, 0u);
-  EXPECT_TRUE(result.diagnostics.empty());
+  const auto expect_refused = [&](std::vector<std::string> subdirs,
+                                  const std::string& error) {
+    options.subdirs = std::move(subdirs);
+    const auto result = analyze_tree(options);
+    ASSERT_EQ(result.errors.size(), 1u);
+    EXPECT_NE(result.errors[0].find(error), std::string::npos)
+        << result.errors[0];
+    EXPECT_EQ(result.files_scanned, 0u);
+    EXPECT_TRUE(result.diagnostics.empty());
+  };
+  expect_refused({"src", "srcc"}, "srcc: not a directory");
+  expect_refused({}, "no subdirectory to scan");
+  expect_refused({"src", "docs"}, "docs: no .h or .cc file to scan");
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Targeted rule-engine tests over inline snippets. Each case builds a
-// tiny Project, runs analyze(), and checks which rules fire (and, as
-// importantly, which don't). The disk fixtures under testdata/ pin the
-// full diagnostic text; these pin the decision logic.
+// Targeted rule-engine tests over inline snippets. Each case runs every
+// rule over one snippet with analyze_file() and checks which rules fire
+// (and, as importantly, which don't). The disk fixtures under testdata/
+// pin the full diagnostic text; these pin the decision logic.
 #include "analysis/rules.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -11,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/project.h"
+#include "analysis/engine.h"
 #include "util/rng.h"
 
 namespace piggyweb::analysis {
@@ -24,9 +25,10 @@ std::vector<std::string> rules_fired(const std::vector<Diagnostic>& diags) {
 }
 
 std::vector<Diagnostic> analyze_one(std::string path, std::string text) {
-  Project project;
-  project.add_file(std::move(path), std::move(text));
-  return project.analyze();
+  std::vector<Diagnostic> out;
+  analyze_file(std::move(path), std::move(text), out);
+  std::sort(out.begin(), out.end(), diagnostic_less);
+  return out;
 }
 
 TEST(AnalysisRules, BannedCallFlaggedInHotModule) {
@@ -189,96 +191,6 @@ TEST(AnalysisRules, FlatMapMutationInsideRangeFor) {
   EXPECT_EQ(diags[0].line, 4u);
 }
 
-TEST(AnalysisRules, ContractRequiredOnlyForPublicHotFunctions) {
-  const std::string missing =
-      "#pragma once\n"
-      "void seek(std::size_t offset) { use(offset); }\n";
-  EXPECT_EQ(rules_fired(analyze_one("src/volume/a.h", missing)),
-            (std::vector<std::string>{"contract-missing-expect"}));
-  // Cold module: no contract requirement.
-  EXPECT_TRUE(analyze_one("src/http/a.h", missing).empty());
-  const std::string checked =
-      "#pragma once\n"
-      "void seek(std::size_t offset) {\n"
-      "  PW_EXPECT_BOUNDS(offset, limit());\n"
-      "  use(offset);\n"
-      "}\n";
-  EXPECT_TRUE(analyze_one("src/volume/a.h", checked).empty());
-  const std::string non_index =
-      "#pragma once\n"
-      "void scale(double factor) { use(factor); }\n";
-  EXPECT_TRUE(analyze_one("src/volume/a.h", non_index).empty());
-}
-
-TEST(AnalysisRules, PragmaOnceRequiredInHeaders) {
-  EXPECT_EQ(rules_fired(analyze_one("src/core/a.h", "struct A {};\n")),
-            (std::vector<std::string>{"hdr-pragma-once"}));
-  EXPECT_TRUE(
-      analyze_one("src/core/a.h", "#pragma once\nstruct A {};\n").empty());
-  // A leading comment is fine; tokens start at the pragma.
-  EXPECT_TRUE(analyze_one("src/core/a.h",
-                          "// banner\n#pragma once\nstruct A {};\n")
-                  .empty());
-  // .cc files have no pragma requirement.
-  EXPECT_TRUE(analyze_one("src/core/a.cc", "struct A {};\n").empty());
-}
-
-TEST(AnalysisRules, UnusedProjectIncludeUsesTransitiveSymbols) {
-  Project project;
-  project.add_file("src/util/base.h", "#pragma once\nstruct Base {};\n");
-  project.add_file("src/util/wrap.h",
-                   "#pragma once\n#include \"util/base.h\"\n"
-                   "struct Wrap { Base base; };\n");
-  // Uses Base only — provided transitively through wrap.h, so the
-  // include is counted as used.
-  project.add_file("src/core/user.cc",
-                   "#include \"util/wrap.h\"\nBase g_base;\n");
-  // Never references anything from wrap.h's tree.
-  project.add_file("src/core/dead.cc",
-                   "#include \"util/wrap.h\"\nint g_x = 0;\n");
-  std::vector<std::string> fired;
-  for (const auto& d : project.analyze()) {
-    fired.push_back(d.file + ":" + d.rule);
-  }
-  EXPECT_EQ(fired,
-            (std::vector<std::string>{"src/core/dead.cc:hdr-unused-include"}));
-}
-
-TEST(AnalysisRules, UnknownSystemHeadersAreNeverFlagged) {
-  EXPECT_TRUE(analyze_one("src/core/a.cc",
-                          "#include <sys/obscure_platform.h>\nint g_x = 0;\n")
-                  .empty());
-}
-
-TEST(AnalysisRules, ConcurrencyHeadersKnowTheirSymbols) {
-  // Each include is justified by a symbol the table must know about;
-  // a gap would misreport the include as unused.
-  EXPECT_TRUE(analyze_one(
-                  "src/core/a.cc",
-                  "#include <shared_mutex>\n"
-                  "std::shared_mutex g_lock;\n"
-                  "long f(long x) { std::shared_lock lock(g_lock);"
-                  " return x; }\n")
-                  .empty());
-  EXPECT_TRUE(analyze_one(
-                  "src/core/b.cc",
-                  "#include <atomic>\n"
-                  "void f(std::atomic<long>& a) {"
-                  " a.fetch_add(1, std::memory_order_acq_rel); }\n")
-                  .empty());
-  EXPECT_TRUE(analyze_one(
-                  "src/core/c.cc",
-                  "#include <mutex>\n"
-                  "void f(std::mutex& m) {"
-                  " std::unique_lock<std::mutex> l(m, std::try_to_lock); }\n")
-                  .empty());
-  EXPECT_TRUE(analyze_one(
-                  "src/core/d.cc",
-                  "#include <span>\n"
-                  "long f(std::span<const long> s) { return s[0]; }\n")
-                  .empty());
-}
-
 TEST(AnalysisRules, TraceWindowSpanUsedAfterNextWindow) {
   const std::string bad =
       "#include \"trace/stream.h\"\n"
@@ -385,7 +297,7 @@ TEST(AnalysisRules, FlatMapRuleMatchesReferenceOracleOnRandomPrograms) {
 
 TEST(AnalysisRules, RuleCatalogCoversEveryEmittedRule) {
   const auto& catalog = rule_catalog();
-  EXPECT_EQ(catalog.size(), 9u);
+  EXPECT_EQ(catalog.size(), 6u);
   for (const auto& rule : catalog) {
     EXPECT_FALSE(rule.id.empty());
     EXPECT_FALSE(rule.summary.empty());

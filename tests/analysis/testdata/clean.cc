@@ -1,7 +1,6 @@
 // Negative fixture (analyzed as src/core/clean.cc): hot-module code that
-// follows every rule — FlatMap with re-lookup after mutation, contracts
-// on index-like parameters, no wall-clock or unordered containers, and
-// only includes it uses. Expected findings: none.
+// follows every rule — FlatMap with re-lookup after mutation, no
+// wall-clock or unordered containers. Expected findings: none.
 #include <cstddef>
 #include <vector>
 

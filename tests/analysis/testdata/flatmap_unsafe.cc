@@ -40,12 +40,6 @@ unsigned safe_patterns(util::FlatMap<unsigned, unsigned>& table) {
   return total;
 }
 
-unsigned reference_after_erase_if(util::FlatMap<unsigned, unsigned>& table) {
-  auto& slot = table.at(7);
-  table.erase_if([](const auto& kv) { return kv.second == 0; });
-  return slot;  // finding: erase_if moves the survivors to a new allocation
-}
-
 long reference_after_rotate(util::GenerationalMap<unsigned, long>& seen) {
   auto& last = seen.touch(7, 0L);
   seen.rotate();

@@ -774,13 +774,14 @@ Pairs sorted_by_key(Pairs pairs) {
 }
 
 // Random requests over few sources, servers and paths, most in the same
-// second as the one before and the rest after a gap of exactly T, T + 1,
-// C, C + 1, E or E + 1 (or a random one), fed to MetricAccumulator and the
-// model. E is the accumulator's rotation interval, max(C, T, min
-// interval, RPV timeout, 1), so rotations land on each table's window
-// edge; every result and every capture must match the model that never
-// forgets. Some captures also restart the accumulator from its own image,
-// as a resume does.
+// second as the one before and the rest after a gap of exactly one
+// second either side of T, C or E, or of T, C or E itself (or a random
+// one), fed to MetricAccumulator and the model. E is the accumulator's
+// rotation interval, max(C, T, min interval, RPV timeout, 1), so
+// rotations land on each table's window edge, and an interval one second
+// short or long shows; every result and every capture must match the
+// model that never forgets. Some captures also restart the accumulator
+// from its own image, as a resume does.
 void expect_accumulator_matches_model(std::uint64_t seed,
                                       const sim::EvalConfig& config,
                                       std::size_t requests) {
@@ -789,7 +790,8 @@ void expect_accumulator_matches_model(std::uint64_t seed,
   const auto C = config.cache_horizon;
   const auto E = std::max({C, T, config.min_piggyback_interval,
                            config.rpv.timeout, util::Seconds{1}});
-  const util::Seconds gaps[] = {1, T, T + 1, C, C + 1, E, E + 1};
+  const util::Seconds gaps[] = {1, T - 1, T, T + 1, C - 1, C, C + 1,
+                                E - 1, E, E + 1};
   std::optional<sim::detail::MetricAccumulator> acc(std::in_place, config);
   ReferenceAccumulator model(config);
   util::Seconds now = 1000;

@@ -1,8 +1,9 @@
 // Project lint driver: runs the analysis rule set over the repository's
 // own sources and reports findings as `file:line: [rule-id] message`
 // lines (or JSON with --json). Exits 0 when there are no findings, 1
-// when there are, and 2 on a usage error or when a subdirectory or file
-// to scan cannot be read (nothing is analyzed then).
+// when there are, and 2 on a usage error, when there is nothing to scan
+// (no subdirectory, or one with no .h/.cc file), or when a subdirectory
+// or file to scan cannot be read (nothing is reported then).
 #include <cstdio>
 #include <map>
 #include <string>
@@ -43,7 +44,7 @@ piggyweb::obs::Json diagnostic_json(const Diagnostic& d) {
 int main(int argc, char** argv) {
   piggyweb::tools::FlagSet flags(
       "piggyweb_staticcheck -- lint the project sources with the "
-      "determinism / flat-map / contract / header rule set");
+      "determinism / mmap-confinement / flat-map / view-lifetime rule set");
   flags.add_string("root", ".", "repository root to scan");
   flags.add_string("subdirs", "src,tools,bench,tests",
                    "comma-separated subtrees to scan under the root");
